@@ -2,21 +2,17 @@
 orbits on the projective line as p-adic discs, counting and containment
 certificates, and an exact finite model of the associated chain complex."""
 
-from .padics import INF, PadicConfig, PadicNum, PrecisionError, arith, val
+from .padics import INF, PadicConfig, PadicNum, PrecisionError
 from .projline import (
     Ball,
-    BallSplitsError,
     GL2,
     ProjPoint,
     ball_canonicalize,
-    ball_member,
-    ball_subset,
     moebius_apply,
     moebius_ball_image,
 )
 from .tree import (
     OrientedEdge,
-    Orientation,
     Vertex,
     act_vertex,
     distance,
@@ -43,10 +39,8 @@ from .orbits import (
 )
 from .chains import (
     BoundaryMatrix,
-    Chain0,
-    Chain1,
+    Chain,
     Character,
-    LocalFun,
     NotAnalyticError,
     TruncFun,
     act_on_function,

@@ -23,16 +23,12 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .padics import INF, PadicConfig, PadicNum
 from .projline import Ball, GL2, ProjPoint, moebius_apply, moebius_ball_image
 from .tree import OrientedEdge, Vertex
-from .orbits import (
-    OrbitRecord,
-    OrbitRegistry,
-    nonminimal_count_formula,
-    verify_counts,
-)
+from .orbits import OrbitRegistry, nonminimal_count_formula, verify_counts
 
 
 class NotAnalyticError(ValueError):
@@ -226,34 +222,12 @@ def restrict(f: TruncFun, target: Ball) -> TruncFun:
     return TruncFun(cfg, target, _compose_poly(list(f.coeffs), sigma, D))
 
 
-def _ball_chain(reg: OrbitRegistry, src: Ball, dst: Ball):
-    """Every registry ball between dst and src, ordered superset-first.
-
-    All balls containing dst are nested, so the family is totally ordered;
-    composing one-step restrictions along it makes restriction functorial on
-    the registry poset by construction.
-    """
-    cache = getattr(reg, "_chain_cache", None)
-    if cache is None:
-        cache = reg._chain_cache = {}
-        reg._ball_set = sorted(
-            {r.ball for r in reg.all_vertex_records()},
-            key=lambda b: (-b.measure(), b.sort_key()),
-        )
-    key = (src, dst)
-    hit = cache.get(key)
-    if hit is None:
-        hit = [b for b in reg._ball_set if dst.subset(b) and b.subset(src)]
-        assert hit and hit[0] == src and hit[-1] == dst
-        cache[key] = hit
-    return hit
-
-
 def registry_restrict(reg: OrbitRegistry, f: TruncFun, target: Ball) -> TruncFun:
     """Restriction used by the complex maps: the composite of one-step
-    restrictions along the chain of intermediate registry balls."""
+    restrictions along the chain of intermediate registry balls, which makes
+    restriction functorial on the registry poset by construction."""
     out = f
-    for ball in _ball_chain(reg, f.ball, target)[1:]:
+    for ball in reg.ball_chain(f.ball, target)[1:]:
         out = restrict(out, ball)
     return out
 
@@ -324,27 +298,32 @@ def cocycle_xi(cfg: PadicConfig, z: ProjPoint, g: GL2) -> GL2:
 
 
 class Chain:
-    """Finitely supported assignment record-id -> TruncFun over a registry."""
+    """Finitely supported assignment record index -> TruncFun over a registry.
+
+    Degree-one chains live on edge records, degree-zero chains on vertex
+    records, and the piecewise functions the augmentation lands in on the
+    minimal records.
+    """
 
     def __init__(self, reg: OrbitRegistry, d: int, parts=None):
         self.reg = reg
         self.d = d
         self.parts = {}
-        for rid, fun in (parts or {}).items():
-            self.set_part(rid, fun)
+        for i, fun in (parts or {}).items():
+            self.set_part(i, fun)
 
-    def set_part(self, rid: str, fun: TruncFun):
+    def set_part(self, i: int, fun: TruncFun):
         assert fun.degree_bound == self.d
         if fun.is_zero():
-            self.parts.pop(rid, None)
+            self.parts.pop(i, None)
         else:
-            self.parts[rid] = fun
+            self.parts[i] = fun
 
-    def add_part(self, rid: str, fun: TruncFun):
-        if rid in self.parts:
-            self.set_part(rid, self.parts[rid] + fun)
+    def add_part(self, i: int, fun: TruncFun):
+        if i in self.parts:
+            self.set_part(i, self.parts[i] + fun)
         else:
-            self.set_part(rid, fun)
+            self.set_part(i, fun)
 
     def is_zero(self) -> bool:
         return not self.parts
@@ -354,108 +333,9 @@ class Chain:
             return NotImplemented
         if set(self.parts) != set(other.parts):
             return False
-        return all(self.parts[r] == other.parts[r] for r in self.parts)
+        return all(self.parts[i] == other.parts[i] for i in self.parts)
 
     __hash__ = None
-
-
-class Chain1(Chain):
-    """Supported on edge records."""
-
-
-class Chain0(Chain):
-    """Supported on vertex records."""
-
-
-class LocalFun:
-    """Piecewise function with breaks at the minimal-orbit partition."""
-
-    def __init__(self, reg: OrbitRegistry, d: int, parts=None):
-        self.reg = reg
-        self.d = d
-        self.parts = {}
-        for rid, fun in (parts or {}).items():
-            if not fun.is_zero():
-                assert fun.degree_bound == d
-                self.parts[rid] = fun
-
-    def add_piece(self, rid: str, fun: TruncFun):
-        if rid in self.parts:
-            s = self.parts[rid] + fun
-            if s.is_zero():
-                del self.parts[rid]
-            else:
-                self.parts[rid] = s
-        elif not fun.is_zero():
-            self.parts[rid] = fun
-
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def __eq__(self, other):
-        if not isinstance(other, LocalFun):
-            return NotImplemented
-        if set(self.parts) != set(other.parts):
-            return False
-        return all(self.parts[r] == other.parts[r] for r in self.parts)
-
-    __hash__ = None
-
-
-# -- registry cover caches ----------------------------------------------------
-
-
-def _covers(reg: OrbitRegistry):
-    """(record id -> minimal records inside its ball,
-        minimal id -> non-minimal records strictly containing its ball)."""
-    cached = getattr(reg, "_cover_cache", None)
-    if cached is not None:
-        return cached
-    minimal = reg.minimal_records()
-    min_cover = {}
-    nonmin_over = {r.id_str(): [] for r in minimal}
-    for rec in reg.all_vertex_records():
-        inside = [mr for mr in minimal if mr.ball.subset(rec.ball)]
-        min_cover[rec.id_str()] = inside
-        if not reg.minimal_flags[rec.id_str()]:
-            for mr in inside:
-                nonmin_over[mr.id_str()].append(rec)
-    reg._cover_cache = (min_cover, nonmin_over)
-    return reg._cover_cache
-
-
-def _vertex_rec_by_id(reg: OrbitRegistry):
-    cached = getattr(reg, "_vid_cache", None)
-    if cached is None:
-        cached = {r.id_str(): r for r in reg.all_vertex_records()}
-        reg._vid_cache = cached
-    return cached
-
-
-def _edge_rec_by_id(reg: OrbitRegistry):
-    cached = getattr(reg, "_eid_cache", None)
-    if cached is None:
-        cached = {r.id_str(): r for r in reg.all_edge_records()}
-        reg._eid_cache = cached
-    return cached
-
-
-def _owner_vertex_record(reg: OrbitRegistry, edge_rec: OrbitRecord) -> OrbitRecord:
-    owner = reg.edge_owner[edge_rec.id_str()]
-    for q in reg.vertex_records[owner]:
-        if q.ball == edge_rec.ball:
-            return q
-    raise AssertionError("edge orbit has no matching record at its owner")
-
-
-def _edge_sub_records(reg: OrbitRegistry, edge_rec: OrbitRecord):
-    """Records of the non-owner endpoint strictly inside the edge orbit."""
-    e = edge_rec.simplex
-    owner = reg.edge_owner[edge_rec.id_str()]
-    other = e.dst if owner == e.src else e.src
-    subs = [q for q in reg.vertex_records[other] if q.ball != edge_rec.ball and q.ball.subset(edge_rec.ball)]
-    assert len(subs) == reg.p, "an edge orbit splits into exactly q orbits opposite its owner"
-    return other, subs
 
 
 def _edge_sign(e: OrientedEdge, v: Vertex) -> int:
@@ -465,65 +345,57 @@ def _edge_sign(e: OrientedEdge, v: Vertex) -> int:
 # -- boundary maps -------------------------------------------------------------
 
 
-def partial1(c1: Chain1, reg: OrbitRegistry) -> Chain0:
+def partial1(c1: Chain, reg: OrbitRegistry) -> Chain:
     """f on an oriented edge goes to +f at the source and -f at the target,
     written out per orbit: identity into the endpoint owning the orbit, exact
     restrictions into the q sub-orbits at the other endpoint."""
-    out = Chain0(reg, c1.d)
-    erecs = _edge_rec_by_id(reg)
-    for rid, f in c1.parts.items():
-        rec = erecs[rid]
-        e = rec.simplex
-        owner_rec = _owner_vertex_record(reg, rec)
-        owner = reg.edge_owner[rid]
-        s = _edge_sign(e, owner)
-        out.add_part(owner_rec.id_str(), f if s == 1 else -f)
-        other, subs = _edge_sub_records(reg, rec)
+    out = Chain(reg, c1.d)
+    for i, f in c1.parts.items():
+        e = reg.records[i].simplex
+        owner = reg.owner[i]
+        s = _edge_sign(e, reg.records[owner].simplex)
+        out.add_part(owner, f if s == 1 else -f)
+        other, subs = reg.edge_subs[i]
         s2 = _edge_sign(e, other)
         for q in subs:
-            rf = registry_restrict(reg, f, q.ball)
-            out.add_part(q.id_str(), rf if s2 == 1 else -rf)
+            rf = registry_restrict(reg, f, reg.records[q].ball)
+            out.add_part(q, rf if s2 == 1 else -rf)
     return out
 
 
-def partial0(c0: Chain0, reg: OrbitRegistry) -> LocalFun:
+def partial0(c0: Chain, reg: OrbitRegistry) -> Chain:
     """Sum of the components inside the space of piecewise functions, written
     on the common refinement by minimal-orbit discs."""
-    min_cover, _ = _covers(reg)
-    out = LocalFun(reg, c0.d)
-    for rid, f in c0.parts.items():
-        for mr in min_cover[rid]:
-            out.add_piece(mr.id_str(), registry_restrict(reg, f, mr.ball))
+    out = Chain(reg, c0.d)
+    for i, f in c0.parts.items():
+        for m in reg.min_cover[i]:
+            out.add_part(m, registry_restrict(reg, f, reg.records[m].ball))
     return out
 
 
-def kernel_project(c0: Chain0, reg: OrbitRegistry) -> Chain0:
+def kernel_project(c0: Chain, reg: OrbitRegistry) -> Chain:
     """Drop the minimal components of a kernel element of the augmentation."""
     if not partial0(c0, reg).is_zero():
         raise ValueError("chain is not in the kernel of the augmentation")
-    out = Chain0(reg, c0.d)
-    for rid, f in c0.parts.items():
-        if not reg.minimal_flags[rid]:
-            out.set_part(rid, f)
-    return out
+    return Chain(reg, c0.d, {i: f for i, f in c0.parts.items() if not reg.minimal[i]})
 
 
-def kernel_lift(nonmin: Chain0, reg: OrbitRegistry) -> Chain0:
+def kernel_lift(nonmin: Chain, reg: OrbitRegistry) -> Chain:
     """Reconstruct the unique kernel element with the given non-minimal part:
     each minimal component is minus the sum of the restrictions of the
     strictly larger components."""
-    _, nonmin_over = _covers(reg)
-    out = Chain0(reg, nonmin.d)
-    for rid, f in nonmin.parts.items():
-        assert not reg.minimal_flags[rid], "lift input must be supported off the minimal records"
-        out.set_part(rid, f)
-    for mr in reg.minimal_records():
-        acc = zero_fun(reg.cfg, mr.ball, nonmin.d)
-        for rec in nonmin_over[mr.id_str()]:
-            f = nonmin.parts.get(rec.id_str())
+    out = Chain(reg, nonmin.d)
+    for i, f in nonmin.parts.items():
+        assert not reg.minimal[i], "lift input must be supported off the minimal records"
+        out.set_part(i, f)
+    for m, over in reg.nonmin_over.items():
+        ball = reg.records[m].ball
+        acc = zero_fun(reg.cfg, ball, nonmin.d)
+        for i in over:
+            f = nonmin.parts.get(i)
             if f is not None:
-                acc = acc + registry_restrict(reg, f, mr.ball)
-        out.add_part(mr.id_str(), -acc)
+                acc = acc + registry_restrict(reg, f, ball)
+        out.add_part(m, -acc)
     return out
 
 
@@ -563,19 +435,23 @@ class BoundaryMatrix:
         rows.sort(key=lambda b: (b["row"], b["col"]))
         return rows
 
-    def apply(self, c1: Chain1) -> Chain0:
-        """Matrix action: columns are the edge records under the owner bijection."""
-        out = Chain0(self.reg, self.d)
-        col_of = {rec.id_str(): i for i, rec in self.column_edge_record.items()}
-        by_col = {}
+    @cached_property
+    def _edge_blocks(self) -> dict:
+        """Edge record index -> its column's (vertex record index, kind, sign)."""
+        index = self.reg.index
+        edge_of = {col: index[rec] for col, rec in self.column_edge_record.items()}
+        out = {}
         for row, col, kind, sign in self.blocks:
-            by_col.setdefault(col, []).append((row, kind, sign))
-        for rid, f in c1.parts.items():
-            col = col_of[rid]
-            for row, kind, sign in by_col.get(col, ()):
-                target = self.order[row]
-                g = f if kind == "id" else registry_restrict(self.reg, f, target.ball)
-                out.add_part(target.id_str(), g if sign == 1 else -g)
+            out.setdefault(edge_of[col], []).append((index[self.order[row]], kind, sign))
+        return out
+
+    def apply(self, c1: Chain) -> Chain:
+        """Matrix action: columns are the edge records under the owner bijection."""
+        out = Chain(self.reg, self.d)
+        for i, f in c1.parts.items():
+            for t, kind, sign in self._edge_blocks[i]:
+                g = f if kind == "id" else registry_restrict(self.reg, f, self.reg.records[t].ball)
+                out.add_part(t, g if sign == 1 else -g)
         return out
 
     def to_json(self) -> dict:
@@ -606,23 +482,24 @@ def assemble_dbar1(reg: OrbitRegistry, d: int) -> BoundaryMatrix:
     if not counts["pass"]:
         raise AssertionError(f"registry counting certificates failed: {counts['counterexamples']}")
     order = list(reg.nonmin_order)
-    index = {r.id_str(): i for i, r in enumerate(order)}
+    row_of = {reg.index[r]: i for i, r in enumerate(order)}
     assert len(order) == nonminimal_count_formula(reg.p, reg.k, reg.n)
     blocks = []
     column_edge_record = {}
-    for rec in reg.all_edge_records():
+    for i in reg.edge_ids():
+        rec = reg.records[i]
         e = rec.simplex
-        owner = reg.edge_owner[rec.id_str()]
-        col = index[_owner_vertex_record(reg, rec).id_str()]
+        owner = reg.owner[i]
+        col = row_of[owner]
         assert col not in column_edge_record, "owner bijection collided"
         column_edge_record[col] = rec
-        blocks.append((col, col, "id", _edge_sign(e, owner)))
-        other, subs = _edge_sub_records(reg, rec)
+        blocks.append((col, col, "id", _edge_sign(e, reg.records[owner].simplex)))
+        other, subs = reg.edge_subs[i]
         s2 = _edge_sign(e, other)
         for q in subs:
-            if reg.minimal_flags[q.id_str()]:
+            if reg.minimal[q]:
                 continue
-            row = index[q.id_str()]
+            row = row_of[q]
             assert row > col, "total order failed to refine inclusion"
             blocks.append((row, col, "res", s2))
     mat = BoundaryMatrix(reg, d, order, blocks, column_edge_record)
@@ -645,30 +522,31 @@ def random_truncfun(cfg: PadicConfig, ball: Ball, d: int, rng: random.Random,
             return f
 
 
-def random_localfun(reg: OrbitRegistry, d: int, rng: random.Random) -> LocalFun:
-    out = LocalFun(reg, d)
-    for mr in reg.minimal_records():
-        out.add_piece(mr.id_str(), random_truncfun(reg.cfg, mr.ball, d, rng))
+def random_localfun(reg: OrbitRegistry, d: int, rng: random.Random) -> Chain:
+    """A random piecewise function on the minimal records."""
+    out = Chain(reg, d)
+    for i, is_min in enumerate(reg.minimal):
+        if is_min:
+            out.set_part(i, random_truncfun(reg.cfg, reg.records[i].ball, d, rng))
     return out
 
 
-def random_chain1(reg: OrbitRegistry, d: int, rng: random.Random, support: int = 3) -> Chain1:
-    recs = list(reg.all_edge_records())
-    out = Chain1(reg, d)
-    for rec in rng.sample(recs, min(support, len(recs))):
-        out.set_part(rec.id_str(), random_truncfun(reg.cfg, rec.ball, d, rng, nonzero=True))
+def random_chain1(reg: OrbitRegistry, d: int, rng: random.Random, support: int = 3) -> Chain:
+    ids = list(reg.edge_ids())
+    out = Chain(reg, d)
+    for i in rng.sample(ids, min(support, len(ids))):
+        out.set_part(i, random_truncfun(reg.cfg, reg.records[i].ball, d, rng, nonzero=True))
     return out
 
 
-def surjectivity_lift(target: LocalFun, reg: OrbitRegistry) -> Chain0:
+def surjectivity_lift(target: Chain, reg: OrbitRegistry) -> Chain:
     """Constructive preimage of a piecewise function with minimal breaks:
     assign each piece to the record owning its disc, zero elsewhere."""
-    by_id = _vertex_rec_by_id(reg)
-    out = Chain0(reg, target.d)
-    for rid, f in target.parts.items():
-        assert reg.minimal_flags[rid]
-        assert by_id[rid].ball == f.ball
-        out.set_part(rid, f)
+    out = Chain(reg, target.d)
+    for i, f in target.parts.items():
+        assert reg.minimal[i]
+        assert reg.records[i].ball == f.ball
+        out.set_part(i, f)
     return out
 
 
@@ -696,21 +574,18 @@ def verify_exactness(reg: OrbitRegistry, d: int, seed: int = 0,
     check("diagonal is +-identity", all(s in (1, -1) for s in signs))
 
     # the assembled matrix is the projection of the degree-one boundary map
-    erecs = list(reg.all_edge_records())
     consistent = True
     in_kernel = True
     witness = ""
-    for rec in erecs:
+    for i in reg.edge_ids():
+        rec = reg.records[i]
         for j in range(d + 1):
-            c1 = Chain1(reg, d, {rec.id_str(): monomial(cfg, rec.ball, j, d)})
+            c1 = Chain(reg, d, {i: monomial(cfg, rec.ball, j, d)})
             image = partial1(c1, reg)
             if not partial0(image, reg).is_zero():
                 in_kernel = False
                 witness = f"{rec.id_str()} degree {j}"
-            projected = Chain0(reg, d)
-            for rid, f in image.parts.items():
-                if not reg.minimal_flags[rid]:
-                    projected.set_part(rid, f)
+            projected = Chain(reg, d, {t: f for t, f in image.parts.items() if not reg.minimal[t]})
             if projected != mat.apply(c1):
                 consistent = False
                 witness = f"{rec.id_str()} degree {j}"
@@ -722,9 +597,12 @@ def verify_exactness(reg: OrbitRegistry, d: int, seed: int = 0,
     # kernel of the augmentation: lift is a section of the projection
     lift_ok = True
     witness = ""
-    for rec in reg.nonminimal_records():
+    for i, is_min in enumerate(reg.minimal):
+        if is_min:
+            continue
+        rec = reg.records[i]
         for j in range(d + 1):
-            basis = Chain0(reg, d, {rec.id_str(): monomial(cfg, rec.ball, j, d)})
+            basis = Chain(reg, d, {i: monomial(cfg, rec.ball, j, d)})
             lifted = kernel_lift(basis, reg)
             if not partial0(lifted, reg).is_zero() or kernel_project(lifted, reg) != basis:
                 lift_ok = False
@@ -737,7 +615,7 @@ def verify_exactness(reg: OrbitRegistry, d: int, seed: int = 0,
     )
     check("augmentation faithful on minimal records", min_inj)
 
-    dim_c1 = (d + 1) * len(erecs)
+    dim_c1 = (d + 1) * len(reg.edge_ids())
     dims = {
         "C1": dim_c1,
         "C0": (d + 1) * sum(len(v) for v in reg.vertex_records.values()),

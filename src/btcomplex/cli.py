@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 
-from .padics import PadicConfig
+from .padics import PadicConfig, is_prime
 from .tree import dot_tree
 from .orbits import OrbitRegistry, build_registry, check_partition, minimal_orbits, verify_counts
 from .chains import assemble_dbar1, verify_exactness
@@ -40,35 +40,35 @@ class RunConfig:
         return PadicConfig(self.p, self.N)
 
 
-def _record_json(reg: OrbitRegistry, rec, parents, children) -> dict:
-    return {
-        "id": rec.id_str(),
-        "simplex": rec.simplex.id_str(),
-        "ball": rec.ball.to_json(reg.cfg),
-        "minimal": reg.minimal_flags.get(rec.id_str(), False),
-        "parents": sorted(parents),
-        "children": sorted(children),
-    }
-
-
 def registry_json(reg: OrbitRegistry) -> dict:
-    vrecs = list(reg.all_vertex_records())
-    links_up = {r.id_str(): [] for r in vrecs}
-    links_down = {r.id_str(): [] for r in vrecs}
-    for a in vrecs:
-        for b in vrecs:
+    ids = [r.id_str() for r in reg.records]
+    vrecs = reg.all_vertex_records()
+    parents = [[] for _ in vrecs]
+    children = [[] for _ in vrecs]
+    for i, a in enumerate(vrecs):
+        for j, b in enumerate(vrecs):
             if a.ball != b.ball and a.ball.subset(b.ball):
-                links_up[a.id_str()].append(b.id_str())
-                links_down[b.id_str()].append(a.id_str())
-    orbits = [_record_json(reg, r, links_up[r.id_str()], links_down[r.id_str()]) for r in vrecs]
-    orbits.extend(
+                parents[i].append(ids[j])
+                children[j].append(ids[i])
+    orbits = [
         {
-            "id": r.id_str(),
+            "id": ids[i],
             "simplex": r.simplex.id_str(),
             "ball": r.ball.to_json(reg.cfg),
-            "owner": reg.edge_owner[r.id_str()].id_str(),
+            "minimal": reg.minimal[i],
+            "parents": sorted(parents[i]),
+            "children": sorted(children[i]),
         }
-        for r in reg.all_edge_records()
+        for i, r in enumerate(vrecs)
+    ]
+    orbits.extend(
+        {
+            "id": ids[i],
+            "simplex": reg.records[i].simplex.id_str(),
+            "ball": reg.records[i].ball.to_json(reg.cfg),
+            "owner": reg.records[reg.owner[i]].simplex.id_str(),
+        }
+        for i in reg.edge_ids()
     )
     return {
         "params": {"p": reg.p, "k": reg.k, "n": reg.n, "N": reg.cfg.N},
@@ -190,17 +190,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv=None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    if ns.p < 2 or ns.k < 1 or ns.n < 0 or ns.d < 0:
-        raise SystemExit(2)
-    prec = RunConfig.auto_precision(ns.p, ns.k, ns.n, ns.d) if ns.prec == "auto" else int(ns.prec)
+    """Parse and validate the command line; usage errors exit with status 2."""
+    ap = build_parser()
+    ns = ap.parse_args(argv)
+    if not is_prime(ns.p):
+        ap.error(f"p must be prime, got {ns.p}")
+    if ns.k < 1 or ns.n < 0 or ns.d < 0:
+        ap.error("need k >= 1, n >= 0 and d >= 0")
+    if ns.n < 1 and ns.command in ("minimal", "matrix", "verify"):
+        ap.error(f"{ns.command} needs n >= 1")
+    if ns.prec == "auto":
+        prec = RunConfig.auto_precision(ns.p, ns.k, ns.n, ns.d)
+    else:
+        try:
+            prec = int(ns.prec)
+        except ValueError:
+            ap.error(f"--prec takes 'auto' or an integer, got {ns.prec!r}")
     if prec < ns.k + ns.n + ns.d + 4:
-        print(f"precision {prec} below the floor k+n+d+4", file=sys.stderr)
-        raise SystemExit(2)
+        ap.error(f"precision {prec} below the floor k+n+d+4")
     fmt = ns.format or ("dot" if ns.command == "tree" else "json")
     if fmt == "dot" and ns.command != "tree":
-        print("dot output is only available for the tree command", file=sys.stderr)
-        raise SystemExit(2)
+        ap.error("dot output is only available for the tree command")
     return RunConfig(ns.p, ns.k, ns.n, ns.d, prec, ns.seed, ns.command, ns.out, fmt)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .padics import PadicConfig
@@ -115,19 +116,35 @@ def orbit_of_point(cfg: PadicConfig, simplex, k: int, z: ProjPoint) -> OrbitReco
 
 @dataclass
 class OrbitRegistry:
-    """Built once, then read-only; the complex layer memoizes derived lookup
-    tables on the instance, so share a registry across threads only after
-    warming it up single-threaded."""
+    """The level-k orbit records of every simplex within distance n of the root.
+
+    build_registry fills it and nothing modifies it afterwards.  Each record
+    has a dense integer index: vertex records come first, then edge records,
+    both in the iteration order of ``vertex_records`` / ``edge_records``;
+    ``records[i]`` is record i and ``index[rec]`` is i.  Per-index tables:
+
+    * ``minimal[i]`` for a vertex record i: it is a minimal record;
+    * ``owner[i]`` for an edge record i: the index of the record with the
+      same disc at the endpoint owning the orbit.
+
+    The poset tables that need Ball.subset scans (``min_cover``,
+    ``nonmin_over``, ``edge_subs`` and ``ball_chain``) are computed on first
+    use and cached here.  They are functions of the records alone, so a
+    cached table never changes, and the counting-only callers never pay for
+    them.
+    """
 
     cfg: PadicConfig
     n: int
     k: int
     vertex_records: dict = field(default_factory=dict)  # Vertex -> [OrbitRecord]
     edge_records: dict = field(default_factory=dict)  # OrientedEdge -> [OrbitRecord]
-    minimal_flags: dict = field(default_factory=dict)  # record id -> bool
-    minimal_witness: dict = field(default_factory=dict)  # record id -> parent OrbitRecord
-    edge_owner: dict = field(default_factory=dict)  # edge record id -> Vertex
+    records: list = field(default_factory=list)  # index -> OrbitRecord
+    index: dict = field(default_factory=dict)  # OrbitRecord -> index
+    minimal: list = field(default_factory=list)  # vertex record index -> bool
+    owner: dict = field(default_factory=dict)  # edge record index -> vertex record index
     nonmin_order: list = field(default_factory=list)  # ordered non-minimal vertex records
+    _chains: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def p(self) -> int:
@@ -140,18 +157,76 @@ class OrbitRegistry:
         return list(self.edge_records)
 
     def all_vertex_records(self):
-        for recs in self.vertex_records.values():
-            yield from recs
+        return self.records[: len(self.minimal)]
 
     def all_edge_records(self):
-        for recs in self.edge_records.values():
-            yield from recs
+        return self.records[len(self.minimal) :]
+
+    def edge_ids(self):
+        return range(len(self.minimal), len(self.records))
 
     def minimal_records(self):
-        return [r for r in self.all_vertex_records() if self.minimal_flags[r.id_str()]]
+        return [r for r, m in zip(self.records, self.minimal) if m]
 
     def nonminimal_records(self):
-        return [r for r in self.all_vertex_records() if not self.minimal_flags[r.id_str()]]
+        return [r for r, m in zip(self.records, self.minimal) if not m]
+
+    # -- poset tables, computed on first use -----------------------------------
+
+    @cached_property
+    def min_cover(self) -> list:
+        """Vertex record index -> indices of the minimal records inside its disc."""
+        mins = [i for i, m in enumerate(self.minimal) if m]
+        recs = self.records
+        return [[j for j in mins if recs[j].ball.subset(r.ball)] for r in self.all_vertex_records()]
+
+    @cached_property
+    def nonmin_over(self) -> dict:
+        """Minimal record index -> indices of the non-minimal records containing it."""
+        over = {i: [] for i, m in enumerate(self.minimal) if m}
+        for i, inside in enumerate(self.min_cover):
+            if not self.minimal[i]:
+                for j in inside:
+                    over[j].append(i)
+        return over
+
+    @cached_property
+    def edge_subs(self) -> dict:
+        """Edge record index -> (the endpoint not owning it, indices of that
+        endpoint's records strictly inside the edge orbit)."""
+        out = {}
+        for i in self.edge_ids():
+            rec = self.records[i]
+            e = rec.simplex
+            other = e.dst if self.records[self.owner[i]].simplex == e.src else e.src
+            subs = [
+                self.index[q]
+                for q in self.vertex_records[other]
+                if q.ball != rec.ball and q.ball.subset(rec.ball)
+            ]
+            assert len(subs) == self.p, "an edge orbit splits into exactly q orbits opposite its owner"
+            out[i] = (other, subs)
+        return out
+
+    @cached_property
+    def _balls(self) -> list:
+        return sorted(
+            {r.ball for r in self.all_vertex_records()},
+            key=lambda b: (-b.measure(), b.sort_key()),
+        )
+
+    def ball_chain(self, src: Ball, dst: Ball) -> list:
+        """Every registry ball between dst and src, ordered superset-first.
+
+        All balls containing dst are nested, so the family is totally ordered.
+        """
+        key = (src, dst)
+        hit = self._chains.get(key)
+        if hit is None:
+            hit = [b for b in self._balls if dst.subset(b) and b.subset(src)]
+            assert hit and hit[0] == src and hit[-1] == dst
+            self._chains[key] = hit
+        return hit
 
 
 def _total_order_key(rec: OrbitRecord):
@@ -168,36 +243,38 @@ def build_registry(cfg: PadicConfig, n: int, k: int) -> OrbitRegistry:
     p = cfg.p
     for v in vertices_upto(p, n):
         reg.vertex_records[v] = enumerate_orbits(cfg, v, k)
+    owners = []  # per edge record: the record of the same disc at its owner
     for e in edges_upto(p, n):
+        hinv = transport_to_edge(cfg, e).inverse()
         recs = []
-        h = transport_to_edge(cfg, e)
-        hinv = h.inverse()
-        par, chi = e.src, e.dst
         for ball, owner_is_child in _standard_edge_balls(cfg, k):
             rec = OrbitRecord(e, k, moebius_ball_image(hinv, ball))
             recs.append(rec)
-            reg.edge_owner[rec.id_str()] = chi if owner_is_child else par
+            owners.append(OrbitRecord(e.dst if owner_is_child else e.src, k, rec.ball))
         reg.edge_records[e] = recs
-    _flag_minimal(reg)
+    for recs in (*reg.vertex_records.values(), *reg.edge_records.values()):
+        reg.records.extend(recs)
+    reg.index = {r: i for i, r in enumerate(reg.records)}
+    reg.minimal = _minimal_flags(reg)
+    for i, rec in zip(reg.edge_ids(), owners):
+        if rec not in reg.index:
+            raise AssertionError(f"edge orbit {reg.records[i]!r} has no record at its owner")
+        reg.owner[i] = reg.index[rec]
     reg.nonmin_order = sorted(reg.nonminimal_records(), key=_total_order_key)
     return reg
 
 
-def _flag_minimal(reg: OrbitRegistry):
+def _minimal_flags(reg: OrbitRegistry) -> list:
     """Deepest-vertex records contained in an orbit of the neighbor toward the
     root are the minimal ones; everything shallower never is."""
-    n = reg.n
+    flags = []
     for v, recs in reg.vertex_records.items():
-        if v.n != n or n == 0:
-            for r in recs:
-                reg.minimal_flags[r.id_str()] = False
+        if v.n != reg.n or reg.n == 0:
+            flags.extend(False for _ in recs)
             continue
         parent_recs = reg.vertex_records[v.parent()]
-        for r in recs:
-            witness = next((q for q in parent_recs if r.ball.subset(q.ball)), None)
-            reg.minimal_flags[r.id_str()] = witness is not None
-            if witness is not None:
-                reg.minimal_witness[r.id_str()] = witness
+        flags.extend(any(r.ball.subset(q.ball) for q in parent_recs) for r in recs)
+    return flags
 
 
 def minimal_orbits(reg: OrbitRegistry):
@@ -288,16 +365,12 @@ def verify_counts(reg: OrbitRegistry) -> dict:
     row("edge orbit counts 2q^(k-1) everywhere", [], bad_e)
 
     if n >= 1:
-        mincount = {v.id_str(): 0 for v in reg.vertices()}
+        mincount = {v: 0 for v in reg.vertices()}
         for r in reg.minimal_records():
-            mincount[r.simplex.id_str()] += 1
-        bad_deep = [
-            v.id_str() for v in reg.vertices() if v.n == n and mincount[v.id_str()] != p**k
-        ]
+            mincount[r.simplex] += 1
+        bad_deep = [v.id_str() for v, c in mincount.items() if v.n == n and c != p**k]
         row("q^k minimal orbits at every deepest vertex", [], bad_deep)
-        bad_shallow = [
-            v.id_str() for v in reg.vertices() if v.n < n and mincount[v.id_str()] != 0
-        ]
+        bad_shallow = [v.id_str() for v, c in mincount.items() if v.n < n and c != 0]
         row("no minimal orbits above the deepest layer", [], bad_shallow)
 
         r_formula = nonminimal_count_formula(p, k, n)

@@ -274,20 +274,3 @@ class PadicNum:
     def __repr__(self):
         return f"PadicNum({self.cfg.p}-adic {self.serialize()})"
 
-
-def val(x: PadicNum):
-    """Valuation of x: an integer, or INF for exact zero. |x| = p^(-val(x))."""
-    return x.valuation
-
-
-def arith(x: PadicNum, y: PadicNum, op: str) -> PadicNum:
-    """Dispatch helper: op in {'add','sub','mul','div'}."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown op {op!r}")

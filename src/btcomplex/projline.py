@@ -24,14 +24,6 @@ from fractions import Fraction
 from .padics import INF, PadicConfig, PadicNum, PrecisionError, val_fraction
 
 
-class BallSplitsError(ValueError):
-    """Kept for the disc-transport contract ("ball splits across charts").
-
-    With the complement-closed normal form every Moebius image of a ball is
-    representable, so this only fires on malformed direct constructions.
-    """
-
-
 # ---------------------------------------------------------------------------
 # points
 # ---------------------------------------------------------------------------
@@ -384,14 +376,6 @@ def ball_canonicalize(cfg: PadicConfig, chart: str, center, m: int) -> Ball:
     if chart == "c":
         return Ball.complement_z(cfg, center, m)
     raise ValueError(f"unknown chart {chart!r}")
-
-
-def ball_member(cfg: PadicConfig, ball: Ball, pt: ProjPoint) -> bool:
-    return ball.member_point(cfg, pt)
-
-
-def ball_subset(b1: Ball, b2: Ball) -> bool:
-    return b1.subset(b2)
 
 
 # ---------------------------------------------------------------------------

@@ -135,18 +135,6 @@ def standard_orientation(v: Vertex, w: Vertex) -> OrientedEdge:
     return OrientedEdge(v, w) if v.n < w.n else OrientedEdge(w, v)
 
 
-class Orientation:
-    """A choice of one orientation per unordered edge; default: away from root."""
-
-    def __init__(self, chooser=standard_orientation):
-        self.chooser = chooser
-
-    def orient(self, v: Vertex, w: Vertex) -> OrientedEdge:
-        e = self.chooser(v, w)
-        assert {e.src, e.dst} == {v, w}
-        return e
-
-
 # ---------------------------------------------------------------------------
 # enumeration and metric structure
 # ---------------------------------------------------------------------------

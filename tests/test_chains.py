@@ -11,8 +11,7 @@ from btcomplex.projline import Ball, GL2, ProjPoint, moebius_apply
 from btcomplex.tree import standard_orientation, standard_path
 from btcomplex.orbits import build_registry, enumerate_orbits, sample_group_element
 from btcomplex.chains import (
-    Chain0,
-    Chain1,
+    Chain,
     Character,
     NotAnalyticError,
     act_on_function,
@@ -224,7 +223,7 @@ def test_edge_and_vertex_groups_act_alike_on_shared_orbit():
     e0 = standard_orientation(v0, v1)
     reg = build_registry(cfg, 1, k)
     for rec in reg.edge_records[e0]:
-        owner = reg.edge_owner[rec.id_str()]
+        owner = reg.records[reg.owner[reg.index[rec]]].simplex
         chart, center, m = rec.ball.chart_data()
         if chart == "c" or (chart == "z" and m < 0):
             continue
@@ -317,14 +316,14 @@ def test_partial1_single_edge_signs():
     e = reg.edges()[0]
     rec = reg.edge_records[e][0]
     one = monomial(cfg, rec.ball, 0, 1)
-    out = partial1(Chain1(reg, 1, {rec.id_str(): one}), reg)
-    owner = reg.edge_owner[rec.id_str()]
+    out = partial1(Chain(reg, 1, {reg.index[rec]: one}), reg)
+    owner = reg.records[reg.owner[reg.index[rec]]].simplex
     sign = 1 if owner == e.src else -1
-    owner_part = [f for rid, f in out.parts.items() if rid.startswith(owner.id_str())]
+    owner_part = [f for i, f in out.parts.items() if reg.records[i].simplex == owner]
     assert len(owner_part) == 1
     assert owner_part[0].coeffs[0] == (cfg.one() if sign == 1 else -cfg.one())
     other = e.dst if owner == e.src else e.src
-    other_parts = [f for rid, f in out.parts.items() if rid.startswith(other.id_str())]
+    other_parts = [f for i, f in out.parts.items() if reg.records[i].simplex == other]
     assert len(other_parts) == reg.p
     for f in other_parts:
         assert f.coeffs[0] == (-cfg.one() if sign == 1 else cfg.one())
@@ -353,8 +352,8 @@ def test_deepest_edge_support_shows_up_at_deep_vertex():
     cfg = reg.cfg
     deep = [e for e in reg.edges() if e.depth == 2]
     rec = reg.edge_records[deep[0]][0]
-    out = partial1(Chain1(reg, 1, {rec.id_str(): monomial(cfg, rec.ball, 0, 1)}), reg)
-    assert any(rid.startswith("v(2;") for rid in out.parts)
+    out = partial1(Chain(reg, 1, {reg.index[rec]: monomial(cfg, rec.ball, 0, 1)}), reg)
+    assert any(reg.records[i].simplex.n == 2 for i in out.parts)
 
 
 # -- kernel projection ----------------------------------------------------------------
@@ -362,7 +361,7 @@ def test_deepest_edge_support_shows_up_at_deep_vertex():
 
 def test_kernel_roundtrip_zero():
     reg = make_reg(3, 1, 1)
-    z = Chain0(reg, 1)
+    z = Chain(reg, 1)
     assert kernel_lift(z, reg).is_zero()
     assert kernel_project(z, reg).is_zero()
 
@@ -374,7 +373,7 @@ def test_kernel_lift_of_single_component():
     cfg = reg.cfg
     rec = reg.nonmin_order[0]
     f = monomial(cfg, rec.ball, 1, 1)
-    c = Chain0(reg, 1, {rec.id_str(): f})
+    c = Chain(reg, 1, {reg.index[rec]: f})
     lifted = kernel_lift(c, reg)
     assert partial0(lifted, reg).is_zero()
     assert kernel_project(lifted, reg) == c
@@ -384,9 +383,9 @@ def test_kernel_lift_random_nonminimal_assignment():
     rng = random.Random(10)
     reg = make_reg(3, 1, 1, d=1)
     cfg = reg.cfg
-    c = Chain0(reg, 1)
+    c = Chain(reg, 1)
     for rec in reg.nonminimal_records():
-        c.set_part(rec.id_str(), random_truncfun(cfg, rec.ball, 1, rng))
+        c.set_part(reg.index[rec], random_truncfun(cfg, rec.ball, 1, rng))
     lifted = kernel_lift(c, reg)
     assert partial0(lifted, reg).is_zero()
     assert kernel_project(lifted, reg) == c
@@ -396,7 +395,7 @@ def test_kernel_project_rejects_non_kernel():
     reg = make_reg(3, 1, 1)
     cfg = reg.cfg
     rec = reg.nonmin_order[0]
-    c = Chain0(reg, 1, {rec.id_str(): monomial(cfg, rec.ball, 0, 1)})
+    c = Chain(reg, 1, {reg.index[rec]: monomial(cfg, rec.ball, 0, 1)})
     with pytest.raises(ValueError):
         kernel_project(c, reg)
 
@@ -439,10 +438,10 @@ def test_matrix_apply_matches_projected_boundary():
     for _ in range(10):
         c1 = random_chain1(reg, 1, rng)
         image = partial1(c1, reg)
-        projected = Chain0(reg, 1)
-        for rid, f in image.parts.items():
-            if not reg.minimal_flags[rid]:
-                projected.set_part(rid, f)
+        projected = Chain(reg, 1)
+        for i, f in image.parts.items():
+            if not reg.minimal[i]:
+                projected.set_part(i, f)
         assert projected == mat.apply(c1)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -81,6 +82,14 @@ def test_usage_errors_exit_two():
     assert run_cli("counts", "--p", "1").returncode == 2
     assert run_cli("counts", "--p", "3", "--prec", "3").returncode == 2
     assert run_cli("counts", "--format", "dot").returncode == 2
+    assert run_cli("counts", "--p", "4").returncode == 2
+    assert run_cli("counts", "--prec", "abc").returncode == 2
+    assert run_cli("minimal", "--n", "0").returncode == 2
+    assert run_cli("verify", "--n", "0").returncode == 2
+    assert run_cli("matrix", "--n", "0").returncode == 2
+    r = subprocess.run([sys.executable, "-O", "-m", "btcomplex.cli", "verify", "--n", "0"],
+                       capture_output=True, text=True)
+    assert r.returncode == 2 and "Traceback" not in r.stderr
 
 
 def test_out_file(tmp_path):
@@ -88,3 +97,25 @@ def test_out_file(tmp_path):
     r = run_cli("counts", "--p", "2", "--k", "1", "--n", "1", "--out", str(out))
     assert r.returncode == 0
     assert json.loads(out.read_text())["pass"] is True
+
+
+# sha256 of stdout, pinned so that refactors keep the output byte-identical
+GOLDEN = [
+    ("orbits --p 2 --k 1 --n 2", "4adede16f076870fd42e766818b58a861d751d151a153aaca2a1a405c3822865"),
+    ("orbits --p 3 --k 2 --n 1", "96ea50ff9e584b7dd12a8481d5d7f0f8187a21822c157c3f93cb6f599be9c732"),
+    ("minimal --p 3 --k 1 --n 2", "771cc4f157437cc841b4d7c29b5c97ccc80c5a760541d6537f48fa6f109ebd42"),
+    ("counts --p 3 --k 2 --n 2", "9ac9bcdb4013c8e84d2bf7fb5d945b02532cc7fb9477ada12c928118009cf503"),
+    ("matrix --p 2 --k 1 --n 1 --d 0", "a0a507a290489d4c7420b151a7cfeb864e69e89a59971579c6a3a34c06b2ea3d"),
+    ("matrix --p 3 --k 1 --n 2 --d 1", "75990eba13b6a179453f13af9199a65c74cb6ebc142cdb612d01dbdeac973006"),
+    ("verify --p 3 --k 1 --n 1 --d 1 --seed 5",
+     "17e82bcda083842d607e7f14d1a552aa5982ac1ef7ee75c86fc2c9c81bdddf2d"),
+    ("verify --p 2 --k 2 --n 1 --d 2", "ed5846f3a33c9e46d1ef1c85349487afb938c4f2ff35ab000314641916f65dff"),
+    ("example", "08f68916ba5075fe38a927a6aa24043aedee78bf46a6d6d7a2cee1359d1f7527"),
+]
+
+
+@pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_golden_stdout_digest(command, digest):
+    r = subprocess.run(BASE + command.split(), capture_output=True)
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout).hexdigest() == digest

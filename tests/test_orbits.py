@@ -136,9 +136,9 @@ def test_minimal_flags_match_direct_poset_minimality():
         cfg = make_cfg(p, k, n)
         reg = build_registry(cfg, n, k)
         balls = {r.ball for r in reg.all_vertex_records()}
-        for rec in reg.all_vertex_records():
+        for i, rec in enumerate(reg.all_vertex_records()):
             direct = not any(b != rec.ball and b.subset(rec.ball) for b in balls)
-            assert reg.minimal_flags[rec.id_str()] == direct, rec
+            assert reg.minimal[i] == direct, rec
 
 
 def test_minimal_partition_and_dropping_one():
@@ -174,7 +174,7 @@ def test_edge_orbit_owner_standard_cases():
             assert owner == v1  # coarse unit-disc orbits belong to the deeper vertex
         if chart == "w" and m == k:
             assert owner == v0  # outside orbits belong to the root
-        assert owner == reg.edge_owner[rec.id_str()]
+        assert owner == reg.records[reg.owner[reg.index[rec]]].simplex
 
 
 def test_edge_owner_transport_consistency():
@@ -182,7 +182,7 @@ def test_edge_owner_transport_consistency():
         cfg = make_cfg(p, k, n)
         reg = build_registry(cfg, n, k)
         for rec in reg.all_edge_records():
-            assert edge_orbit_owner(reg, rec) == reg.edge_owner[rec.id_str()]
+            assert edge_orbit_owner(reg, rec) == reg.records[reg.owner[reg.index[rec]]].simplex
 
 
 def test_adjacent_vertex_registries_share_no_ball():
@@ -284,12 +284,12 @@ def test_total_order_refines_inclusion():
     for (p, k, n) in [(2, 1, 1), (3, 1, 2), (2, 2, 2)]:
         cfg = make_cfg(p, k, n)
         reg = build_registry(cfg, n, k)
-        pos = {r.id_str(): i for i, r in enumerate(reg.nonmin_order)}
+        pos = {r: i for i, r in enumerate(reg.nonmin_order)}
         recs = reg.nonminimal_records()
         for a in recs:
             for b in recs:
                 if a.ball != b.ball and a.ball.subset(b.ball):
-                    assert pos[a.id_str()] > pos[b.id_str()]
+                    assert pos[a] > pos[b]
 
 
 def test_bfs_oracle_smoke():

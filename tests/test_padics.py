@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from btcomplex.padics import INF, PadicConfig, PadicNum, PrecisionError, arith, val
+from btcomplex.padics import INF, PadicConfig, PadicNum, PrecisionError
 
 
 @pytest.fixture(params=[2, 3, 5])
@@ -23,19 +23,19 @@ def test_basic_values():
 
 
 def test_val_examples():
-    assert val(PadicConfig(2, 8).from_int(12)) == 2
-    assert val(PadicConfig(3, 8).from_int(9)) == 2
-    assert val(PadicConfig(3, 8).zero()) is INF
+    assert PadicConfig(2, 8).from_int(12).valuation == 2
+    assert PadicConfig(3, 8).from_int(9).valuation == 2
+    assert PadicConfig(3, 8).zero().valuation is INF
 
 
 def test_arith_dispatch(cfg):
     a, b = cfg.from_int(10), cfg.from_int(4)
-    assert arith(a, b, "add") == cfg.from_int(14)
-    assert arith(a, b, "sub") == cfg.from_int(6)
-    assert arith(a, b, "mul") == cfg.from_int(40)
-    assert arith(a, b, "div") == cfg.from_fraction(Fraction(10, 4))
-    with pytest.raises(ValueError):
-        arith(a, b, "modpow")
+    assert a + b == cfg.from_int(14)
+    assert a - b == cfg.from_int(6)
+    assert a * b == cfg.from_int(40)
+    assert a / b == cfg.from_fraction(Fraction(10, 4))
+    with pytest.raises(TypeError):
+        a % b  # no operation beyond the four field operations
 
 
 def test_division_by_zero(cfg):

@@ -10,8 +10,6 @@ from btcomplex.projline import (
     ProjPoint,
     ball_canonicalize,
     ball_cells,
-    ball_member,
-    ball_subset,
     cell_ids,
     cell_value,
     moebius_apply,
@@ -114,15 +112,15 @@ def test_w_ball_canonical_center_matches_enumeration(cfg):
 def test_membership_and_subset_examples(cfg):
     p = cfg.p
     z2, z1 = Ball.z_disc(cfg, 0, 2), Ball.z_disc(cfg, 0, 1)
-    assert ball_subset(z2, z1) and not ball_subset(z1, z2)
+    assert z2.subset(z1) and not z1.subset(z2)
     w2, w1 = Ball.w_disc(cfg, None, 2), Ball.w_disc(cfg, None, 1)
-    assert ball_subset(w2, w1) and not ball_subset(w1, w2)
-    assert not ball_subset(w1, Ball.z_disc(cfg, 0, 0))  # the two charts are disjoint
+    assert w2.subset(w1) and not w1.subset(w2)
+    assert not w1.subset(Ball.z_disc(cfg, 0, 0))  # the two charts are disjoint
     assert w1.disjoint(Ball.z_disc(cfg, 0, 0))
-    assert ball_member(cfg, z1, ProjPoint.from_z(cfg, p * 7))
-    assert not ball_member(cfg, z1, ProjPoint.from_z(cfg, 1))
-    assert ball_member(cfg, w1, ProjPoint.infinity(cfg))
-    assert ball_member(cfg, w1, ProjPoint.from_z(cfg, Fraction(1, p)))
+    assert z1.member_point(cfg, ProjPoint.from_z(cfg, p * 7))
+    assert not z1.member_point(cfg, ProjPoint.from_z(cfg, 1))
+    assert w1.member_point(cfg, ProjPoint.infinity(cfg))
+    assert w1.member_point(cfg, ProjPoint.from_z(cfg, Fraction(1, p)))
 
 
 def test_subset_partial_order_sampled(cfg):
@@ -223,12 +221,12 @@ def test_ball_image_round_trip_and_membership(cfg):
         # forward: representatives of the source land inside the image
         for cid in ball_cells(cfg, ball, ball.required_level() + 1):
             pt = ProjPoint.from_z(cfg, cell_value(cid)) if cell_value(cid) is not None else ProjPoint.infinity(cfg)
-            assert ball_member(cfg, img, moebius_apply(g, pt))
+            assert img.member_point(cfg, moebius_apply(g, pt))
         # backward: representatives of the image pull back into the source
         for cid in ball_cells(cfg, img, img.required_level()):
             v = cell_value(cid)
             pt = ProjPoint.infinity(cfg) if v is None else ProjPoint.from_z(cfg, v)
-            assert ball_member(cfg, ball, moebius_apply(g.inverse(), pt))
+            assert ball.member_point(cfg, moebius_apply(g.inverse(), pt))
 
 
 def test_ball_image_pointwise_biconditional(cfg):
@@ -254,4 +252,4 @@ def test_ball_image_pointwise_biconditional(cfg):
             continue
         ginv = g.inverse()
         for pt in reps:
-            assert ball_member(cfg, img, pt) == ball_member(cfg, ball, moebius_apply(ginv, pt))
+            assert img.member_point(cfg, pt) == ball.member_point(cfg, moebius_apply(ginv, pt))

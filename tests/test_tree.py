@@ -7,7 +7,6 @@ from btcomplex.padics import PadicConfig
 from btcomplex.projline import GL2
 from btcomplex.tree import (
     OrientedEdge,
-    Orientation,
     Vertex,
     act_vertex,
     distance,
@@ -130,11 +129,11 @@ def test_neighbors_and_path(cfg):
 
 
 def test_orientation_bijective():
-    orient = Orientation()
     seen = set()
     for e in edges_upto(3, 2):
-        oe = orient.orient(e.src, e.dst)
-        assert oe == orient.orient(e.dst, e.src)
+        oe = standard_orientation(e.src, e.dst)
+        assert {oe.src, oe.dst} == {e.src, e.dst}
+        assert oe == standard_orientation(e.dst, e.src)
         seen.add((oe.src, oe.dst))
     assert len(seen) == len(edges_upto(3, 2))
 
