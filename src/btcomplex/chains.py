@@ -86,9 +86,6 @@ class TruncFun:
     def __sub__(self, other: "TruncFun") -> "TruncFun":
         return self + (-other)
 
-    def scale(self, s: PadicNum) -> "TruncFun":
-        return TruncFun(self.cfg, self.ball, [s * a for a in self.coeffs])
-
     def __eq__(self, other):
         if not isinstance(other, TruncFun):
             return NotImplemented

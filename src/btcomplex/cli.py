@@ -1,7 +1,7 @@
 """Command-line driver.
 
 Commands: tree, orbits, minimal, counts, matrix, verify, example.
-Exit codes: 0 all requested checks pass, 1 a verification failed, 2 usage.
+Exit codes: 0 all requested checks pass, 1 a verification failed, 2 usage or I/O.
 Output is deterministic for a fixed configuration (seed included).
 """
 
@@ -46,8 +46,8 @@ def registry_json(reg: OrbitRegistry) -> dict:
     parents = [[] for _ in vrecs]
     children = [[] for _ in vrecs]
     for i, a in enumerate(vrecs):
-        for j, b in enumerate(vrecs):
-            if a.ball != b.ball and a.ball.subset(b.ball):
+        for ball in reg.over[a.ball]:
+            for j in reg.ball_records[ball]:
                 parents[i].append(ids[j])
                 children[j].append(ids[i])
     orbits = [
@@ -102,11 +102,9 @@ def compare_to_reference(cfg: PadicConfig) -> dict:
 def _emit(cfg_run: RunConfig, text: str):
     if cfg_run.out:
         with open(cfg_run.out, "w") as fh:
-            fh.write(text)
+            print(text, file=fh)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        print(text)
 
 
 def _dump(obj) -> str:
@@ -224,6 +222,9 @@ def main(argv=None) -> int:
     except (AssertionError, ValueError, ArithmeticError) as e:
         print(f"verification error: {e}", file=sys.stderr)
         return 1
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

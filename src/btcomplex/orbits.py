@@ -127,11 +127,12 @@ class OrbitRegistry:
     * ``owner[i]`` for an edge record i: the index of the record with the
       same disc at the endpoint owning the orbit.
 
-    The poset tables that need Ball.subset scans (``min_cover``,
-    ``nonmin_over``, ``edge_subs`` and ``ball_chain``) are computed on first
-    use and cached here.  They are functions of the records alone, so a
-    cached table never changes, and the counting-only callers never pay for
-    them.
+    The containment poset is one relation, ``over``: vertex-record ball ->
+    the registry balls strictly containing it.  ``min_cover``, ``nonmin_over``,
+    ``edge_subs``, ``ball_chain`` and the orbits dump's parents/children are
+    read off it.  Its quadratic build runs on first use, so counting-only
+    callers never pay for it; for that reason the eager minimal flags do not
+    read it but test each deepest record against its parent's records only.
     """
 
     cfg: PadicConfig
@@ -144,7 +145,6 @@ class OrbitRegistry:
     minimal: list = field(default_factory=list)  # vertex record index -> bool
     owner: dict = field(default_factory=dict)  # edge record index -> vertex record index
     nonmin_order: list = field(default_factory=list)  # ordered non-minimal vertex records
-    _chains: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def p(self) -> int:
@@ -171,14 +171,43 @@ class OrbitRegistry:
     def nonminimal_records(self):
         return [r for r, m in zip(self.records, self.minimal) if not m]
 
-    # -- poset tables, computed on first use -----------------------------------
+    # -- the containment relation and the tables read off it, on first use -----
+
+    @cached_property
+    def ball_records(self) -> dict:
+        """Vertex-record ball -> indices of the vertex records with that disc."""
+        out = {}
+        for i, r in enumerate(self.all_vertex_records()):
+            out.setdefault(r.ball, []).append(i)
+        return out
+
+    @cached_property
+    def over(self) -> dict:
+        """Vertex-record ball -> the registry balls strictly containing it,
+        superset-first (measure descending, then ball key).  The balls are not
+        laminar (two whose union is P^1 overlap without nesting), so each ball
+        is tested against every ball of strictly larger measure."""
+        balls = sorted(self.ball_records, key=lambda b: (-b.measure(), b.sort_key()))
+        mus = [b.measure() for b in balls]
+        out = {}
+        start = 0  # balls[:start] have strictly larger measure than balls[i]
+        for i, b in enumerate(balls):
+            if mus[i] != mus[start]:
+                start = i
+            out[b] = [a for a in balls[:start] if b.subset(a)]
+        return out
 
     @cached_property
     def min_cover(self) -> list:
         """Vertex record index -> indices of the minimal records inside its disc."""
-        mins = [i for i, m in enumerate(self.minimal) if m]
-        recs = self.records
-        return [[j for j in mins if recs[j].ball.subset(r.ball)] for r in self.all_vertex_records()]
+        cover = [[] for _ in self.minimal]
+        for j, m in enumerate(self.minimal):
+            if m:
+                ball = self.records[j].ball
+                for b in (ball, *self.over[ball]):
+                    for i in self.ball_records[b]:
+                        cover[i].append(j)
+        return cover
 
     @cached_property
     def nonmin_over(self) -> dict:
@@ -199,33 +228,16 @@ class OrbitRegistry:
             rec = self.records[i]
             e = rec.simplex
             other = e.dst if self.records[self.owner[i]].simplex == e.src else e.src
-            subs = [
-                self.index[q]
-                for q in self.vertex_records[other]
-                if q.ball != rec.ball and q.ball.subset(rec.ball)
-            ]
+            subs = [self.index[q] for q in self.vertex_records[other] if rec.ball in self.over[q.ball]]
             assert len(subs) == self.p, "an edge orbit splits into exactly q orbits opposite its owner"
             out[i] = (other, subs)
         return out
 
-    @cached_property
-    def _balls(self) -> list:
-        return sorted(
-            {r.ball for r in self.all_vertex_records()},
-            key=lambda b: (-b.measure(), b.sort_key()),
-        )
-
     def ball_chain(self, src: Ball, dst: Ball) -> list:
-        """Every registry ball between dst and src, ordered superset-first.
-
-        All balls containing dst are nested, so the family is totally ordered.
-        """
-        key = (src, dst)
-        hit = self._chains.get(key)
-        if hit is None:
-            hit = [b for b in self._balls if dst.subset(b) and b.subset(src)]
-            assert hit and hit[0] == src and hit[-1] == dst
-            self._chains[key] = hit
+        """Every registry ball between dst and src, superset-first.  Balls that
+        meet without nesting cover P^1, so below a proper src they are nested."""
+        hit = [b for b in self.over[dst] if b == src or src in self.over[b]] + [dst]
+        assert hit[0] == src
         return hit
 
 
@@ -243,15 +255,12 @@ def build_registry(cfg: PadicConfig, n: int, k: int) -> OrbitRegistry:
     p = cfg.p
     for v in vertices_upto(p, n):
         reg.vertex_records[v] = enumerate_orbits(cfg, v, k)
+    owner_is_child = [child for _, child in _standard_edge_balls(cfg, k)]
     owners = []  # per edge record: the record of the same disc at its owner
     for e in edges_upto(p, n):
-        hinv = transport_to_edge(cfg, e).inverse()
-        recs = []
-        for ball, owner_is_child in _standard_edge_balls(cfg, k):
-            rec = OrbitRecord(e, k, moebius_ball_image(hinv, ball))
-            recs.append(rec)
-            owners.append(OrbitRecord(e.dst if owner_is_child else e.src, k, rec.ball))
-        reg.edge_records[e] = recs
+        recs = reg.edge_records[e] = enumerate_orbits(cfg, e, k)
+        for rec, child in zip(recs, owner_is_child):
+            owners.append(OrbitRecord(e.dst if child else e.src, k, rec.ball))
     for recs in (*reg.vertex_records.values(), *reg.edge_records.values()):
         reg.records.extend(recs)
     reg.index = {r: i for i, r in enumerate(reg.records)}

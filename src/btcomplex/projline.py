@@ -243,12 +243,6 @@ class Ball:
 
     # -- presentation ---------------------------------------------------------
 
-    @property
-    def chart(self) -> str:
-        if self.complement:
-            return "w" if self.center == 0 else "c"
-        return "z" if val_fraction(self.center, self.p) >= 0 else "w"
-
     def chart_data(self):
         """(chart, center value in that chart's coordinate, radius exponent)."""
         v = val_fraction(self.center, self.p)
@@ -260,15 +254,6 @@ class Ball:
         if self.center == 0:
             return ("w", Fraction(0), 1 - self.m)
         return ("c", self.center, self.m)
-
-    def contains_infinity(self) -> bool:
-        return self.complement
-
-    def contains_zero(self) -> bool:
-        v = val_fraction(self.center, self.p)
-        if self.complement:
-            return v <= self.m - 1
-        return v >= self.m
 
     # -- set predicates --------------------------------------------------------
 
@@ -431,13 +416,6 @@ def cell_value(cid):
     if kind == "z":
         return Fraction(r)
     return None if r == 0 else Fraction(1, r)
-
-
-def cell_ball(cfg: PadicConfig, cid, M: int) -> Ball:
-    kind, r = cid
-    if kind == "z":
-        return Ball.z_disc(cfg, r, M)
-    return Ball.u_disc(cfg, r, M)
 
 
 def point_cell(cfg: PadicConfig, pt: ProjPoint, M: int):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .padics import INF, PadicConfig, val_fraction
-from .projline import GL2, Ball
+from .projline import GL2
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +75,6 @@ class Vertex:
             return ((-b, q), (1, 0))
         return ((1, 0), (-a, q))
 
-    def direction_ball(self, cfg: PadicConfig) -> Ball:
-        """The depth-n ball of P^1(Q_p) of directions through this vertex."""
-        assert self.n >= 1, "the root sees every direction"
-        a, b = self.coord
-        if a == 1:
-            return Ball.u_disc(cfg, b, self.n)
-        return Ball.z_disc(cfg, a, self.n)
-
     def sort_key(self):
         a, b = self.coord
         if b == 1:  # toward a z-point a (a in pZ)
@@ -111,9 +103,6 @@ class OrientedEdge:
 
     def __post_init__(self):
         assert distance(self.src, self.dst) == 1, "endpoints are not adjacent"
-
-    def reversed(self) -> "OrientedEdge":
-        return OrientedEdge(self.dst, self.src)
 
     def endpoints(self):
         return (self.src, self.dst)

@@ -1,15 +1,21 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+# an absolute path, so the subprocesses import this checkout from any working directory
+ENV = dict(os.environ,
+           PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 BASE = [sys.executable, "-m", "btcomplex.cli"]
 
 
-def run_cli(*args):
-    return subprocess.run(BASE + list(args), capture_output=True, text=True)
+def run_cli(*args, text=True):
+    return subprocess.run(BASE + list(args), capture_output=True, text=text, env=ENV)
 
 
 def test_counts_command_passes():
@@ -77,7 +83,7 @@ def test_deterministic_output():
     assert a.stdout == b.stdout and a.returncode == b.returncode == 0
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(tmp_path):
     assert run_cli("bogus").returncode == 2
     assert run_cli("counts", "--p", "1").returncode == 2
     assert run_cli("counts", "--p", "3", "--prec", "3").returncode == 2
@@ -88,15 +94,20 @@ def test_usage_errors_exit_two():
     assert run_cli("verify", "--n", "0").returncode == 2
     assert run_cli("matrix", "--n", "0").returncode == 2
     r = subprocess.run([sys.executable, "-O", "-m", "btcomplex.cli", "verify", "--n", "0"],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=ENV)
     assert r.returncode == 2 and "Traceback" not in r.stderr
+    r = run_cli("counts", "--out", str(tmp_path / "missing" / "x.json"))
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    assert len(r.stderr.splitlines()) == 1
 
 
 def test_out_file(tmp_path):
     out = tmp_path / "report.json"
-    r = run_cli("counts", "--p", "2", "--k", "1", "--n", "1", "--out", str(out))
-    assert r.returncode == 0
+    args = ("counts", "--p", "2", "--k", "1", "--n", "1")
+    r = run_cli(*args, "--out", str(out))
+    assert r.returncode == 0 and r.stdout == ""
     assert json.loads(out.read_text())["pass"] is True
+    assert out.read_bytes() == run_cli(*args, text=False).stdout
 
 
 # sha256 of stdout, pinned so that refactors keep the output byte-identical
@@ -111,11 +122,14 @@ GOLDEN = [
      "17e82bcda083842d607e7f14d1a552aa5982ac1ef7ee75c86fc2c9c81bdddf2d"),
     ("verify --p 2 --k 2 --n 1 --d 2", "ed5846f3a33c9e46d1ef1c85349487afb938c4f2ff35ab000314641916f65dff"),
     ("example", "08f68916ba5075fe38a927a6aa24043aedee78bf46a6d6d7a2cee1359d1f7527"),
+    # parents/children lists that are not chains (the discs are not laminar)
+    ("orbits --p 2 --k 2 --n 3", "33633fdc922bca784c0c218361ad1f2315e875c56ff557b231d798c3a109028c"),
+    ("orbits --p 3 --k 1 --n 2", "d6873e6f4be72ef47e4a021f3bbd699051aa79c0166e9b64cf3987cdc64c8ef3"),
 ]
 
 
 @pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
 def test_golden_stdout_digest(command, digest):
-    r = subprocess.run(BASE + command.split(), capture_output=True)
+    r = run_cli(*command.split(), text=False)
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout).hexdigest() == digest

@@ -292,6 +292,45 @@ def test_total_order_refines_inclusion():
                     assert pos[a] > pos[b]
 
 
+RELATION_CONFIGS = [(2, 1, 2), (3, 1, 2), (2, 2, 3), (3, 2, 1)]
+
+
+def superset_first(balls):
+    return sorted(balls, key=lambda b: (-b.measure(), b.sort_key()))
+
+
+@pytest.mark.parametrize("p,k,n", RELATION_CONFIGS)
+def test_containment_relation_matches_all_pairs_oracle(p, k, n):
+    reg = build_registry(make_cfg(p, k, n), n, k)
+    balls = {r.ball for r in reg.all_vertex_records()}
+    assert set(reg.over) == balls
+    for b in balls:
+        assert reg.over[b] == superset_first(a for a in balls if a != b and b.subset(a)), b
+
+
+@pytest.mark.parametrize("p,k,n", RELATION_CONFIGS)
+def test_poset_tables_match_direct_scans(p, k, n):
+    reg = build_registry(make_cfg(p, k, n), n, k)
+    recs = reg.records
+    vrecs = reg.all_vertex_records()
+    mins = [i for i, m in enumerate(reg.minimal) if m]
+    balls = superset_first({r.ball for r in vrecs})
+    pairs = []
+    for i, r in enumerate(vrecs):
+        assert reg.min_cover[i] == [j for j in mins if recs[j].ball.subset(r.ball)]
+        pairs.extend((r.ball, recs[j].ball) for j in reg.min_cover[i])
+    for i in reg.edge_ids():
+        ball = recs[i].ball
+        other, subs = reg.edge_subs[i]
+        assert subs == [reg.index[q] for q in reg.vertex_records[other]
+                        if q.ball != ball and q.ball.subset(ball)]
+        pairs.extend((ball, recs[q].ball) for q in subs)
+    for src, dst in pairs:
+        chain = reg.ball_chain(src, dst)
+        assert chain == [b for b in balls if dst.subset(b) and b.subset(src)], (src, dst)
+        assert all(b.subset(a) for a, b in zip(chain, chain[1:]))
+
+
 def test_bfs_oracle_smoke():
     rng = random.Random(4)
     for p in (2, 3):
