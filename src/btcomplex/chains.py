@@ -385,14 +385,9 @@ def kernel_lift(nonmin: Chain, reg: OrbitRegistry) -> Chain:
     for i, f in nonmin.parts.items():
         assert not reg.minimal[i], "lift input must be supported off the minimal records"
         out.set_part(i, f)
-    for m, over in reg.nonmin_over.items():
-        ball = reg.records[m].ball
-        acc = zero_fun(reg.cfg, ball, nonmin.d)
-        for i in over:
-            f = nonmin.parts.get(i)
-            if f is not None:
-                acc = acc + registry_restrict(reg, f, ball)
-        out.add_part(m, -acc)
+    for i, f in nonmin.parts.items():
+        for m in reg.min_cover[i]:
+            out.add_part(m, -registry_restrict(reg, f, reg.records[m].ball))
     return out
 
 

@@ -132,7 +132,7 @@ def run(rc: RunConfig) -> int:
     if rc.command == "minimal":
         reg = build_registry(cfg, rc.n, rc.k)
         mins = minimal_orbits(reg)
-        ok = check_partition(cfg, [r.ball for r in mins], level=rc.k + rc.n + 1)
+        ok = check_partition(cfg, [r.ball for r in mins])
         _emit(rc, _dump({
             "params": {"p": rc.p, "k": rc.k, "n": rc.n},
             "minimal": [{"id": r.id_str(), "ball": r.ball.to_json(cfg)} for r in mins],
@@ -154,9 +154,7 @@ def run(rc: RunConfig) -> int:
         reg = build_registry(cfg, rc.n, rc.k)
         report = verify_exactness(reg, rc.d, seed=rc.seed)
         report["counts"] = verify_counts(reg)
-        report["minimal_partition"] = check_partition(
-            cfg, [r.ball for r in minimal_orbits(reg)], level=rc.k + rc.n + 1
-        )
+        report["minimal_partition"] = check_partition(cfg, [r.ball for r in minimal_orbits(reg)])
         _emit(rc, _dump(report))
         ok = report["verdict"] == "exact" and report["counts"]["pass"] and report["minimal_partition"]
         return 0 if ok else 1

@@ -34,8 +34,7 @@ from .tree import (
     OrientedEdge,
     Vertex,
     edges_upto,
-    transport_to_edge,
-    transport_to_vertex,
+    transport,
     vertices_upto,
 )
 
@@ -75,16 +74,10 @@ def _standard_edge_balls(cfg: PadicConfig, k: int):
     return out
 
 
-def simplex_transport(cfg: PadicConfig, simplex) -> GL2:
-    if isinstance(simplex, Vertex):
-        return transport_to_vertex(cfg, simplex)
-    return transport_to_edge(cfg, simplex)
-
-
 def enumerate_orbits(cfg: PadicConfig, simplex, k: int):
     """All level-k orbit records of a simplex: pairwise-disjoint discs covering P^1."""
     assert k >= 1
-    hinv = simplex_transport(cfg, simplex).inverse()
+    hinv = transport(cfg, simplex).inverse()
     if isinstance(simplex, Vertex):
         balls = [moebius_ball_image(hinv, b) for b in _standard_vertex_balls(cfg, k)]
     else:
@@ -97,7 +90,7 @@ def enumerate_orbits(cfg: PadicConfig, simplex, k: int):
 def orbit_of_point(cfg: PadicConfig, simplex, k: int, z: ProjPoint) -> OrbitRecord:
     """The orbit record whose disc contains z."""
     assert k >= 1
-    h = simplex_transport(cfg, simplex)
+    h = transport(cfg, simplex)
     zs = moebius_apply(h, z)
     edge = isinstance(simplex, OrientedEdge)
     m_in = (k - 1) if edge else k
@@ -128,11 +121,11 @@ class OrbitRegistry:
       same disc at the endpoint owning the orbit.
 
     The containment poset is one relation, ``over``: vertex-record ball ->
-    the registry balls strictly containing it.  ``min_cover``, ``nonmin_over``,
-    ``edge_subs``, ``ball_chain`` and the orbits dump's parents/children are
-    read off it.  Its quadratic build runs on first use, so counting-only
-    callers never pay for it; for that reason the eager minimal flags do not
-    read it but test each deepest record against its parent's records only.
+    the registry balls strictly containing it.  ``min_cover``, ``edge_subs``,
+    ``ball_chain`` and the orbits dump's parents/children are read off it.
+    Its quadratic build runs on first use, so counting-only callers never pay
+    for it; for that reason the eager minimal flags do not read it but test
+    each deepest record against its parent's records only.
     """
 
     cfg: PadicConfig
@@ -208,16 +201,6 @@ class OrbitRegistry:
                     for i in self.ball_records[b]:
                         cover[i].append(j)
         return cover
-
-    @cached_property
-    def nonmin_over(self) -> dict:
-        """Minimal record index -> indices of the non-minimal records containing it."""
-        over = {i: [] for i, m in enumerate(self.minimal) if m}
-        for i, inside in enumerate(self.min_cover):
-            if not self.minimal[i]:
-                for j in inside:
-                    over[j].append(i)
-        return over
 
     @cached_property
     def edge_subs(self) -> dict:
@@ -313,13 +296,14 @@ def edge_orbit_owner(reg: OrbitRegistry, rec: OrbitRecord) -> Vertex:
 # ---------------------------------------------------------------------------
 
 
-def check_partition(cfg: PadicConfig, balls, level: int | None = None) -> bool:
-    """Exact disjoint-cover test by residue enumeration at a refining level."""
+def check_partition(cfg: PadicConfig, balls) -> bool:
+    """Exact disjoint-cover test by residue enumeration at the level the balls
+    require: there each cell lies wholly inside or outside each ball, so any
+    finer level gives the same answer."""
     balls = list(balls)
     if not balls:
         return False
-    needed = max(b.required_level() for b in balls)
-    M = needed if level is None else max(level, needed)
+    M = max(b.required_level() for b in balls)
     seen = set()
     total = 0
     for b in balls:
@@ -424,7 +408,7 @@ def sample_group_element(cfg: PadicConfig, simplex, k: int, rng: random.Random) 
         std = GL2(cfg, 1 + pk * a, pk * b, pk * c, 1 + pk * d)
     else:
         std = GL2(cfg, 1 + pk * a, pk * b, Fraction(p ** (k - 1)) * c, 1 + pk * d)
-    h = simplex_transport(cfg, simplex)
+    h = transport(cfg, simplex)
     return h @ std @ h.inverse()
 
 

@@ -315,16 +315,15 @@ def map_path(cfg: PadicConfig, path_p, path_q) -> GL2:
     return g
 
 
-def transport_to_vertex(cfg: PadicConfig, v: Vertex) -> GL2:
-    """h with h . v0 = v (a basis matrix of v)."""
-    return GL2.from_rows(cfg, v.basis_matrix())
-
-
-def transport_to_edge(cfg: PadicConfig, e: OrientedEdge) -> GL2:
-    """h carrying the standard edge (v0, v1) to (parent, child)."""
-    p = e.src.p
-    par, chi = (e.src, e.dst) if e.src.n < e.dst.n else (e.dst, e.src)
-    return map_path(cfg, standard_path(p, 1), [par, chi])
+def transport(cfg: PadicConfig, simplex) -> GL2:
+    """h carrying the standard simplex onto a vertex or edge: v0 to the vertex
+    (its basis matrix), or the standard edge (v0, v1) to (parent, child) in
+    either orientation.  Equals map_path from the standard path of the same
+    length, whose own standardizing element is the identity."""
+    if isinstance(simplex, Vertex):
+        return _standardize(cfg, [simplex])
+    src, dst = simplex.src, simplex.dst
+    return _standardize(cfg, [src, dst] if src.n < dst.n else [dst, src])
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +359,11 @@ def in_group(g: GL2, simplex, k: int) -> bool:
     less.
     """
     assert k >= 1
-    cfg = g.cfg
+    h = transport(g.cfg, simplex)
+    std = h.inverse() @ g @ h
     if isinstance(simplex, Vertex):
-        h = transport_to_vertex(cfg, simplex)
-        return _matches_vertex_pattern(h.inverse() @ g @ h, k)
-    h = transport_to_edge(cfg, simplex)
-    return _matches_edge_pattern(h.inverse() @ g @ h, k)
+        return _matches_vertex_pattern(std, k)
+    return _matches_edge_pattern(std, k)
 
 
 def factor_edge_group(g: GL2, e: OrientedEdge, k: int):
@@ -379,7 +377,7 @@ def factor_edge_group(g: GL2, e: OrientedEdge, k: int):
     cfg = g.cfg
     if not in_group(g, e, k):
         raise ValueError("matrix is not in the edge group at this level")
-    h = transport_to_edge(cfg, e)
+    h = transport(cfg, e)
     hinv = h.inverse()
     std = hinv @ g @ h
     g1_std = GL2(cfg, std.a, 0, std.c, 1)

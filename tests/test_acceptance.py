@@ -127,9 +127,9 @@ def test_criterion_4_minimal_partition():
     for p, k, n in GRID_234:
         reg = registry(p, k, n)
         balls = [r.ball for r in minimal_orbits(reg)]
-        if not check_partition(reg.cfg, balls, level=k + n + 1):
+        if not check_partition(reg.cfg, balls):
             bad.append((p, k, n))
-    report(4, not bad, f"minimal orbits partition the projective line (mod p^(k+n+1)); bad={bad}")
+    report(4, not bad, f"minimal orbits partition the projective line at the level the discs require; bad={bad}")
 
 
 def test_criterion_5_orbit_oracle():

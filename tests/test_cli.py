@@ -125,6 +125,9 @@ GOLDEN = [
     # parents/children lists that are not chains (the discs are not laminar)
     ("orbits --p 2 --k 2 --n 3", "33633fdc922bca784c0c218361ad1f2315e875c56ff557b231d798c3a109028c"),
     ("orbits --p 3 --k 1 --n 2", "d6873e6f4be72ef47e4a021f3bbd699051aa79c0166e9b64cf3987cdc64c8ef3"),
+    # partition at the level the minimal discs require; edge transports at depth 4
+    ("minimal --p 2 --k 2 --n 4", "d4f3ff2d9b263912868eac3c0ab77334f9500003bed810bb38bd232ca7718e53"),
+    ("counts --p 3 --k 2 --n 4", "30bb60fcde9a0d0d2f12db7f1afa38f738407b1bc35dc3ee3129e229f748922e"),
 ]
 
 

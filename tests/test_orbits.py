@@ -145,9 +145,33 @@ def test_minimal_partition_and_dropping_one():
     cfg = make_cfg(3, 1, 1)
     reg = build_registry(cfg, 1, 1)
     balls = [r.ball for r in minimal_orbits(reg)]
-    assert check_partition(cfg, balls, level=3)
-    assert not check_partition(cfg, balls[1:], level=3)
+    assert check_partition(cfg, balls)
+    assert not check_partition(cfg, balls[1:])
     assert check_partition(cfg, [r.ball for r in reg.vertex_records[Vertex.root(3)]])
+
+
+def partition_by_cells(cfg, balls, M):
+    """Oracle: the balls' level-M cells are pairwise disjoint and cover P^1."""
+    cells = [ball_cells(cfg, b, M) for b in balls]
+    universe = set(cell_ids(cfg, M))
+    return sum(len(c) for c in cells) == len(universe) and set().union(*cells) == universe
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 2), (3, 1, 2), (2, 2, 3)])
+def test_partition_check_does_not_depend_on_the_level(p, k, n):
+    cfg = make_cfg(p, k, n)
+    reg = build_registry(cfg, n, k)
+    mins = minimal_orbits(reg)
+    balls = [r.ball for r in mins]
+    # a duplicated ball, and a minimal ball swapped for the parent's record containing it
+    container = next(q.ball for q in reg.vertex_records[mins[0].simplex.parent()]
+                     if mins[0].ball.subset(q.ball))
+    cases = [(balls, True), (balls + balls[:1], False), ([container] + balls[1:], False)]
+    for case, want in cases:
+        M = max(b.required_level() for b in case)
+        assert check_partition(cfg, case) is want
+        assert partition_by_cells(cfg, case, M) is want
+        assert partition_by_cells(cfg, case, M + 1) is want
 
 
 def test_verify_counts_examples():

@@ -7,6 +7,7 @@ from btcomplex.padics import PadicConfig
 from btcomplex.projline import GL2
 from btcomplex.tree import (
     OrientedEdge,
+    _standardize,
     Vertex,
     act_vertex,
     distance,
@@ -20,6 +21,7 @@ from btcomplex.tree import (
     path,
     standard_orientation,
     standard_path,
+    transport,
     vertex_canonical,
     vertices_at_depth,
     vertices_upto,
@@ -199,6 +201,23 @@ def test_map_path_errors(cfg):
     zigzag = [sp[0], sp[1], sp[0]]
     with pytest.raises(ValueError):
         map_path(cfg, zigzag, zigzag)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_transport_matches_map_path_and_basis_matrix(p):
+    cfg = PadicConfig(p, 16)
+    for e in edges_upto(p, 3):
+        want = map_path(cfg, standard_path(p, 1), [e.src, e.dst])
+        assert transport(cfg, e) == want, e
+        assert transport(cfg, OrientedEdge(e.dst, e.src)) == want, e
+    for v in vertices_upto(p, 3):
+        assert transport(cfg, v) == GL2.from_rows(cfg, v.basis_matrix()), v
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_standardize_of_the_standard_edge_is_the_identity(p):
+    cfg = PadicConfig(p, 16)
+    assert _standardize(cfg, standard_path(p, 1)) == GL2.identity(cfg)
 
 
 # -- congruence subgroups ------------------------------------------------------------
