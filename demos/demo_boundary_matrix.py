@@ -21,8 +21,8 @@ for (p, k, n) in [(2, 1, 1), (3, 1, 1)]:
     reg = build_registry(cfg, n, k)
     mat = assemble_dbar1(reg, d=1)
     print(f"== (p, k, n) = ({p}, {k}, {n}): {mat.size} x {mat.size} blocks ==")
-    for i, rec in enumerate(mat.order):
-        print(f"  {i}: {rec.id_str()}")
+    for row, i in enumerate(mat.order):
+        print(f"  {row}: {reg.records[i].id_str()}")
     grid = [["   ." for _ in range(mat.size)] for _ in range(mat.size)]
     for row, col, kind, sign in mat.blocks:
         label = ("+" if sign > 0 else "-") + ("id " if kind == "id" else "res")

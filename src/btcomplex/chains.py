@@ -219,13 +219,14 @@ def restrict(f: TruncFun, target: Ball) -> TruncFun:
     return TruncFun(cfg, target, _compose_poly(list(f.coeffs), sigma, D))
 
 
-def registry_restrict(reg: OrbitRegistry, f: TruncFun, target: Ball) -> TruncFun:
-    """Restriction used by the complex maps: the composite of one-step
-    restrictions along the chain of intermediate registry balls, which makes
-    restriction functorial on the registry poset by construction."""
+def registry_restrict(reg: OrbitRegistry, f: TruncFun, i: int, j: int) -> TruncFun:
+    """Restriction used by the complex maps, of f on record i's disc to record
+    j's: the composite of one-step restrictions along the chain of
+    intermediate registry balls, which makes restriction functorial on the
+    registry poset by construction."""
     out = f
-    for ball in reg.ball_chain(f.ball, target)[1:]:
-        out = restrict(out, ball)
+    for b in reg.ball_chain(reg.ball_of[i], reg.ball_of[j])[1:]:
+        out = restrict(out, reg.balls[b])
     return out
 
 
@@ -348,15 +349,12 @@ def partial1(c1: Chain, reg: OrbitRegistry) -> Chain:
     restrictions into the q sub-orbits at the other endpoint."""
     out = Chain(reg, c1.d)
     for i, f in c1.parts.items():
-        e = reg.records[i].simplex
         owner = reg.owner[i]
-        s = _edge_sign(e, reg.records[owner].simplex)
+        s = _edge_sign(reg.records[i].simplex, reg.records[owner].simplex)
         out.add_part(owner, f if s == 1 else -f)
-        other, subs = reg.edge_subs[i]
-        s2 = _edge_sign(e, other)
-        for q in subs:
-            rf = registry_restrict(reg, f, reg.records[q].ball)
-            out.add_part(q, rf if s2 == 1 else -rf)
+        for q in reg.edge_subs[i]:
+            rf = registry_restrict(reg, f, i, q)
+            out.add_part(q, -rf if s == 1 else rf)
     return out
 
 
@@ -366,7 +364,7 @@ def partial0(c0: Chain, reg: OrbitRegistry) -> Chain:
     out = Chain(reg, c0.d)
     for i, f in c0.parts.items():
         for m in reg.min_cover[i]:
-            out.add_part(m, registry_restrict(reg, f, reg.records[m].ball))
+            out.add_part(m, registry_restrict(reg, f, i, m))
     return out
 
 
@@ -387,7 +385,7 @@ def kernel_lift(nonmin: Chain, reg: OrbitRegistry) -> Chain:
         out.set_part(i, f)
     for i, f in nonmin.parts.items():
         for m in reg.min_cover[i]:
-            out.add_part(m, -registry_restrict(reg, f, reg.records[m].ball))
+            out.add_part(m, -registry_restrict(reg, f, i, m))
     return out
 
 
@@ -401,9 +399,9 @@ class BoundaryMatrix:
 
     reg: OrbitRegistry
     d: int
-    order: list  # non-minimal vertex records, superset-first
+    order: list  # row -> non-minimal vertex record index, superset-first
     blocks: list  # (row, col, kind, sign) with kind in {"id", "res"}
-    column_edge_record: dict  # col index -> edge OrbitRecord
+    columns: list  # col -> edge record index
 
     @property
     def size(self) -> int:
@@ -430,11 +428,9 @@ class BoundaryMatrix:
     @cached_property
     def _edge_blocks(self) -> dict:
         """Edge record index -> its column's (vertex record index, kind, sign)."""
-        index = self.reg.index
-        edge_of = {col: index[rec] for col, rec in self.column_edge_record.items()}
         out = {}
         for row, col, kind, sign in self.blocks:
-            out.setdefault(edge_of[col], []).append((index[self.order[row]], kind, sign))
+            out.setdefault(self.columns[col], []).append((self.order[row], kind, sign))
         return out
 
     def apply(self, c1: Chain) -> Chain:
@@ -442,14 +438,15 @@ class BoundaryMatrix:
         out = Chain(self.reg, self.d)
         for i, f in c1.parts.items():
             for t, kind, sign in self._edge_blocks[i]:
-                g = f if kind == "id" else registry_restrict(self.reg, f, self.reg.records[t].ball)
+                g = f if kind == "id" else registry_restrict(self.reg, f, i, t)
                 out.add_part(t, g if sign == 1 else -g)
         return out
 
     def to_json(self) -> dict:
+        records = self.reg.records
         return {
-            "order": [r.id_str() for r in self.order],
-            "columns": [self.column_edge_record[i].id_str() for i in range(self.size)],
+            "order": [records[i].id_str() for i in self.order],
+            "columns": [records[i].id_str() for i in self.columns],
             "blocks": self.structure(),
         }
 
@@ -474,27 +471,24 @@ def assemble_dbar1(reg: OrbitRegistry, d: int) -> BoundaryMatrix:
     if not counts["pass"]:
         raise AssertionError(f"registry counting certificates failed: {counts['counterexamples']}")
     order = list(reg.nonmin_order)
-    row_of = {reg.index[r]: i for i, r in enumerate(order)}
+    row_of = {r: i for i, r in enumerate(order)}
     assert len(order) == nonminimal_count_formula(reg.p, reg.k, reg.n)
     blocks = []
-    column_edge_record = {}
+    columns = [None] * len(order)
     for i in reg.edge_ids():
-        rec = reg.records[i]
-        e = rec.simplex
         owner = reg.owner[i]
         col = row_of[owner]
-        assert col not in column_edge_record, "owner bijection collided"
-        column_edge_record[col] = rec
-        blocks.append((col, col, "id", _edge_sign(e, reg.records[owner].simplex)))
-        other, subs = reg.edge_subs[i]
-        s2 = _edge_sign(e, other)
-        for q in subs:
+        assert columns[col] is None, "owner bijection collided"
+        columns[col] = i
+        s = _edge_sign(reg.records[i].simplex, reg.records[owner].simplex)
+        blocks.append((col, col, "id", s))
+        for q in reg.edge_subs[i]:
             if reg.minimal[q]:
                 continue
             row = row_of[q]
             assert row > col, "total order failed to refine inclusion"
-            blocks.append((row, col, "res", s2))
-    mat = BoundaryMatrix(reg, d, order, blocks, column_edge_record)
+            blocks.append((row, col, "res", -s))
+    mat = BoundaryMatrix(reg, d, order, blocks, columns)
     assert mat.is_lower_triangular()
     mat.diag_signs()
     return mat
@@ -568,7 +562,7 @@ def verify_exactness(reg: OrbitRegistry, d: int, seed: int = 0,
     # the assembled matrix is the projection of the degree-one boundary map
     consistent = True
     in_kernel = True
-    witness = ""
+    kernel_witness = matrix_witness = ""
     for i in reg.edge_ids():
         rec = reg.records[i]
         for j in range(d + 1):
@@ -576,13 +570,13 @@ def verify_exactness(reg: OrbitRegistry, d: int, seed: int = 0,
             image = partial1(c1, reg)
             if not partial0(image, reg).is_zero():
                 in_kernel = False
-                witness = f"{rec.id_str()} degree {j}"
+                kernel_witness = f"{rec.id_str()} degree {j}"
             projected = Chain(reg, d, {t: f for t, f in image.parts.items() if not reg.minimal[t]})
             if projected != mat.apply(c1):
                 consistent = False
-                witness = f"{rec.id_str()} degree {j}"
-    check("boundary composite vanishes on a basis", in_kernel, witness)
-    check("matrix equals projected boundary on a basis", consistent, witness)
+                matrix_witness = f"{rec.id_str()} degree {j}"
+    check("boundary composite vanishes on a basis", in_kernel, kernel_witness)
+    check("matrix equals projected boundary on a basis", consistent, matrix_witness)
     check("degree-one kernel trivial", consistent and all(s in (1, -1) for s in signs),
           "triangular with unit diagonal and equal to the projected boundary")
 

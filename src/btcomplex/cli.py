@@ -43,11 +43,14 @@ class RunConfig:
 def registry_json(reg: OrbitRegistry) -> dict:
     ids = [r.id_str() for r in reg.records]
     vrecs = reg.all_vertex_records()
+    members = [[] for _ in reg.balls]  # ball id -> vertex records with that disc
+    for i in range(len(vrecs)):
+        members[reg.ball_of[i]].append(i)
     parents = [[] for _ in vrecs]
     children = [[] for _ in vrecs]
-    for i, a in enumerate(vrecs):
-        for ball in reg.over[a.ball]:
-            for j in reg.ball_records[ball]:
+    for i in range(len(vrecs)):
+        for b in reg.over[reg.ball_of[i]]:
+            for j in members[b]:
                 parents[i].append(ids[j])
                 children[j].append(ids[i])
     orbits = [
@@ -95,7 +98,7 @@ def compare_to_reference(cfg: PadicConfig) -> dict:
         "missing": sorted(map(list, want - got)),
         "unexpected": sorted(map(list, got - want)),
         "match": mat.size == golden["size"] and got == want,
-        "order": [r.id_str() for r in mat.order],
+        "order": [reg.records[i].id_str() for i in mat.order],
     }
 
 

@@ -120,12 +120,16 @@ class OrbitRegistry:
     * ``owner[i]`` for an edge record i: the index of the record with the
       same disc at the endpoint owning the orbit.
 
-    The containment poset is one relation, ``over``: vertex-record ball ->
-    the registry balls strictly containing it.  ``min_cover``, ``edge_subs``,
-    ``ball_chain`` and the orbits dump's parents/children are read off it.
-    Its quadratic build runs on first use, so counting-only callers never pay
-    for it; for that reason the eager minimal flags do not read it but test
-    each deepest record against its parent's records only.
+    The distinct vertex-record discs have dense ids too: ``balls[b]`` is disc
+    b, superset-first, and ``ball_of[i]`` is record i's (an edge record takes
+    its owner's).  The containment poset is one relation on ids, ``over``:
+    ball id -> the ascending ids of the balls strictly containing it.
+    ``min_cover``, ``edge_subs``, ``ball_chain`` and the orbits dump's
+    parents/children are read off it comparing integers only, so a chain walk
+    is cheap enough to need no memo.  These tables build on first use, so
+    counting-only callers never pay for the quadratic relation; for that
+    reason the eager minimal flags test each deepest record against its
+    parent's records only.
     """
 
     cfg: PadicConfig
@@ -137,7 +141,7 @@ class OrbitRegistry:
     index: dict = field(default_factory=dict)  # OrbitRecord -> index
     minimal: list = field(default_factory=list)  # vertex record index -> bool
     owner: dict = field(default_factory=dict)  # edge record index -> vertex record index
-    nonmin_order: list = field(default_factory=list)  # ordered non-minimal vertex records
+    nonmin_order: list = field(default_factory=list)  # non-minimal vertex record indices, ordered
 
     @property
     def p(self) -> int:
@@ -167,58 +171,63 @@ class OrbitRegistry:
     # -- the containment relation and the tables read off it, on first use -----
 
     @cached_property
-    def ball_records(self) -> dict:
-        """Vertex-record ball -> indices of the vertex records with that disc."""
-        out = {}
-        for i, r in enumerate(self.all_vertex_records()):
-            out.setdefault(r.ball, []).append(i)
-        return out
+    def balls(self) -> list:
+        """Ball id -> the distinct vertex-record discs, superset-first."""
+        distinct = {r.ball for r in self.all_vertex_records()}
+        return sorted(distinct, key=lambda b: (-b.measure(), b.sort_key()))
 
     @cached_property
-    def over(self) -> dict:
-        """Vertex-record ball -> the registry balls strictly containing it,
-        superset-first (measure descending, then ball key).  The balls are not
-        laminar (two whose union is P^1 overlap without nesting), so each ball
-        is tested against every ball of strictly larger measure."""
-        balls = sorted(self.ball_records, key=lambda b: (-b.measure(), b.sort_key()))
+    def ball_of(self) -> list:
+        """Record index -> the id of its disc (an edge record's is its owner's)."""
+        ids = {b: i for i, b in enumerate(self.balls)}
+        out = [ids[r.ball] for r in self.all_vertex_records()]
+        return out + [out[self.owner[i]] for i in self.edge_ids()]
+
+    @cached_property
+    def over(self) -> list:
+        """Ball id -> the ascending ids of the balls strictly containing it.
+        The balls are not laminar (two whose union is P^1 overlap without
+        nesting), so each ball is tested against every ball of strictly larger
+        measure."""
+        balls = self.balls
         mus = [b.measure() for b in balls]
-        out = {}
+        out = []
         start = 0  # balls[:start] have strictly larger measure than balls[i]
         for i, b in enumerate(balls):
             if mus[i] != mus[start]:
                 start = i
-            out[b] = [a for a in balls[:start] if b.subset(a)]
+            out.append([a for a in range(start) if b.subset(balls[a])])
         return out
 
     @cached_property
     def min_cover(self) -> list:
         """Vertex record index -> indices of the minimal records inside its disc."""
-        cover = [[] for _ in self.minimal]
+        inside = [[] for _ in self.balls]  # ball id -> minimal records inside it
         for j, m in enumerate(self.minimal):
             if m:
-                ball = self.records[j].ball
-                for b in (ball, *self.over[ball]):
-                    for i in self.ball_records[b]:
-                        cover[i].append(j)
-        return cover
+                b = self.ball_of[j]
+                for a in (b, *self.over[b]):
+                    inside[a].append(j)
+        return [inside[b] for b in self.ball_of[: len(self.minimal)]]
 
     @cached_property
     def edge_subs(self) -> dict:
-        """Edge record index -> (the endpoint not owning it, indices of that
-        endpoint's records strictly inside the edge orbit)."""
+        """Edge record index -> indices of the records strictly inside the edge
+        orbit at the endpoint not owning it."""
         out = {}
         for i in self.edge_ids():
-            rec = self.records[i]
-            e = rec.simplex
+            e = self.records[i].simplex
             other = e.dst if self.records[self.owner[i]].simplex == e.src else e.src
-            subs = [self.index[q] for q in self.vertex_records[other] if rec.ball in self.over[q.ball]]
+            b = self.ball_of[i]
+            subs = [j for j in (self.index[q] for q in self.vertex_records[other])
+                    if b in self.over[self.ball_of[j]]]
             assert len(subs) == self.p, "an edge orbit splits into exactly q orbits opposite its owner"
-            out[i] = (other, subs)
+            out[i] = subs
         return out
 
-    def ball_chain(self, src: Ball, dst: Ball) -> list:
-        """Every registry ball between dst and src, superset-first.  Balls that
-        meet without nesting cover P^1, so below a proper src they are nested."""
+    def ball_chain(self, src: int, dst: int) -> list:
+        """Ids of every registry ball between dst and src, superset-first.  Balls
+        that meet without nesting cover P^1, so below a proper src they nest."""
         hit = [b for b in self.over[dst] if b == src or src in self.over[b]] + [dst]
         assert hit[0] == src
         return hit
@@ -252,7 +261,8 @@ def build_registry(cfg: PadicConfig, n: int, k: int) -> OrbitRegistry:
         if rec not in reg.index:
             raise AssertionError(f"edge orbit {reg.records[i]!r} has no record at its owner")
         reg.owner[i] = reg.index[rec]
-    reg.nonmin_order = sorted(reg.nonminimal_records(), key=_total_order_key)
+    nonmin = [i for i, m in enumerate(reg.minimal) if not m]
+    reg.nonmin_order = sorted(nonmin, key=lambda i: _total_order_key(reg.records[i]))
     return reg
 
 
@@ -277,13 +287,8 @@ def minimal_orbits(reg: OrbitRegistry):
 
 def edge_orbit_owner(reg: OrbitRegistry, rec: OrbitRecord) -> Vertex:
     """The unique endpoint whose own registry holds the same ball."""
-    e = rec.simplex
-    assert isinstance(e, OrientedEdge)
-    hits = [
-        v
-        for v in e.endpoints()
-        if any(q.ball == rec.ball for q in reg.vertex_records.get(v, ()))
-    ]
+    assert isinstance(rec.simplex, OrientedEdge)
+    hits = [v for v in rec.simplex.endpoints() if OrbitRecord(v, reg.k, rec.ball) in reg.index]
     if len(hits) != 1:
         raise AssertionError(
             f"edge orbit {rec.id_str()} owned by {len(hits)} endpoints; expected exactly one"
@@ -374,14 +379,12 @@ def verify_counts(reg: OrbitRegistry) -> dict:
         owner_map = {}
         collisions = []
         for rec in reg.all_edge_records():
-            owner = edge_orbit_owner(reg, rec)
-            key = (owner, rec.ball)
+            key = OrbitRecord(edge_orbit_owner(reg, rec), k, rec.ball)
             if key in owner_map:
                 collisions.append(rec.id_str())
             owner_map[key] = rec
         row("edge->vertex record map injective", [], collisions)
-        nonmin_keys = {(r.simplex, r.ball) for r in reg.nonminimal_records()}
-        diff = sorted(f"{v.id_str()}|{b.id_str()}" for (v, b) in set(owner_map) ^ nonmin_keys)
+        diff = sorted(r.id_str() for r in set(owner_map) ^ set(reg.nonminimal_records()))
         row("edge records = non-minimal vertex records (as owner/ball sets)", [], diff)
 
     return {

@@ -11,6 +11,7 @@ from btcomplex.projline import Ball, GL2, ProjPoint, moebius_apply
 from btcomplex.tree import standard_orientation, standard_path
 from btcomplex.orbits import build_registry, enumerate_orbits, sample_group_element
 from btcomplex.chains import (
+    BoundaryMatrix,
     Chain,
     Character,
     NotAnalyticError,
@@ -292,7 +293,9 @@ def test_registry_restrict_functorial_on_all_nested_triples():
         reg = make_reg(p, k, n, d=2)
         cfg = reg.cfg
         rng = random.Random(7)
-        balls = sorted({r.ball for r in reg.all_vertex_records()}, key=lambda b: b.sort_key())
+        # one vertex record per registry ball, the balls in ball-key order
+        rec_of = {reg.balls[reg.ball_of[i]]: i for i in range(len(reg.minimal))}
+        balls = sorted(rec_of, key=lambda b: b.sort_key())
         triples = [
             (a, b, c)
             for a in balls
@@ -302,8 +305,9 @@ def test_registry_restrict_functorial_on_all_nested_triples():
         ]
         for a, b, c in rng.sample(triples, min(40, len(triples))):
             f = random_truncfun(cfg, a, 2, rng)
-            one = registry_restrict(reg, registry_restrict(reg, f, b), c)
-            two = registry_restrict(reg, f, c)
+            one = registry_restrict(reg, registry_restrict(reg, f, rec_of[a], rec_of[b]),
+                                    rec_of[b], rec_of[c])
+            two = registry_restrict(reg, f, rec_of[a], rec_of[c])
             assert one == two, (a, b, c)
 
 
@@ -371,7 +375,7 @@ def test_kernel_lift_of_single_component():
     # minimal discs below it, sums to zero
     reg = make_reg(3, 1, 1, d=1)
     cfg = reg.cfg
-    rec = reg.nonmin_order[0]
+    rec = reg.records[reg.nonmin_order[0]]
     f = monomial(cfg, rec.ball, 1, 1)
     c = Chain(reg, 1, {reg.index[rec]: f})
     lifted = kernel_lift(c, reg)
@@ -394,7 +398,7 @@ def test_kernel_lift_random_nonminimal_assignment():
 def test_kernel_project_rejects_non_kernel():
     reg = make_reg(3, 1, 1)
     cfg = reg.cfg
-    rec = reg.nonmin_order[0]
+    rec = reg.records[reg.nonmin_order[0]]
     c = Chain(reg, 1, {reg.index[rec]: monomial(cfg, rec.ball, 0, 1)})
     with pytest.raises(ValueError):
         kernel_project(c, reg)
@@ -455,6 +459,23 @@ def test_verify_exactness_dims_small():
     rep = verify_exactness(make_reg(2, 1, 1, d=1), 1, seed=0, localfun_samples=5, chain_samples=10)
     assert rep["verdict"] == "exact"
     assert rep["dims"]["C1"] == 12 and rep["dims"]["r"] == 6
+
+
+def test_verify_exactness_witness_belongs_to_the_failing_check(monkeypatch):
+    # a matrix that loses one column fails the matrix check alone, and the
+    # kernel check, which passes, carries no witness of it
+    reg = make_reg(2, 1, 1, d=0)
+    dropped = next(iter(reg.edge_ids()))
+    apply = BoundaryMatrix.apply
+    monkeypatch.setattr(BoundaryMatrix, "apply", lambda mat, c1: apply(
+        mat, Chain(reg, c1.d, {i: f for i, f in c1.parts.items() if i != dropped})))
+    rep = verify_exactness(reg, 0, seed=0, localfun_samples=5, chain_samples=10)
+    checks = {c["name"]: c for c in rep["checks"]}
+    kernel = checks["boundary composite vanishes on a basis"]
+    matrix = checks["matrix equals projected boundary on a basis"]
+    assert kernel["pass"] and kernel["detail"] == ""
+    assert not matrix["pass"] and matrix["detail"] == f"{reg.records[dropped].id_str()} degree 0"
+    assert rep["verdict"] == "failed"
 
 
 def test_surjectivity_lift_exact():

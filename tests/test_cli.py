@@ -128,6 +128,8 @@ GOLDEN = [
     # partition at the level the minimal discs require; edge transports at depth 4
     ("minimal --p 2 --k 2 --n 4", "d4f3ff2d9b263912868eac3c0ab77334f9500003bed810bb38bd232ca7718e53"),
     ("counts --p 3 --k 2 --n 4", "30bb60fcde9a0d0d2f12db7f1afa38f738407b1bc35dc3ee3129e229f748922e"),
+    # a boundary matrix at level k = 2
+    ("matrix --p 2 --k 2 --n 2 --d 0", "99e9c02b5525d27d100e26ff2217fa5f032a0e557e823ce27f40b6ce55827487"),
 ]
 
 

@@ -7,6 +7,7 @@ from btcomplex.padics import PadicConfig
 from btcomplex.projline import Ball, ProjPoint, ball_cells, cell_ids, cell_value
 from btcomplex.tree import Vertex, edges_upto, standard_orientation, standard_path, vertices_upto
 from btcomplex.orbits import (
+    OrbitRecord,
     bfs_orbit_cells,
     build_registry,
     check_partition,
@@ -209,6 +210,16 @@ def test_edge_owner_transport_consistency():
             assert edge_orbit_owner(reg, rec) == reg.records[reg.owner[reg.index[rec]]].simplex
 
 
+def test_edge_orbit_owner_rejects_a_disc_at_neither_endpoint():
+    cfg = make_cfg(3, 1, 1)
+    reg = build_registry(cfg, 1, 1)
+    e = reg.edges()[0]
+    stray = OrbitRecord(e, 1, Ball.z_disc(cfg, 0, 5))
+    assert all(r.ball != stray.ball for r in reg.all_vertex_records())
+    with pytest.raises(AssertionError, match="owned by 0 endpoints"):
+        edge_orbit_owner(reg, stray)
+
+
 def test_adjacent_vertex_registries_share_no_ball():
     cfg = make_cfg(3, 1, 1)
     reg = build_registry(cfg, 1, 1)
@@ -308,7 +319,7 @@ def test_total_order_refines_inclusion():
     for (p, k, n) in [(2, 1, 1), (3, 1, 2), (2, 2, 2)]:
         cfg = make_cfg(p, k, n)
         reg = build_registry(cfg, n, k)
-        pos = {r: i for i, r in enumerate(reg.nonmin_order)}
+        pos = {reg.records[i]: row for row, i in enumerate(reg.nonmin_order)}
         recs = reg.nonminimal_records()
         for a in recs:
             for b in recs:
@@ -327,9 +338,13 @@ def superset_first(balls):
 def test_containment_relation_matches_all_pairs_oracle(p, k, n):
     reg = build_registry(make_cfg(p, k, n), n, k)
     balls = {r.ball for r in reg.all_vertex_records()}
-    assert set(reg.over) == balls
-    for b in balls:
-        assert reg.over[b] == superset_first(a for a in balls if a != b and b.subset(a)), b
+    assert reg.balls == superset_first(balls)
+    assert [reg.balls[b] for b in reg.ball_of] == [r.ball for r in reg.records]
+    assert len(reg.over) == len(balls)
+    for i, b in enumerate(reg.balls):
+        sup = [reg.balls[a] for a in reg.over[i]]
+        assert reg.over[i] == sorted(reg.over[i])
+        assert sup == superset_first(a for a in balls if a != b and b.subset(a)), b
 
 
 @pytest.mark.parametrize("p,k,n", RELATION_CONFIGS)
@@ -339,18 +354,21 @@ def test_poset_tables_match_direct_scans(p, k, n):
     vrecs = reg.all_vertex_records()
     mins = [i for i, m in enumerate(reg.minimal) if m]
     balls = superset_first({r.ball for r in vrecs})
-    pairs = []
+    pairs = []  # (source, target) record indices of every registry restriction
     for i, r in enumerate(vrecs):
         assert reg.min_cover[i] == [j for j in mins if recs[j].ball.subset(r.ball)]
-        pairs.extend((r.ball, recs[j].ball) for j in reg.min_cover[i])
+        pairs.extend((i, j) for j in reg.min_cover[i])
     for i in reg.edge_ids():
         ball = recs[i].ball
-        other, subs = reg.edge_subs[i]
+        e, owner = recs[i].simplex, recs[reg.owner[i]].simplex
+        other = e.dst if owner == e.src else e.src
+        subs = reg.edge_subs[i]
         assert subs == [reg.index[q] for q in reg.vertex_records[other]
                         if q.ball != ball and q.ball.subset(ball)]
-        pairs.extend((ball, recs[q].ball) for q in subs)
-    for src, dst in pairs:
-        chain = reg.ball_chain(src, dst)
+        pairs.extend((i, q) for q in subs)
+    for i, j in pairs:
+        src, dst = recs[i].ball, recs[j].ball
+        chain = [reg.balls[b] for b in reg.ball_chain(reg.ball_of[i], reg.ball_of[j])]
         assert chain == [b for b in balls if dst.subset(b) and b.subset(src)], (src, dst)
         assert all(b.subset(a) for a, b in zip(chain, chain[1:]))
 
