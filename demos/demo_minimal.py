@@ -25,7 +25,7 @@ print(f"\nminimal discs owned by {some}:")
 for b in by_vertex[some]:
     print("  ", b)
 
-print("\ndisjoint cover of P^1 by residue enumeration:", check_partition(cfg, [r.ball for r in mins]))
+print("\ndisjoint cover of P^1 by exact measure and pairwise disjointness:", check_partition(cfg, [r.ball for r in mins]))
 
 rep = verify_counts(reg)
 nonmin = [row for row in rep["rows"] if row["name"].startswith("non-minimal")]

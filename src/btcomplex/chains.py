@@ -67,7 +67,7 @@ class TruncFun:
     def __init__(self, cfg: PadicConfig, ball: Ball, coeffs):
         self.cfg = cfg
         self.ball = ball
-        self.coeffs = tuple(cfg.number(c) for c in coeffs)
+        self.coeffs = tuple(coeffs)
 
     @property
     def degree_bound(self) -> int:

@@ -18,14 +18,13 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import combinations
 
 from .padics import PadicConfig
 from .projline import (
     Ball,
     GL2,
     ProjPoint,
-    ball_cells,
-    cell_ids,
     moebius_apply,
     moebius_ball_image,
     point_cell,
@@ -302,21 +301,15 @@ def edge_orbit_owner(reg: OrbitRegistry, rec: OrbitRecord) -> Vertex:
 
 
 def check_partition(cfg: PadicConfig, balls) -> bool:
-    """Exact disjoint-cover test by residue enumeration at the level the balls
-    require: there each cell lies wholly inside or outside each ball, so any
-    finer level gives the same answer."""
+    """Exact disjoint-cover test: the balls' exact measures sum to the measure
+    1 + 1/p of P^1, and no two of them meet.  Pairwise disjoint balls of full
+    total measure cover P^1, since any uncovered part would be a nonempty open
+    set of positive measure.  Residue-cell enumeration (projline.ball_cells)
+    is the oracle the tests compare this against."""
     balls = list(balls)
-    if not balls:
+    if sum(b.measure() for b in balls) != 1 + Fraction(1, cfg.p):
         return False
-    M = max(b.required_level() for b in balls)
-    seen = set()
-    total = 0
-    for b in balls:
-        cells = ball_cells(cfg, b, M)
-        total += len(cells)
-        seen |= cells
-    universe = len(cell_ids(cfg, M))
-    return total == universe and len(seen) == universe
+    return all(a.disjoint(b) for a, b in combinations(balls, 2))
 
 
 def expected_orbit_count(p: int, k: int, simplex) -> int:

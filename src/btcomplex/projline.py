@@ -314,7 +314,7 @@ class Ball:
         this ball or disjoint from it (resolving both charts)."""
         v = val_fraction(self.center, self.p)
         if self.center == 0:
-            base = (1 - self.m) if self.complement else max(self.m, 1 - self.m)
+            base = max(self.m, 1 - self.m)
         else:
             base = self.m if v >= 0 else self.m - 2 * v
         return max(1, base)
@@ -398,7 +398,8 @@ def moebius_ball_image(g: GL2, ball: Ball) -> Ball:
 
 
 # ---------------------------------------------------------------------------
-# residue cells: the standard partition of P^1 at a given depth
+# residue cells: the standard partition of P^1 at a given depth, the
+# enumeration oracle for the disc predicates above
 # ---------------------------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ DIGESTS = {
     "demo_boundary_matrix.py": "c703f6ee7932c1f1d79385699049d0c1a8d238f25128da9f4613121cc45e405d",
     "demo_exactness.py": "1efc2204ff603c9de0ffcf421d84ed58b574cfeb03eb062544024f0a5956bb3a",
     "demo_group_action.py": "706ff1633e5820eba2f2ddcd4096e5c7e4f4fba7a1c303545c2b1939e690ca36",
-    "demo_minimal.py": "d83b0ba9be6e852b3d516f36b466edb67a30f566c7b3e20fb58eee22c748d13b",
+    "demo_minimal.py": "48c5a7ef40b9c771dcdef55ba559618a3afb0cfaa4d34d8a375dd4a3bb7901eb",
     "demo_orbits.py": "17e6de17322e66b64ed3c625c0f83c07b54f094ccdee5b7a00ad4605b66f5fd9",
     "demo_tree.py": "b9500d805b479e3a6b0fb98f853b81acb3709672f06b4de4fff98fc2df098be0",
 }

@@ -151,6 +151,13 @@ def test_minimal_partition_and_dropping_one():
     assert check_partition(cfg, [r.ball for r in reg.vertex_records[Vertex.root(3)]])
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_partition_rejects_a_complement_overlapping_a_disc(p):
+    # the hole of the complement is { val x >= 2 }, so both balls hold { val x = 1 }
+    cfg = PadicConfig(p, 14)
+    assert not check_partition(cfg, [Ball.complement_z(cfg, 0, 2), Ball.z_disc(cfg, 0, 1)])
+
+
 def partition_by_cells(cfg, balls, M):
     """Oracle: the balls' level-M cells are pairwise disjoint and cover P^1."""
     cells = [ball_cells(cfg, b, M) for b in balls]
@@ -167,7 +174,11 @@ def test_partition_check_does_not_depend_on_the_level(p, k, n):
     # a duplicated ball, and a minimal ball swapped for the parent's record containing it
     container = next(q.ball for q in reg.vertex_records[mins[0].simplex.parent()]
                      if mins[0].ball.subset(q.ball))
-    cases = [(balls, True), (balls + balls[:1], False), ([container] + balls[1:], False)]
+    # full measure but overlapping: a minimal ball swapped for another of equal
+    # measure; disjoint but short of full measure: one ball dropped
+    twin = next(b for b in balls[1:] if b.measure() == balls[0].measure())
+    cases = [(balls, True), (balls + balls[:1], False), ([container] + balls[1:], False),
+             ([twin] + balls[1:], False), (balls[1:], False)]
     for case, want in cases:
         M = max(b.required_level() for b in case)
         assert check_partition(cfg, case) is want

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from btcomplex.padics import PadicConfig, val_fraction, INF
 from btcomplex.projline import (
@@ -166,6 +167,53 @@ def test_measure_matches_cell_count(cfg):
         c = Fraction(rng.randrange(-15, 15), rng.choice([1, cfg.p]))
         ball = Ball.complement_z(cfg, c, m) if rng.random() < 0.4 else Ball.z_disc(cfg, c, m)
         M = ball.required_level() + 1
+        assert ball.measure() == Fraction(len(ball_cells(cfg, ball, M)), cfg.p**M)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("m", [2, 3])
+def test_complement_at_zero_resolves_at_its_required_level(p, m):
+    # the hole { val x >= m } needs cells of level m, as the disc itself does
+    cfg = PadicConfig(p, 14)
+    ball = Ball.complement_z(cfg, 0, m)
+    M = ball.required_level()
+    assert M == m
+    assert ball.measure() == Fraction(len(ball_cells(cfg, ball, M)), p**M)
+
+
+# Seeded and bounded, so Tier-1 stays deterministic.  Centers have valuation
+# >= -1 and radii lie in [-3, 3], so no ball needs cells finer than level 5;
+# half the centers are 0, where the z and w charts meet.
+PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+@st.composite
+def balls_on_one_line(draw, count):
+    cfg = PadicConfig(draw(st.sampled_from([2, 3, 5])), 14)
+    p = cfg.p
+    out = [cfg]
+    for _ in range(count):
+        c = Fraction(draw(st.just(0) | st.integers(-p, p)), draw(st.sampled_from([1, p])))
+        m = draw(st.integers(-3, 3))
+        out.append(Ball.complement_z(cfg, c, m) if draw(st.booleans()) else Ball.z_disc(cfg, c, m))
+    return out
+
+
+@PROPERTY
+@given(balls_on_one_line(2))
+def test_subset_and_disjoint_match_cells_property(drawn):
+    cfg, a, b = drawn
+    M = max(a.required_level(), b.required_level())
+    ca, cb = ball_cells(cfg, a, M), ball_cells(cfg, b, M)
+    assert a.subset(b) == (ca <= cb)
+    assert a.disjoint(b) == (not (ca & cb))
+
+
+@PROPERTY
+@given(balls_on_one_line(1))
+def test_measure_matches_cells_at_every_resolving_level_property(drawn):
+    cfg, ball = drawn
+    for M in (ball.required_level(), ball.required_level() + 1):
         assert ball.measure() == Fraction(len(ball_cells(cfg, ball, M)), cfg.p**M)
 
 
