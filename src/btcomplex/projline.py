@@ -346,23 +346,6 @@ def _discs_disjoint(p: int, c1: Fraction, m1: int, c2: Fraction, m2: int) -> boo
     return val_fraction(c1 - c2, p) < min(m1, m2)
 
 
-def ball_canonicalize(cfg: PadicConfig, chart: str, center, m: int) -> Ball:
-    """Canonical Ball from a chart description; set-equal inputs collapse.
-
-    chart 'z': disc around the point `center` in the z coordinate.
-    chart 'w': disc of radius p^-m around the point `center` (None = infinity)
-               in the coordinate u = 1/z, centered at u = 1/center.
-    chart 'c': complement of the z-disc around `center` of exponent m.
-    """
-    if chart == "z":
-        return Ball.z_disc(cfg, center, m)
-    if chart == "w":
-        return Ball.w_disc(cfg, center, m)
-    if chart == "c":
-        return Ball.complement_z(cfg, center, m)
-    raise ValueError(f"unknown chart {chart!r}")
-
-
 # ---------------------------------------------------------------------------
 # Moebius images of balls
 # ---------------------------------------------------------------------------

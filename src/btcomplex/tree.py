@@ -6,15 +6,15 @@ sublattice of Z_p^2 of cyclic index p^n, the row functional (a : b) mod p^n
 whose kernel it is.  Canonical coordinate forms are (1, b) with b mod p^n,
 or (a, 1) with a in pZ/p^n.  Reducing the coordinate mod p^(n-1) gives the
 unique neighbor toward the root, so the encoding is simultaneously the tree
-structure and the classical ball parametrization of directions.
+structure, its metric (two vertices meet at the depth of their coordinates'
+common digit prefix) and the classical ball parametrization of directions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .padics import INF, PadicConfig, val_fraction
+from .padics import INF, PadicConfig
 from .projline import GL2
 
 
@@ -77,7 +77,7 @@ class Vertex:
 
     def sort_key(self):
         a, b = self.coord
-        if b == 1:  # toward a z-point a (a in pZ)
+        if a != 1:  # type (a, 1): toward the z-point a (a in pZ)
             return (self.n, 0, a)
         if b % self.p != 0:  # toward the z-point 1/b
             c = pow(b, -1, self.p**self.n) if self.n else 0
@@ -190,41 +190,28 @@ def vertex_canonical(cfg: PadicConfig, matrix) -> Vertex:
     raise AssertionError("adjugate of a primitive lattice matrix has a unimodular row")
 
 
-def _frac_matrix(m):
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
+def _lca_depth(v: Vertex, w: Vertex) -> int:
+    """Depth of the lowest common ancestor, read off the encoding: ancestors
+    are reductions of the coordinate, so it is the length of the common digit
+    prefix of the two b's (type (1, b)) or the two a's (type (a, 1)), capped
+    at the shallower depth.  Vertices of different types meet at the root."""
+    j = min(v.n, w.n)
+    (av, bv), (aw, bw) = v.coord, w.coord
+    if (av == 1) != (aw == 1):
+        return 0
+    p = v.p
+    diff = (bv - bw if av == 1 else av - aw) % p**j
+    d = 0
+    while d < j and diff % p == 0:
+        diff //= p
+        d += 1
+    return d
 
 
 def distance(v: Vertex, w: Vertex) -> int:
-    """Graph distance: difference of the elementary divisor exponents of a
-    relative basis matrix, computed exactly over the rationals."""
-    if v == w:
-        return 0
-    p = v.p
-    (a, b), (c, d) = _frac_matrix(v.basis_matrix())
-    det = a * d - b * c
-    (x, y), (z, t) = _frac_matrix(w.basis_matrix())
-    # C = B_v^{-1} B_w
-    c11 = (d * x - b * z) / det
-    c12 = (d * y - b * t) / det
-    c21 = (a * z - c * x) / det
-    c22 = (a * t - c * y) / det
-    ent = [c11, c12, c21, c22]
-    e1 = min(val_fraction(e, p) for e in ent if e != 0)
-    edet = val_fraction(c11 * c22 - c12 * c21, p)
-    return int(edet - 2 * e1)
-
-
-def _lca_depth(v: Vertex, w: Vertex) -> int:
-    """Depth of the lowest common ancestor in the rooted encoding."""
-    j = min(v.n, w.n)
-    av, aw = v, w
-    while av.n > j:
-        av = av.parent()
-    while aw.n > j:
-        aw = aw.parent()
-    while av != aw:
-        av, aw = av.parent(), aw.parent()
-    return av.n
+    """Graph distance: both depths minus twice the depth of the lowest common
+    ancestor, whose depth is the common digit prefix of the coordinates."""
+    return v.n + w.n - 2 * _lca_depth(v, w)
 
 
 def path(v: Vertex, w: Vertex):

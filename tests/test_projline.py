@@ -9,7 +9,6 @@ from btcomplex.projline import (
     Ball,
     GL2,
     ProjPoint,
-    ball_canonicalize,
     ball_cells,
     cell_ids,
     cell_value,
@@ -76,9 +75,9 @@ def test_point_normalization_canonical(cfg):
 
 def test_ball_canonicalize_recenter(cfg):
     p = cfg.p
-    assert ball_canonicalize(cfg, "z", p + p * p, 1) == ball_canonicalize(cfg, "z", 0, 1)
-    b = ball_canonicalize(cfg, "z", 0, 1)
-    assert ball_canonicalize(cfg, "z", 0, 1) == b
+    assert Ball.z_disc(cfg, p + p * p, 1) == Ball.z_disc(cfg, 0, 1)
+    b = Ball.z_disc(cfg, 0, 1)
+    assert Ball.z_disc(cfg, 0, 1) == b
 
 
 def _members_by_enumeration(cfg, describe, M):
@@ -95,7 +94,7 @@ def test_w_ball_canonical_center_matches_enumeration(cfg):
     # disc of radius p^-2 around the point 1/p + 1, in the reciprocal coordinate
     p = cfg.p
     w0 = Fraction(1, p) + 1
-    ball = ball_canonicalize(cfg, "w", w0, 2)
+    ball = Ball.w_disc(cfg, w0, 2)
 
     def describe(x):
         if x is None or x == 0:

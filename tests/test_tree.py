@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from btcomplex.padics import PadicConfig
+from btcomplex.padics import PadicConfig, val_fraction
 from btcomplex.projline import GL2
 from btcomplex.tree import (
     OrientedEdge,
@@ -94,9 +94,9 @@ def test_distance_examples(cfg):
     assert distance(Vertex.root(2), vertex_canonical(c2, ((4, 1), (0, 1)))) == 2
 
 
-def test_distance_against_bfs_oracle():
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_distance_against_bfs_oracle(p):
     # independent oracle: breadth-first search using only the parent relation
-    p = 2
     verts = vertices_upto(p, 3)
     adjacency = {v: set() for v in verts}
     for v in verts:
@@ -116,6 +116,27 @@ def test_distance_against_bfs_oracle():
     for _ in range(120):
         a, b = rng.choice(verts), rng.choice(verts)
         assert distance(a, b) == bfs(a, b)
+
+
+def _lattice_distance(p, v, w):
+    """Oracle: elementary divisor exponents of B_v^-1 B_w over the rationals."""
+    (a, b), (c, d) = (map(Fraction, row) for row in v.basis_matrix())
+    (x, y), (z, t) = (map(Fraction, row) for row in w.basis_matrix())
+    det = a * d - b * c
+    ent = [(d * x - b * z) / det, (d * y - b * t) / det, (a * z - c * x) / det, (a * t - c * y) / det]
+    e1 = min(val_fraction(e, p) for e in ent if e != 0)
+    return int(val_fraction(ent[0] * ent[3] - ent[1] * ent[2], p) - 2 * e1)
+
+
+@pytest.mark.parametrize("p,depth", [(2, 3), (3, 2), (5, 2)])
+def test_distance_is_the_lattice_distance(p, depth):
+    # the encoding's tree is the tree of lattice classes
+    verts = vertices_upto(p, depth)
+    for v in verts:
+        for w in verts:
+            assert distance(v, w) == _lattice_distance(p, v, w), (v, w)
+    for v in vertices_upto(p, 3)[1:]:
+        assert _lattice_distance(p, v, v.parent()) == 1, v
 
 
 def test_neighbors_and_path(cfg):
