@@ -28,7 +28,7 @@ p, k, n, d = 3, 1, 2, 1
 cfg = PadicConfig(p, k + 2 * n + d + 8)
 reg = build_registry(cfg, n, k)
 
-report = verify_exactness(reg, d, seed=0, localfun_samples=20, chain_samples=40)
+report = verify_exactness(reg, d, seed=0)
 print(f"(p, k, n, d) = ({p}, {k}, {n}, {d})")
 print("dims:", report["dims"])
 for c in report["checks"]:

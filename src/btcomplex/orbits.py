@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,6 +33,7 @@ from .tree import (
     OrientedEdge,
     Vertex,
     edges_upto,
+    level_exponents,
     transport,
     vertices_upto,
 )
@@ -58,46 +59,47 @@ class OrbitRecord:
         return self.id_str()
 
 
+@cache
 def _standard_vertex_balls(cfg: PadicConfig, k: int):
     p = cfg.p
-    out = [Ball.z_disc(cfg, r, k) for r in range(p**k)]
-    out.extend(Ball.u_disc(cfg, u, k) for u in range(0, p**k, p))
-    return out
+    return (*(Ball.z_disc(cfg, r, k) for r in range(p**k)),
+            *(Ball.u_disc(cfg, u, k) for u in range(0, p**k, p)))
 
 
+@cache
 def _standard_edge_balls(cfg: PadicConfig, k: int):
-    """(ball, owner_is_child) pairs for the standard edge (v0, v1)."""
     p = cfg.p
-    out = [(Ball.z_disc(cfg, r, k - 1), True) for r in range(p ** (k - 1))]
-    out.extend((Ball.u_disc(cfg, u, k), False) for u in range(0, p**k, p))
-    return out
+    return (*(Ball.z_disc(cfg, r, k - 1) for r in range(p ** (k - 1))),
+            *(Ball.u_disc(cfg, u, k) for u in range(0, p**k, p)))
+
+
+def _standard_balls(cfg: PadicConfig, simplex, k: int):
+    """The level-k orbit discs of the standard simplex of the same kind, built
+    once per (cfg, k): for v0 the discs of radius p^-k in both charts; for
+    (v0, v1) the discs of radius p^-(k-1) on the unit disc, which are v1's
+    orbits, then v0's discs of radius p^-k outside it."""
+    if isinstance(simplex, Vertex):
+        return _standard_vertex_balls(cfg, k)
+    return _standard_edge_balls(cfg, k)
 
 
 def enumerate_orbits(cfg: PadicConfig, simplex, k: int):
     """All level-k orbit records of a simplex: pairwise-disjoint discs covering P^1."""
     assert k >= 1
     hinv = transport(cfg, simplex).inverse()
-    if isinstance(simplex, Vertex):
-        balls = [moebius_ball_image(hinv, b) for b in _standard_vertex_balls(cfg, k)]
-    else:
-        balls = [moebius_ball_image(hinv, b) for b, _ in _standard_edge_balls(cfg, k)]
-    records = [OrbitRecord(simplex, k, b) for b in balls]
+    records = [OrbitRecord(simplex, k, moebius_ball_image(hinv, b))
+               for b in _standard_balls(cfg, simplex, k)]
     assert len({r.ball for r in records}) == len(records)
     return records
 
 
 def orbit_of_point(cfg: PadicConfig, simplex, k: int, z: ProjPoint) -> OrbitRecord:
-    """The orbit record whose disc contains z."""
+    """The orbit record whose disc contains z: the standard disc containing
+    z.h, for h the simplex's transport, carried back by h^-1."""
     assert k >= 1
     h = transport(cfg, simplex)
     zs = moebius_apply(h, z)
-    edge = isinstance(simplex, OrientedEdge)
-    m_in = (k - 1) if edge else k
-    if zs.in_z_domain():
-        std = Ball.z_disc(cfg, zs.z_coord(), m_in)
-    else:
-        u = cfg.zero() if zs.is_infinity() else zs.u_coord()
-        std = Ball.u_disc(cfg, u, k)
+    std = next(b for b in _standard_balls(cfg, simplex, k) if b.member_point(cfg, zs))
     return OrbitRecord(simplex, k, moebius_ball_image(h.inverse(), std))
 
 
@@ -246,7 +248,8 @@ def build_registry(cfg: PadicConfig, n: int, k: int) -> OrbitRegistry:
     p = cfg.p
     for v in vertices_upto(p, n):
         reg.vertex_records[v] = enumerate_orbits(cfg, v, k)
-    owner_is_child = [child for _, child in _standard_edge_balls(cfg, k)]
+    at_v0 = set(_standard_vertex_balls(cfg, k))  # the other standard edge discs are v1's
+    owner_is_child = [b not in at_v0 for b in _standard_edge_balls(cfg, k)]
     owners = []  # per edge record: the record of the same disc at its owner
     for e in edges_upto(p, n):
         recs = reg.edge_records[e] = enumerate_orbits(cfg, e, k)
@@ -399,11 +402,8 @@ def sample_group_element(cfg: PadicConfig, simplex, k: int, rng: random.Random) 
     p = cfg.p
     span = p ** min(cfg.N - 2, k + 5)
     a, b, c, d = (rng.randrange(span) for _ in range(4))
-    pk = Fraction(p**k)
-    if isinstance(simplex, Vertex):
-        std = GL2(cfg, 1 + pk * a, pk * b, pk * c, 1 + pk * d)
-    else:
-        std = GL2(cfg, 1 + pk * a, pk * b, Fraction(p ** (k - 1)) * c, 1 + pk * d)
+    qa, qb, qc, qd = (Fraction(p**e) for e in level_exponents(simplex, k))
+    std = GL2(cfg, 1 + qa * a, qb * b, qc * c, 1 + qd * d)
     h = transport(cfg, simplex)
     return h @ std @ h.inverse()
 

@@ -260,37 +260,29 @@ def is_geodesic(pathlist) -> bool:
 
 
 def _standardize(cfg: PadicConfig, pathlist) -> GL2:
-    """g with g.(standard path) = pathlist, built by the inductive correction:
-    move the first vertex by a basis matrix, then repair one vertex at a time
-    with an element fixing everything shallower."""
-    p = cfg.p
+    """g with g.(standard path) = pathlist, in closed form.
+
+    h, the basis matrix of the first vertex, carries v0 to it.  In h's frame
+    the path starts at v0, so it is the ancestor chain of its last vertex
+    u = h^-1.(last vertex): its vertex at depth i is u's coordinate (a : b)
+    reduced mod p^i.  The standard vertex v_i is the lattice on which the row
+    functional (1 : 0) vanishes mod p^i, and a matrix w carries the lattice of
+    a functional phi to that of phi.w^-1.  So w = [[1, -b], [0, 1]] when
+    a = 1, or [[0, 1], [1, -a]] when a lies in pZ, turns (1 : 0) into (a : b)
+    and carries every v_i onto u's ancestor at depth i at once; g = h w.
+    """
     h = GL2.from_rows(cfg, pathlist[0].basis_matrix())
-    for i in range(1, len(pathlist)):
-        u = act_vertex(h.inverse(), pathlist[i])
-        assert u.n == i and distance(u, standard_path(p, i)[i - 1]) == 1
-        if i == 1:
-            a, b = u.coord
-            if a % p != 0:
-                w_inv = GL2.from_rows(cfg, ((a, b), (0, 1)))
-            else:
-                w_inv = GL2.from_rows(cfg, ((a, b), (1, 0)))
-            w = w_inv.inverse()
-        else:
-            a, b = u.coord
-            assert a == 1 and b % p ** (i - 1) == 0, "input path is not geodesic"
-            w = GL2.from_rows(cfg, ((1, b), (0, 1)))
-            w = w.inverse()
-        # w maps the standard vertex v_i to u while fixing v_0 .. v_{i-1}
-        assert act_vertex(w, standard_path(p, i)[i]) == u
-        h = h @ w
-    return h
+    if len(pathlist) == 1:
+        return h
+    a, b = act_vertex(h.inverse(), pathlist[-1]).coord
+    return h @ GL2.from_rows(cfg, ((1, -b), (0, 1)) if a == 1 else ((0, 1), (1, -a)))
 
 
 def map_path(cfg: PadicConfig, path_p, path_q) -> GL2:
     """A matrix g with g . path_p[i] = path_q[i] for all i.
 
     Both inputs must be geodesics of equal length; the output is the
-    deterministic element produced by the inductive construction.
+    deterministic element _standardize(path_q) _standardize(path_p)^-1.
     """
     if len(path_p) != len(path_q):
         raise ValueError("paths have different lengths")
@@ -305,8 +297,9 @@ def map_path(cfg: PadicConfig, path_p, path_q) -> GL2:
 def transport(cfg: PadicConfig, simplex) -> GL2:
     """h carrying the standard simplex onto a vertex or edge: v0 to the vertex
     (its basis matrix), or the standard edge (v0, v1) to (parent, child) in
-    either orientation.  Equals map_path from the standard path of the same
-    length, whose own standardizing element is the identity."""
+    either orientation, by the closed form of _standardize.  Equals map_path
+    from the standard path of the same length, whose own standardizing element
+    is the identity."""
     if isinstance(simplex, Vertex):
         return _standardize(cfg, [simplex])
     src, dst = simplex.src, simplex.dst
@@ -318,39 +311,27 @@ def transport(cfg: PadicConfig, simplex) -> GL2:
 # ---------------------------------------------------------------------------
 
 
-def _entry_vals(g: GL2):
-    one = g.cfg.one()
-    return (
-        (g.a - one).valuation,
-        g.b.valuation,
-        g.c.valuation,
-        (g.d - one).valuation,
-    )
+def level_exponents(simplex, k: int):
+    """The valuations the level-k group of a simplex demands, in its standard
+    frame, of (a - 1, b, c, d - 1): k throughout for a vertex; an edge allows
+    its lower-left entry c one digit less."""
+    return (k, k, k if isinstance(simplex, Vertex) else k - 1, k)
 
 
-def _matches_vertex_pattern(g: GL2, k: int) -> bool:
-    return all(v >= k for v in _entry_vals(g))
-
-
-def _matches_edge_pattern(g: GL2, k: int) -> bool:
-    va, vb, vc, vd = _entry_vals(g)
-    return va >= k and vb >= k and vc >= k - 1 and vd >= k
+def _fits_level(std: GL2, simplex, k: int) -> bool:
+    one = std.cfg.one()
+    vals = ((std.a - one).valuation, std.b.valuation, std.c.valuation, (std.d - one).valuation)
+    return all(v >= e for v, e in zip(vals, level_exponents(simplex, k)))
 
 
 def in_group(g: GL2, simplex, k: int) -> bool:
-    """Membership in the level-k congruence subgroup of a vertex or edge.
-
-    Vertex v: conjugate into the frame of v and test that the matrix is
-    congruent to the identity mod p^k.  Edge: conjugate the standard edge
-    onto it and test the pattern with the lower-left entry allowed one digit
-    less.
-    """
+    """Membership in the level-k congruence subgroup of a vertex or edge:
+    conjugate g into the standard frame of the simplex, h^-1 g h with h its
+    transport, and test the entries against level_exponents.  For a vertex
+    that is the matrix being congruent to the identity mod p^k."""
     assert k >= 1
     h = transport(g.cfg, simplex)
-    std = h.inverse() @ g @ h
-    if isinstance(simplex, Vertex):
-        return _matches_vertex_pattern(std, k)
-    return _matches_edge_pattern(std, k)
+    return _fits_level(h.inverse() @ g @ h, simplex, k)
 
 
 def factor_edge_group(g: GL2, e: OrientedEdge, k: int):
@@ -362,15 +343,15 @@ def factor_edge_group(g: GL2, e: OrientedEdge, k: int):
     conjugated back.  Requires in_group(g, e, k).
     """
     cfg = g.cfg
-    if not in_group(g, e, k):
-        raise ValueError("matrix is not in the edge group at this level")
     h = transport(cfg, e)
     hinv = h.inverse()
     std = hinv @ g @ h
+    if not _fits_level(std, e, k):
+        raise ValueError("matrix is not in the edge group at this level")
     g1_std = GL2(cfg, std.a, 0, std.c, 1)
     g2_std = g1_std.inverse() @ std
-    assert _matches_vertex_pattern(g2_std, k)
     par, chi = (e.src, e.dst) if e.src.n < e.dst.n else (e.dst, e.src)
+    assert _fits_level(g2_std, par, k)
     g1 = h @ g1_std @ hinv
     g2 = h @ g2_std @ hinv
     assert in_group(g1, chi, k) and in_group(g2, par, k)

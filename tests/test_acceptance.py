@@ -199,7 +199,7 @@ def test_criterion_8_exactness_grid():
                 reg = registry(p, k, n)
                 for d in (0, 1, 2):
                     t0 = time.time()
-                    rep = verify_exactness(reg, d, seed=8, localfun_samples=50, chain_samples=100)
+                    rep = verify_exactness(reg, d, seed=8)
                     elapsed = time.time() - t0
                     r = nonminimal_count_formula(p, k, n)
                     ok = (

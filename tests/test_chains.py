@@ -453,10 +453,10 @@ def test_matrix_apply_matches_projected_boundary():
 
 
 def test_verify_exactness_dims_small():
-    rep = verify_exactness(make_reg(3, 1, 1, d=0), 0, seed=0, localfun_samples=5, chain_samples=10)
+    rep = verify_exactness(make_reg(3, 1, 1, d=0), 0, seed=0)
     assert rep["verdict"] == "exact"
     assert rep["dims"] == {"C1": 8, "C0": 20, "ker_partial0": 8, "r": 8}
-    rep = verify_exactness(make_reg(2, 1, 1, d=1), 1, seed=0, localfun_samples=5, chain_samples=10)
+    rep = verify_exactness(make_reg(2, 1, 1, d=1), 1, seed=0)
     assert rep["verdict"] == "exact"
     assert rep["dims"]["C1"] == 12 and rep["dims"]["r"] == 6
 
@@ -469,7 +469,7 @@ def test_verify_exactness_witness_belongs_to_the_failing_check(monkeypatch):
     apply = BoundaryMatrix.apply
     monkeypatch.setattr(BoundaryMatrix, "apply", lambda mat, c1: apply(
         mat, Chain(reg, c1.d, {i: f for i, f in c1.parts.items() if i != dropped})))
-    rep = verify_exactness(reg, 0, seed=0, localfun_samples=5, chain_samples=10)
+    rep = verify_exactness(reg, 0, seed=0)
     checks = {c["name"]: c for c in rep["checks"]}
     kernel = checks["boundary composite vanishes on a basis"]
     matrix = checks["matrix equals projected boundary on a basis"]

@@ -133,8 +133,13 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
-def test_golden_stdout_digest(command, digest):
-    r = run_cli(*command.split(), text=False)
+# each command also runs under python -O: the certificates must not rest on asserts
+@pytest.mark.parametrize("flags,command,digest", [
+    pytest.param(flags, c, digest, id=" ".join([*flags, c]))
+    for flags in ([], ["-O"]) for c, digest in GOLDEN
+])
+def test_golden_stdout_digest(flags, command, digest):
+    r = subprocess.run([sys.executable, *flags, "-m", "btcomplex.cli", *command.split()],
+                       capture_output=True, env=ENV)
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout).hexdigest() == digest

@@ -241,24 +241,63 @@ def test_standardize_of_the_standard_edge_is_the_identity(p):
     assert _standardize(cfg, standard_path(p, 1)) == GL2.identity(cfg)
 
 
+def _inductive_standardize(cfg, pathlist):
+    """Oracle: the path-transitivity element built one vertex at a time, moving
+    the first vertex by its basis matrix, then repairing each next vertex with
+    an element that fixes everything shallower."""
+    p = cfg.p
+    h = GL2.from_rows(cfg, pathlist[0].basis_matrix())
+    for i in range(1, len(pathlist)):
+        u = act_vertex(h.inverse(), pathlist[i])
+        assert u.n == i and distance(u, standard_path(p, i)[i - 1]) == 1
+        a, b = u.coord
+        if i == 1:
+            rows = ((a, b), (0, 1)) if a % p != 0 else ((a, b), (1, 0))
+        else:
+            assert a == 1 and b % p ** (i - 1) == 0
+            rows = ((1, b), (0, 1))
+        w = GL2.from_rows(cfg, rows).inverse()
+        assert act_vertex(w, standard_path(p, i)[i]) == u
+        h = h @ w
+    return h
+
+
+def _digits(g):
+    return [(e.v, e.u, e.prec) for e in g.entries()]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_standardize_closed_form_matches_inductive_oracle(p):
+    # entry by entry: valuation, unit digits and precision
+    cfg = PadicConfig(p, 16)
+    verts = vertices_upto(p, 3 if p == 2 else 2)
+    paths = [path(v, w) for v in verts for w in verts]
+    paths += [q for e in edges_upto(p, 3) for q in ([e.src, e.dst], [e.dst, e.src])]
+    for q in paths:
+        assert _digits(_standardize(cfg, q)) == _digits(_inductive_standardize(cfg, q)), q
+
+
 # -- congruence subgroups ------------------------------------------------------------
 
 
-def test_in_group_examples(cfg):
-    p, k = 3, 2
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_in_group_examples(p):
+    cfg, k = PadicConfig(p, 16), 2
     v0, v1 = standard_path(p, 1)
     e0 = standard_orientation(v0, v1)
     ident = GL2.identity(cfg)
     assert in_group(ident, v0, k) and in_group(ident, e0, k)
-    assert in_group(GL2(cfg, 1 + 9, 9 * 2, 9, 1 + 9 * 2), v0, k)
+    assert in_group(GL2(cfg, 1 + p**k, p**k * 2, p**k, 1 + p**k * 2), v0, k)
     lower = GL2(cfg, 1, 0, p ** (k - 1), 1)
     assert in_group(lower, e0, k)
     assert not in_group(lower, v0, k)
 
 
-def test_in_group_conjugation_consistency(cfg):
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_in_group_conjugation_consistency(p):
+    cfg = PadicConfig(p, 16)
     rng = random.Random(9)
-    verts = vertices_upto(3, 2)
+    verts = vertices_upto(p, 2)
     from btcomplex.orbits import sample_group_element
 
     for _ in range(60):
@@ -270,8 +309,9 @@ def test_in_group_conjugation_consistency(cfg):
         assert in_group(h @ g @ h.inverse(), act_vertex(h, v), k)
 
 
-def test_factor_edge_group(cfg):
-    p, k = 3, 2
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_factor_edge_group(p):
+    cfg, k = PadicConfig(p, 16), 2
     v0, v1 = standard_path(p, 1)
     e0 = standard_orientation(v0, v1)
     ident = GL2.identity(cfg)
@@ -284,13 +324,16 @@ def test_factor_edge_group(cfg):
     rng = random.Random(10)
     from btcomplex.orbits import sample_group_element
 
-    for e in edges_upto(3, 2)[:6]:
-        for _ in range(10):
-            g = sample_group_element(cfg, e, k, rng)
-            a, b = factor_edge_group(g, e, k)
-            assert (a @ b) == g
-            with pytest.raises(ValueError):
-                factor_edge_group(GL2(cfg, 1, 0, Fraction(1, p), 1), e, k)
+    # at k = 1 the edge pattern asks valuation 0 of the lower-left entry
+    for k in (2, 1):
+        for e in edges_upto(p, 2)[:6]:
+            for _ in range(10):
+                g = sample_group_element(cfg, e, k, rng)
+                a, b = factor_edge_group(g, e, k)
+                assert (a @ b) == g
+    for e in edges_upto(p, 2)[:6]:
+        with pytest.raises(ValueError):
+            factor_edge_group(GL2(cfg, 1, 0, Fraction(1, p), 1), e, 2)
 
 
 def test_edge_group_generated_by_vertex_groups(cfg):
