@@ -1,17 +1,17 @@
 """Truncated model of the coefficient-system chain complex.
 
 Each orbit record carries the space of polynomials of degree <= d in the
-canonical coordinate of its disc (the normalized chart coordinate for plain
-discs, and the reciprocal coordinate p^r/(x - center) when the disc contains
-both 0 and infinity).  All maps of the complex are restriction-built: a
-function moves onto a nested disc by exact power-series composition with the
-Moebius transition of the coordinates, truncated back to degree d.  Between
-discs sharing a chart the transition is affine and nothing is discarded;
-across chart boundaries it is honestly nonlinear, and a single truncated
-step would not compose.  The complex maps therefore route every restriction
-through the chain of intermediate registry discs (registry_restrict), which
-makes restriction functorial on the registry poset by construction, so the
-telescoping identities of the complex cancel exactly.
+canonical coordinate t of its disc, read off Ball.param (the normalized chart
+coordinate for plain discs, and the reciprocal coordinate p^r/(x - center)
+when the disc contains both 0 and infinity).  All maps of the complex are
+restriction-built: a function moves onto a nested disc by exact power-series
+composition with the Moebius transition of the coordinates, truncated back to
+degree d.  Between discs sharing a chart the transition is affine and nothing
+is discarded; across chart boundaries it is honestly nonlinear, and a single
+truncated step would not compose.  The complex maps therefore route every
+restriction through the chain of intermediate registry discs
+(registry_restrict), which makes restriction functorial on the registry poset
+by construction, so the telescoping identities of the complex cancel exactly.
 
 The group action enters only through act_on_function and the cocycle; the
 boundary maps never see the character.
@@ -60,7 +60,9 @@ class Character:
 
 
 class TruncFun:
-    """Polynomial of degree <= d in the canonical coordinate of a disc."""
+    """Polynomial of degree <= d in the canonical coordinate t of a disc, the
+    one for which t |-> t.M, M = GL2.from_rows(cfg, ball.param()), maps Z_p
+    onto the ball."""
 
     __slots__ = ("cfg", "ball", "coeffs")
 
@@ -113,19 +115,6 @@ def monomial(cfg: PadicConfig, ball: Ball, j: int, d: int) -> TruncFun:
 # ---------------------------------------------------------------------------
 # power-series kernel
 # ---------------------------------------------------------------------------
-
-
-def ball_param(cfg: PadicConfig, ball: Ball) -> GL2:
-    """Moebius matrix M with t |-> t.M the canonical parametrization Z_p -> ball."""
-    chart, center, m = ball.chart_data()
-    pm = Fraction(cfg.p) ** m
-    if chart == "z":
-        return GL2(cfg, pm, 0, center, 1)
-    W = GL2(cfg, 0, 1, 1, 0)
-    if chart == "w":
-        return GL2(cfg, pm, 0, center, 1) @ W
-    # complement disc containing 0 and infinity: x = center + p^(m-1)/t
-    return W @ GL2(cfg, Fraction(cfg.p) ** (m - 1), 0, center, 1)
 
 
 def _series_mul(a, b, D):
@@ -212,11 +201,16 @@ def restrict(f: TruncFun, target: Ball) -> TruncFun:
     if target == f.ball:
         return f
     cfg = f.cfg
-    D = f.degree_bound
-    trans = ball_param(cfg, target) @ ball_param(cfg, f.ball).inverse()
+    trans = GL2.from_rows(cfg, target.param()) @ GL2.from_rows(cfg, f.ball.param()).inverse()
+    return TruncFun(cfg, target, _pull_back(f.coeffs, trans, f.degree_bound))
+
+
+def _pull_back(coeffs, trans: GL2, D: int):
+    """Coefficients of t |-> f(t.trans) to degree D, for f with coefficients
+    coeffs and a transition carrying Z_p into Z_p."""
     sigma = mobius_series(trans, D)
     assert all(c.is_zero() or c.valuation >= 0 for c in sigma)
-    return TruncFun(cfg, target, _compose_poly(list(f.coeffs), sigma, D))
+    return _compose_poly(list(coeffs), sigma, D)
 
 
 def registry_restrict(reg: OrbitRegistry, f: TruncFun, i: int, j: int) -> TruncFun:
@@ -250,25 +244,21 @@ def act_on_function(g: GL2, chi: Character, f: TruncFun):
     ball = f.ball
     if moebius_ball_image(g, ball) != ball:
         raise ValueError("matrix does not preserve this disc")
-    chart, center, m = ball.chart_data()
-    if chart == "z" and m >= 0:
-        # inside the closed unit disc: the cocycle is chi2(b x + d)
-        a0 = g.b * cfg.from_fraction(center) + g.d
-        a1 = g.b * cfg.from_fraction(Fraction(cfg.p) ** m)
-    elif chart == "w" and (center != 0 or m >= 1):
-        # outside it: the section flips and the cocycle is chi2(a + c u)
-        a0 = g.a + g.c * cfg.from_fraction(center)
-        a1 = g.c * cfg.from_fraction(Fraction(cfg.p) ** m)
-    else:
+    unit = Ball(cfg.p, False, Fraction(0), 0)
+    inside = ball.subset(unit)
+    if not (inside or ball.disjoint(unit)):
         raise NotAnalyticError("disc crosses the unit-circle section boundary")
+    Mb = GL2.from_rows(cfg, ball.param())
+    Mg = Mb @ g
+    # (t, 1).Mb.g is (x, 1).g = (ax + c, bx + d) inside the closed unit disc
+    # and (1, u).g = (a + cu, b + du) outside it; the cocycle is chi2 of the
+    # second entry inside, and of the first outside, where the section flips
+    a0, a1 = (Mg.d, Mg.b) if inside else (Mg.c, Mg.a)
     d = f.degree_bound
     D = d + GUARD_DEGREES
-    Mb = ball_param(cfg, ball)
-    tau = mobius_series(Mb @ g @ Mb.inverse(), D)
-    assert all(c.is_zero() or c.valuation >= 0 for c in tau)
     twist = _binomial_series(cfg, a0, a1, chi.m2, D)
     const = chi.chi1(g.det())
-    full = _series_mul(_compose_poly(list(f.coeffs), tau, D), twist, D)
+    full = _series_mul(_pull_back(f.coeffs, Mg @ Mb.inverse(), D), twist, D)
     full = [const * c for c in full]
     guard_val = min((c.valuation for c in full[d + 1 :]), default=INF)
     return TruncFun(cfg, ball, full[: d + 1]), guard_val
@@ -515,10 +505,12 @@ def random_localfun(reg: OrbitRegistry, d: int, rng: random.Random) -> Chain:
     return out
 
 
-def random_chain1(reg: OrbitRegistry, d: int, rng: random.Random, support: int = 3) -> Chain:
+def random_chain1(reg: OrbitRegistry, d: int, rng: random.Random) -> Chain:
+    """A random degree-one chain: nonzero functions on 3 distinct edge records
+    (all of them when the registry has fewer)."""
     ids = list(reg.edge_ids())
     out = Chain(reg, d)
-    for i in rng.sample(ids, min(support, len(ids))):
+    for i in rng.sample(ids, min(3, len(ids))):
         out.set_part(i, random_truncfun(reg.cfg, reg.records[i].ball, d, rng, nonzero=True))
     return out
 

@@ -20,7 +20,7 @@ from functools import cache, cached_property
 from fractions import Fraction
 from itertools import combinations
 
-from .padics import PadicConfig
+from .padics import PadicConfig, val_int
 from .projline import (
     Ball,
     GL2,
@@ -436,7 +436,7 @@ def bfs_orbit_cells(cfg: PadicConfig, simplex, k: int, z: ProjPoint, rng: random
 
     def cell_of_pair(x, y):
         assert x or y, "projective pair collapsed"
-        s = min(_ival(x, p) if x else guard, _ival(y, p) if y else guard)
+        s = min(val_int(x, p) if x else guard, val_int(y, p) if y else guard)
         assert s <= guard - M - 2, "residue budget exceeded"
         x //= p**s
         y //= p**s
@@ -455,14 +455,6 @@ def bfs_orbit_cells(cfg: PadicConfig, simplex, k: int, z: ProjPoint, rng: random
                 seen.add(cid)
                 frontier.append(_cell_pair(cid))
     return frozenset(seen)
-
-
-def _ival(x: int, p: int) -> int:
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
 
 
 def _cell_pair(cid):

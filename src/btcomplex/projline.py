@@ -222,18 +222,9 @@ class Ball:
 
     @staticmethod
     def u_disc(cfg: PadicConfig, u_center, m: int) -> "Ball":
-        """Disc in the coordinate u = 1/z: { x : val(1/x - u_center) >= m }."""
-        _check_exponent(cfg, m)
-        u = cfg.number(u_center)
-        cu = _canonical_center(cfg, u, m)
-        if cu == 0:
-            # contains u = 0, i.e. the point at infinity: complement of a z-disc
-            return Ball(cfg.p, True, Fraction(0), 1 - m)
-        # bounded disc not containing 0: invert exactly
-        s = val_fraction(cu, cfg.p)
-        assert s < m
-        mz = m - 2 * s
-        return Ball(cfg.p, False, _canonical_center(cfg, 1 / cu, mz), mz)
+        """Disc in the coordinate u = 1/z: { x : val(1/x - u_center) >= m }, the
+        image of the z-disc around u_center under the swap z -> 1/z."""
+        return moebius_ball_image(GL2(cfg, 0, 1, 1, 0), Ball.z_disc(cfg, u_center, m))
 
     @staticmethod
     def complement_z(cfg: PadicConfig, center, m: int) -> "Ball":
@@ -271,43 +262,35 @@ class Ball:
         return (d <= self.m - 1) if self.complement else (d >= self.m)
 
     def subset(self, other: "Ball") -> bool:
-        a, b = self, other
-        if not a.complement and not b.complement:
-            return a.m >= b.m and val_fraction(a.center - b.center, a.p) >= b.m
-        if not a.complement and b.complement:
-            # a inside the complement of Z(b.center, b.m): a disjoint from it
-            return _discs_disjoint(a.p, a.center, a.m, b.center, b.m)
-        if a.complement and b.complement:
-            return Ball(a.p, False, b.center, b.m).subset(Ball(a.p, False, a.center, a.m))
-        return False  # a contains infinity, b does not
+        return _misses(self, True, other)
 
     def disjoint(self, other: "Ball") -> bool:
-        a, b = self, other
-        if not a.complement and not b.complement:
-            return _discs_disjoint(a.p, a.center, a.m, b.center, b.m)
-        if a.complement and b.complement:
-            return False  # both contain infinity
-        if a.complement:
-            a, b = b, a
-        return a.m >= b.m and val_fraction(a.center - b.center, a.p) >= b.m
+        return _misses(self, False, other)
 
     def measure(self) -> Fraction:
-        """Exact size: Haar mass 1 on the unit disc plus 1/p on the rest of P^1."""
+        """Exact size: Haar mass 1 on the unit disc plus 1/p on the rest of P^1.
+
+        The swap z -> 1/z preserves it, so a finite disc of exponent m in its
+        own chart has mass p^-m; the one exception, { val z >= m } with m < 0,
+        is P^1 minus the u-disc of exponent 1 - m."""
         total = Fraction(1) + Fraction(1, self.p)
         if self.complement:
             return total - Ball(self.p, False, self.center, self.m).measure()
-        v = val_fraction(self.center, self.p)
-        m = self.m
-        if v is INF or v >= m:
-            # the disc { val x >= m }
-            if m >= 0:
-                return Fraction(1, self.p**m)
-            # z-part has mass 1; shells val = -1 .. m contribute the rest
+        m = self.chart_data()[2]
+        if m < 0:
             return total - Fraction(1, self.p ** (1 - m))
-        if v >= 0:
-            return Fraction(1, self.p**m)
-        # single shell at negative valuation: u-chart mass p^(2v - m), and 2v < m
-        return Fraction(1, self.p ** (m - 2 * v))
+        return Fraction(1, self.p**m)
+
+    def param(self):
+        """Exact rows of the M for which t -> t.M maps Z_p onto this ball: the
+        ball's canonical coordinate t."""
+        chart, c, m = self.chart_data()
+        pm = Fraction(self.p) ** m
+        if chart == "z":
+            return ((pm, 0), (c, 1))  # x = c + p^m t
+        if chart == "w":
+            return ((0, pm), (1, c))  # 1/x = c + p^m t
+        return ((c, 1), (pm / self.p, 0))  # x = c + p^(m-1)/t
 
     def required_level(self) -> int:
         """Smallest cell level M at which every level-M cell is either inside
@@ -342,8 +325,19 @@ def _check_exponent(cfg: PadicConfig, m: int):
         raise PrecisionError(f"radius exponent {m} beyond working precision N={cfg.N}")
 
 
-def _discs_disjoint(p: int, c1: Fraction, m1: int, c2: Fraction, m2: int) -> bool:
-    return val_fraction(c1 - c2, p) < min(m1, m2)
+def _misses(a: Ball, flip: bool, b: Ball) -> bool:
+    """a is disjoint from b, or from P^1 minus b when flip: the same normal form
+    with the complement flag flipped, so a is inside b exactly when it misses
+    P^1 minus b."""
+    b_comp = b.complement != flip
+    if a.complement and b_comp:
+        return False  # both contain infinity
+    if not (a.complement or b_comp):
+        return val_fraction(a.center - b.center, a.p) < min(a.m, b.m)
+    # a finite disc misses the complement of a hole exactly when it lies in the
+    # hole; the exponent test comes first, as it is far cheaper
+    disc, hole = (b.m, a.m) if a.complement else (a.m, b.m)
+    return disc >= hole and val_fraction(a.center - b.center, a.p) >= hole
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ guard valuation), printing its smallest deficit below N.
 
 import random
 import time
-import warnings
+from contextlib import nullcontext
 
 import pytest
 
@@ -49,8 +49,6 @@ from btcomplex.chains import (
     random_truncfun,
     verify_exactness,
 )
-
-warnings.filterwarnings("ignore", category=RuntimeWarning)
 
 _REGISTRY_CACHE = {}
 
@@ -181,7 +179,8 @@ def test_criterion_6_path_transitivity():
 def test_criterion_7_reference_matrix():
     from btcomplex.cli import compare_to_reference
 
-    result = compare_to_reference(PadicConfig(2, 14))
+    with pytest.warns(RuntimeWarning, match="uniformity"):
+        result = compare_to_reference(PadicConfig(2, 14))
     report(
         7,
         result["match"],
@@ -198,8 +197,11 @@ def test_criterion_8_exactness_grid():
             for n in (1, 2):
                 reg = registry(p, k, n)
                 for d in (0, 1, 2):
+                    warns = (pytest.warns(RuntimeWarning, match="uniformity")
+                             if (p, k) == (2, 1) else nullcontext())
                     t0 = time.time()
-                    rep = verify_exactness(reg, d, seed=8)
+                    with warns:
+                        rep = verify_exactness(reg, d, seed=8)
                     elapsed = time.time() - t0
                     r = nonminimal_count_formula(p, k, n)
                     ok = (

@@ -5,6 +5,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from btcomplex.padics import INF, PadicConfig
 from btcomplex.projline import Ball, GL2, ProjPoint, moebius_apply
@@ -33,6 +34,7 @@ from btcomplex.chains import (
     verify_exactness,
     zero_fun,
 )
+from test_acceptance import _single_branch
 
 
 def make_cfg(p, k, n, d=1):
@@ -145,6 +147,31 @@ def test_act_rejects_boundary_crossing_disc():
         act_on_function(g, Character(1, 1), monomial(reg.cfg, rec.ball, 0, 1))
 
 
+def _acts_analytically(cfg, ball):
+    try:
+        act_on_function(GL2.identity(cfg), Character(0, 0), monomial(cfg, ball, 0, 1))
+    except NotAnalyticError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 2, 3), (3, 1, 2)])
+def test_section_branch_is_the_chart_condition_on_records(p, k, n):
+    reg = make_reg(p, k, n)
+    for rec in reg.all_vertex_records() + reg.all_edge_records():
+        assert _acts_analytically(reg.cfg, rec.ball) == _single_branch(rec.ball), rec
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(-25, 25), st.integers(0, 2),
+       st.integers(-3, 4), st.booleans())
+def test_section_branch_is_the_chart_condition_property(p, a, j, m, comp):
+    cfg = PadicConfig(p, 20)
+    c = Fraction(a, p**j)
+    ball = Ball.complement_z(cfg, c, m) if comp else Ball.z_disc(cfg, c, m)
+    assert _acts_analytically(cfg, ball) == _single_branch(ball)
+
+
 def test_act_stability_on_own_orbits():
     # sampled group elements keep truncated functions on their orbit discs
     # inside the model space, at either section branch
@@ -180,8 +207,6 @@ def _eval_truncfun(f, t0):
 def test_act_matches_pointwise_cocycle_definition():
     # the expanded polynomial agrees with chi(cocycle(x, g)) * f(x.g) at exact
     # sample points, up to the reported guard valuation, on both branches
-    from btcomplex.chains import ball_param
-
     rng = random.Random(13)
     for p, k in [(3, 1), (3, 2), (2, 2)]:
         cfg = PadicConfig(p, 22)
@@ -200,7 +225,7 @@ def test_act_matches_pointwise_cocycle_definition():
                 chi = Character(rng.randrange(-2, 3), rng.randrange(-2, 3))
                 f = random_truncfun(cfg, rec.ball, 2, rng, nonzero=True)
                 out, guard = act_on_function(g, chi, f)
-                Mb = ball_param(cfg, rec.ball)
+                Mb = GL2.from_rows(cfg, rec.ball.param())
                 Mb_inv = Mb.inverse()
                 for t_int in rng.sample(range(1, 50), 4):
                     t0 = cfg.from_int(t_int)

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from btcomplex.padics import PadicConfig, val_fraction, INF
+from btcomplex.padics import PadicConfig, PrecisionError, val_fraction, INF
 from btcomplex.projline import (
     Ball,
     GL2,
     ProjPoint,
+    _canonical_center,
     ball_cells,
     cell_ids,
     cell_value,
@@ -214,6 +215,75 @@ def test_measure_matches_cells_at_every_resolving_level_property(drawn):
     cfg, ball = drawn
     for M in (ball.required_level(), ball.required_level() + 1):
         assert ball.measure() == Fraction(len(ball_cells(cfg, ball, M)), cfg.p**M)
+
+
+# -- closed forms against the constructions they replace ----------------------
+
+
+def _ball_param_oracle(cfg, ball):
+    """The disc coordinate built as products with the swap z -> 1/z."""
+    chart, center, m = ball.chart_data()
+    pm = Fraction(cfg.p) ** m
+    if chart == "z":
+        return GL2(cfg, pm, 0, center, 1)
+    W = GL2(cfg, 0, 1, 1, 0)
+    if chart == "w":
+        return GL2(cfg, pm, 0, center, 1) @ W
+    # complement disc containing 0 and infinity: x = center + p^(m-1)/t
+    return W @ GL2(cfg, Fraction(cfg.p) ** (m - 1), 0, center, 1)
+
+
+def _u_disc_oracle(cfg, u_center, m):
+    """The u-disc by hand inversion of its center, with no exponent check on
+    the result."""
+    u = cfg.number(u_center)
+    cu = _canonical_center(cfg, u, m)
+    if cu == 0:
+        # contains u = 0, i.e. the point at infinity: complement of a z-disc
+        return Ball(cfg.p, True, Fraction(0), 1 - m)
+    # bounded disc not containing 0: invert exactly
+    s = val_fraction(cu, cfg.p)
+    assert s < m
+    mz = m - 2 * s
+    return Ball(cfg.p, False, _canonical_center(cfg, 1 / cu, mz), mz)
+
+
+def _digits(x):
+    return (x.valuation, x.u, x.prec)
+
+
+@PROPERTY
+@given(balls_on_one_line(1))
+def test_param_maps_the_unit_disc_onto_the_ball_property(drawn):
+    cfg, ball = drawn
+    M = GL2.from_rows(cfg, ball.param())
+    assert moebius_ball_image(M, Ball.z_disc(cfg, 0, 0)) == ball
+    oracle = _ball_param_oracle(cfg, ball)
+    assert [_digits(e) for e in M.entries()] == [_digits(e) for e in oracle.entries()]
+
+
+@st.composite
+def u_discs(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    cfg = PadicConfig(p, draw(st.sampled_from([8, 12, 20])))
+    u = Fraction(draw(st.just(0) | st.integers(-p**6, p**6)), p ** draw(st.integers(0, 4)))
+    m = draw(st.integers(2 - cfg.N, cfg.N - 2))
+    return cfg, u, (cfg.from_fraction(u) if draw(st.booleans()) else u), m
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(u_discs())
+def test_u_disc_is_the_hand_inversion_within_precision_property(drawn):
+    # the exponent of the inverted disc, from the exact center; u may be passed
+    # as a Fraction or as a PadicNum of N digits
+    cfg, exact, u, m = drawn
+    cu = Ball.z_disc(cfg, exact, m).center
+    exponent = 1 - m if cu == 0 else m - 2 * val_fraction(cu, cfg.p)
+    if abs(exponent) <= cfg.N - 2:
+        assert Ball.u_disc(cfg, u, m) == _u_disc_oracle(cfg, u, m)
+    else:
+        with pytest.raises(PrecisionError):
+            Ball.u_disc(cfg, u, m)
 
 
 # -- disc transport ------------------------------------------------------------
