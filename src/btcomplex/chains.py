@@ -466,7 +466,8 @@ def assemble_dbar1(reg: OrbitRegistry, d: int) -> BoundaryMatrix:
     for i in reg.edge_ids():
         owner = reg.owner[i]
         col = row_of[owner]
-        assert columns[col] is None, "owner bijection collided"
+        if columns[col] is not None:
+            raise AssertionError("owner bijection collided")
         columns[col] = i
         s = _edge_sign(reg.records[i].simplex, reg.records[owner].simplex)
         blocks.append((col, col, "id", s))
@@ -474,7 +475,8 @@ def assemble_dbar1(reg: OrbitRegistry, d: int) -> BoundaryMatrix:
             if reg.minimal[q]:
                 continue
             row = row_of[q]
-            assert row > col, "total order failed to refine inclusion"
+            if row <= col:
+                raise AssertionError("total order failed to refine inclusion")
             blocks.append((row, col, "res", -s))
     mat = BoundaryMatrix(reg, d, order, blocks, columns)
     assert mat.is_lower_triangular()

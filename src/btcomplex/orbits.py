@@ -7,9 +7,9 @@ transporting the standard picture with the deterministic path-transitivity
 element: orbits move by B -> B.g^{-1} when the simplex moves by g.
 
 The registry collects all orbit records over a ball of simplices, flags the
-minimal ones (deepest vertex, contained in an orbit of the parent), links
-containments, and fixes the total order used by the boundary matrix:
-measure descending, then owner direction, then ball key.
+minimal ones (the smallest discs: the level-(n+k) residue cells, p^k at each
+deepest vertex), links containments, and fixes the total order used by the
+boundary matrix: measure descending, then owner direction, then ball key.
 """
 
 from __future__ import annotations
@@ -20,15 +20,8 @@ from functools import cache, cached_property
 from fractions import Fraction
 from itertools import combinations
 
-from .padics import PadicConfig, val_int
-from .projline import (
-    Ball,
-    GL2,
-    ProjPoint,
-    moebius_apply,
-    moebius_ball_image,
-    point_cell,
-)
+from .padics import PadicConfig
+from .projline import Ball, GL2, ProjPoint, moebius_ball_image
 from .tree import (
     OrientedEdge,
     Vertex,
@@ -94,13 +87,8 @@ def enumerate_orbits(cfg: PadicConfig, simplex, k: int):
 
 
 def orbit_of_point(cfg: PadicConfig, simplex, k: int, z: ProjPoint) -> OrbitRecord:
-    """The orbit record whose disc contains z: the standard disc containing
-    z.h, for h the simplex's transport, carried back by h^-1."""
-    assert k >= 1
-    h = transport(cfg, simplex)
-    zs = moebius_apply(h, z)
-    std = next(b for b in _standard_balls(cfg, simplex, k) if b.member_point(cfg, zs))
-    return OrbitRecord(simplex, k, moebius_ball_image(h.inverse(), std))
+    """The orbit record whose disc contains z."""
+    return next(r for r in enumerate_orbits(cfg, simplex, k) if r.ball.member_point(cfg, z))
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +109,11 @@ class OrbitRegistry:
     * ``owner[i]`` for an edge record i: the index of the record with the
       same disc at the endpoint owning the orbit.
 
+    Every disc is a residue cell of P^1 or the complement of one
+    (``Ball.cell``), and its mass is read off that cell.  The minimal records
+    are the smallest discs: the level-(n+k) cells, which only the p^k finest
+    orbits of each deepest vertex reach.
+
     The distinct vertex-record discs have dense ids too: ``balls[b]`` is disc
     b, superset-first, and ``ball_of[i]`` is record i's (an edge record takes
     its owner's).  The containment poset is one relation on ids, ``over``:
@@ -128,9 +121,7 @@ class OrbitRegistry:
     ``min_cover``, ``edge_subs``, ``ball_chain`` and the orbits dump's
     parents/children are read off it comparing integers only, so a chain walk
     is cheap enough to need no memo.  These tables build on first use, so
-    counting-only callers never pay for the quadratic relation; for that
-    reason the eager minimal flags test each deepest record against its
-    parent's records only.
+    counting-only callers never pay for the quadratic relation.
     """
 
     cfg: PadicConfig
@@ -188,17 +179,10 @@ class OrbitRegistry:
     def over(self) -> list:
         """Ball id -> the ascending ids of the balls strictly containing it.
         The balls are not laminar (two whose union is P^1 overlap without
-        nesting), so each ball is tested against every ball of strictly larger
-        measure."""
+        nesting), so each ball is tested against every smaller id: a strict
+        superset has larger measure, so it comes first."""
         balls = self.balls
-        mus = [b.measure() for b in balls]
-        out = []
-        start = 0  # balls[:start] have strictly larger measure than balls[i]
-        for i, b in enumerate(balls):
-            if mus[i] != mus[start]:
-                start = i
-            out.append([a for a in range(start) if b.subset(balls[a])])
-        return out
+        return [[a for a in range(i) if b.subset(balls[a])] for i, b in enumerate(balls)]
 
     @cached_property
     def min_cover(self) -> list:
@@ -222,7 +206,8 @@ class OrbitRegistry:
             b = self.ball_of[i]
             subs = [j for j in (self.index[q] for q in self.vertex_records[other])
                     if b in self.over[self.ball_of[j]]]
-            assert len(subs) == self.p, "an edge orbit splits into exactly q orbits opposite its owner"
+            if len(subs) != self.p:
+                raise AssertionError("an edge orbit splits into exactly q orbits opposite its owner")
             out[i] = subs
         return out
 
@@ -230,7 +215,8 @@ class OrbitRegistry:
         """Ids of every registry ball between dst and src, superset-first.  Balls
         that meet without nesting cover P^1, so below a proper src they nest."""
         hit = [b for b in self.over[dst] if b == src or src in self.over[b]] + [dst]
-        assert hit[0] == src
+        if hit[0] != src:
+            raise AssertionError(f"ball {dst} lies in no chain below ball {src}")
         return hit
 
 
@@ -258,7 +244,9 @@ def build_registry(cfg: PadicConfig, n: int, k: int) -> OrbitRegistry:
     for recs in (*reg.vertex_records.values(), *reg.edge_records.values()):
         reg.records.extend(recs)
     reg.index = {r: i for i, r in enumerate(reg.records)}
-    reg.minimal = _minimal_flags(reg)
+    smallest = Fraction(1, p ** (n + k))  # the mass of a level-(n+k) cell
+    reg.minimal = [n >= 1 and r.ball.measure() == smallest
+                   for recs in reg.vertex_records.values() for r in recs]
     for i, rec in zip(reg.edge_ids(), owners):
         if rec not in reg.index:
             raise AssertionError(f"edge orbit {reg.records[i]!r} has no record at its owner")
@@ -266,19 +254,6 @@ def build_registry(cfg: PadicConfig, n: int, k: int) -> OrbitRegistry:
     nonmin = [i for i, m in enumerate(reg.minimal) if not m]
     reg.nonmin_order = sorted(nonmin, key=lambda i: _total_order_key(reg.records[i]))
     return reg
-
-
-def _minimal_flags(reg: OrbitRegistry) -> list:
-    """Deepest-vertex records contained in an orbit of the neighbor toward the
-    root are the minimal ones; everything shallower never is."""
-    flags = []
-    for v, recs in reg.vertex_records.items():
-        if v.n != reg.n or reg.n == 0:
-            flags.extend(False for _ in recs)
-            continue
-        parent_recs = reg.vertex_records[v.parent()]
-        flags.extend(any(r.ball.subset(q.ball) for q in parent_recs) for r in recs)
-    return flags
 
 
 def minimal_orbits(reg: OrbitRegistry):
@@ -307,8 +282,9 @@ def check_partition(cfg: PadicConfig, balls) -> bool:
     """Exact disjoint-cover test: the balls' exact measures sum to the measure
     1 + 1/p of P^1, and no two of them meet.  Pairwise disjoint balls of full
     total measure cover P^1, since any uncovered part would be a nonempty open
-    set of positive measure.  Residue-cell enumeration (projline.ball_cells)
-    is the oracle the tests compare this against."""
+    set of positive measure.  Residue-cell enumeration (``ball_cells`` in the
+    tests' ``residue_cells`` helper) is the oracle the tests compare this
+    against."""
     balls = list(balls)
     if sum(b.measure() for b in balls) != 1 + Fraction(1, cfg.p):
         return False
@@ -392,7 +368,7 @@ def verify_counts(reg: OrbitRegistry) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the enumeration oracle: orbits as BFS closures on residue cells
+# group elements
 # ---------------------------------------------------------------------------
 
 
@@ -406,57 +382,3 @@ def sample_group_element(cfg: PadicConfig, simplex, k: int, rng: random.Random) 
     std = GL2(cfg, 1 + qa * a, qb * b, qc * c, 1 + qd * d)
     h = transport(cfg, simplex)
     return h @ std @ h.inverse()
-
-
-def bfs_orbit_cells(cfg: PadicConfig, simplex, k: int, z: ProjPoint, rng: random.Random,
-                    generators: int = 30, level: int | None = None):
-    """Closure of z's residue cell under sampled group elements, as cell ids.
-
-    Generators are reduced to integer matrices mod a comfortable power of p so
-    the closure runs on machine integers; the action descends to level-M cells
-    because every group element permutes the cells inside each of its orbit
-    discs isometrically.
-    """
-    p = cfg.p
-    M = (k + 3) if level is None else level
-    gens = [sample_group_element(cfg, simplex, k, rng).scaled_integral() for _ in range(generators)]
-    guard = min(
-        [cfg.N - 2]
-        + [e.prec for g in gens for e in g.entries() if not e.is_zero()]
-    )
-    assert guard >= M + 6, "working precision too small for the closure oracle"
-    work = p**guard
-    int_gens = [
-        tuple(
-            0 if e.is_zero() else (e.unit_residue(guard) * pow(p, e.valuation, work)) % work
-            for e in g.entries()
-        )
-        for g in gens
-    ]
-
-    def cell_of_pair(x, y):
-        assert x or y, "projective pair collapsed"
-        s = min(val_int(x, p) if x else guard, val_int(y, p) if y else guard)
-        assert s <= guard - M - 2, "residue budget exceeded"
-        x //= p**s
-        y //= p**s
-        if y % p != 0:  # val(x) >= val(y) = 0: the unit disc
-            return ("z", x * pow(y, -1, p**M) % p**M)
-        return ("w", y * pow(x, -1, p**M) % p**M)
-
-    start = _cell_pair(point_cell(cfg, z, M))
-    seen = {cell_of_pair(*start)}
-    frontier = [start]
-    while frontier:
-        x, y = frontier.pop()
-        for a, b, c, d in int_gens:
-            cid = cell_of_pair((x * a + y * c) % work, (x * b + y * d) % work)
-            if cid not in seen:
-                seen.add(cid)
-                frontier.append(_cell_pair(cid))
-    return frozenset(seen)
-
-
-def _cell_pair(cid):
-    kind, r = cid
-    return (r, 1) if kind == "z" else (1, r)

@@ -14,12 +14,20 @@ chart vocabulary:
   chart "w": disc in the coordinate u = 1/z (either a ball around infinity,
              or a bounded disc sitting at negative valuation)
   chart "c": complement of a z-disc that contains both 0 and infinity
+
+Containment and mass are decided on one integer key per ball, its residue
+cell (Ball.cell).  The level-d cells (d >= 1) partition P^1: the points whose
+coordinate z lies in Z_p with z = r mod p^d, and the points whose coordinate
+1/z lies in pZ_p with 1/z = r mod p^d.  They are the depth-d vertices of the
+tree, so two cells nest or miss, and every ball is one cell or the complement
+of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .padics import INF, PadicConfig, PadicNum, PrecisionError, val_fraction
 
@@ -261,25 +269,43 @@ class Ball:
         d = (pt.z_coord() - cfg.from_fraction(self.center)).valuation
         return (d <= self.m - 1) if self.complement else (d >= self.m)
 
+    @cached_property
+    def cell(self) -> tuple:
+        """(chart, q, r, flip): the ball is the residue cell of the points whose
+        coordinate z (chart "z") or 1/z (chart "w") is r mod q, q = p^d with
+        d >= 1 and 0 <= r < q, or, when flip, every other point."""
+        p, c, m = self.p, self.center, self.m
+        v = val_fraction(c, p)
+        if v is INF or v >= 0:
+            # for m <= 0 the center is 0: { val z >= m } is P^1 minus { val 1/z >= 1 - m }
+            chart, q, r, flip = ("z", p**m, int(c), False) if m >= 1 else ("w", p ** (1 - m), 0, True)
+        else:  # val x = v on the disc, so val(1/x - 1/c) = val(x - c) - 2v
+            chart, q, r, flip = "w", p ** (m - 2 * v), int(_reduce_fraction(p, 1 / c, m - 2 * v)), False
+        return (chart, q, r, flip != self.complement)
+
     def subset(self, other: "Ball") -> bool:
-        return _misses(self, True, other)
+        a, b = self.cell, other.cell
+        if not b[3]:
+            return not a[3] and _inside(a, b)  # a cell's complement lies in no cell
+        if a[3]:
+            return _inside(b, a)
+        return not (_inside(a, b) or _inside(b, a))
 
     def disjoint(self, other: "Ball") -> bool:
-        return _misses(self, False, other)
+        a, b = self.cell, other.cell
+        if a[3] and b[3]:
+            return False  # two complements of cells always meet
+        if a[3] or b[3]:  # a cell misses a complement exactly inside its hole
+            return _inside(b, a) if a[3] else _inside(a, b)
+        return not (_inside(a, b) or _inside(b, a))
 
     def measure(self) -> Fraction:
         """Exact size: Haar mass 1 on the unit disc plus 1/p on the rest of P^1.
 
-        The swap z -> 1/z preserves it, so a finite disc of exponent m in its
-        own chart has mass p^-m; the one exception, { val z >= m } with m < 0,
-        is P^1 minus the u-disc of exponent 1 - m."""
-        total = Fraction(1) + Fraction(1, self.p)
-        if self.complement:
-            return total - Ball(self.p, False, self.center, self.m).measure()
-        m = self.chart_data()[2]
-        if m < 0:
-            return total - Fraction(1, self.p ** (1 - m))
-        return Fraction(1, self.p**m)
+        The swap z -> 1/z preserves it, so a level-d cell has mass p^-d in
+        either chart."""
+        _, q, _, flip = self.cell
+        return 1 + Fraction(1, self.p) - Fraction(1, q) if flip else Fraction(1, q)
 
     def param(self):
         """Exact rows of the M for which t -> t.M maps Z_p onto this ball: the
@@ -291,16 +317,6 @@ class Ball:
         if chart == "w":
             return ((0, pm), (1, c))  # 1/x = c + p^m t
         return ((c, 1), (pm / self.p, 0))  # x = c + p^(m-1)/t
-
-    def required_level(self) -> int:
-        """Smallest cell level M at which every level-M cell is either inside
-        this ball or disjoint from it (resolving both charts)."""
-        v = val_fraction(self.center, self.p)
-        if self.center == 0:
-            base = max(self.m, 1 - self.m)
-        else:
-            base = self.m if v >= 0 else self.m - 2 * v
-        return max(1, base)
 
     def sort_key(self):
         c = self.center
@@ -325,19 +341,9 @@ def _check_exponent(cfg: PadicConfig, m: int):
         raise PrecisionError(f"radius exponent {m} beyond working precision N={cfg.N}")
 
 
-def _misses(a: Ball, flip: bool, b: Ball) -> bool:
-    """a is disjoint from b, or from P^1 minus b when flip: the same normal form
-    with the complement flag flipped, so a is inside b exactly when it misses
-    P^1 minus b."""
-    b_comp = b.complement != flip
-    if a.complement and b_comp:
-        return False  # both contain infinity
-    if not (a.complement or b_comp):
-        return val_fraction(a.center - b.center, a.p) < min(a.m, b.m)
-    # a finite disc misses the complement of a hole exactly when it lies in the
-    # hole; the exponent test comes first, as it is far cheaper
-    disc, hole = (b.m, a.m) if a.complement else (a.m, b.m)
-    return disc >= hole and val_fraction(a.center - b.center, a.p) >= hole
+def _inside(a: tuple, b: tuple) -> bool:
+    """Cell a lies in cell b: the same chart, a no coarser, and r_a = r_b mod q_b."""
+    return a[0] == b[0] and a[1] >= b[1] and a[2] % b[1] == b[2]
 
 
 # ---------------------------------------------------------------------------
@@ -372,45 +378,3 @@ def moebius_ball_image(g: GL2, ball: Ball) -> Ball:
     _check_exponent(cfg, m)
     center = ctr.residue_class(m)
     return Ball(cfg.p, comp, center, m)
-
-
-# ---------------------------------------------------------------------------
-# residue cells: the standard partition of P^1 at a given depth, the
-# enumeration oracle for the disc predicates above
-# ---------------------------------------------------------------------------
-
-
-def cell_ids(cfg: PadicConfig, M: int):
-    """All level-M cells: ('z', r) for r mod p^M and ('w', u) for u in p*Z mod p^M."""
-    p = cfg.p
-    out = [("z", r) for r in range(p**M)]
-    out.extend(("w", u) for u in range(0, p**M, p))
-    return out
-
-
-def cell_value(cid):
-    """Exact representative of a cell: a Fraction, or None for the infinity cell."""
-    kind, r = cid
-    if kind == "z":
-        return Fraction(r)
-    return None if r == 0 else Fraction(1, r)
-
-
-def point_cell(cfg: PadicConfig, pt: ProjPoint, M: int):
-    """The level-M cell containing a point."""
-    if pt.is_infinity() or not pt.in_z_domain():
-        u = cfg.zero() if pt.is_infinity() else pt.u_coord()
-        r = 0 if u.is_zero() else int(u.residue_class(M))
-        return ("w", r)
-    z = pt.z_coord()
-    return ("z", 0 if z.is_zero() else int(z.residue_class(M)))
-
-
-def ball_cells(cfg: PadicConfig, ball: Ball, M: int):
-    """The set of level-M cell ids whose cells lie inside the ball.
-
-    Needs M at least the ball's required level, so that each cell is either
-    inside or disjoint; then cell membership reduces to its center.
-    """
-    assert M >= ball.required_level(), "cell level too coarse for this ball"
-    return frozenset(cid for cid in cell_ids(cfg, M) if ball.member_value(cell_value(cid)))

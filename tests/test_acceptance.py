@@ -20,7 +20,7 @@ from contextlib import nullcontext
 import pytest
 
 from btcomplex.padics import INF, PadicConfig
-from btcomplex.projline import ball_cells, cell_ids, cell_value, ProjPoint
+from btcomplex.projline import ProjPoint
 from btcomplex.tree import (
     act_vertex,
     edges_upto,
@@ -30,7 +30,6 @@ from btcomplex.tree import (
     vertices_upto,
 )
 from btcomplex.orbits import (
-    bfs_orbit_cells,
     build_registry,
     check_partition,
     edge_orbit_owner,
@@ -49,6 +48,7 @@ from btcomplex.chains import (
     random_truncfun,
     verify_exactness,
 )
+from residue_cells import ball_cells, bfs_orbit_cells, cell_ids, cell_value
 
 _REGISTRY_CACHE = {}
 

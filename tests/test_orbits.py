@@ -1,14 +1,15 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from btcomplex.padics import PadicConfig
-from btcomplex.projline import Ball, ProjPoint, ball_cells, cell_ids, cell_value
+from btcomplex.projline import Ball, ProjPoint
 from btcomplex.tree import Vertex, edges_upto, standard_orientation, standard_path, vertices_upto
 from btcomplex.orbits import (
     OrbitRecord,
-    bfs_orbit_cells,
     build_registry,
     check_partition,
     edge_orbit_owner,
@@ -19,6 +20,8 @@ from btcomplex.orbits import (
     orbit_of_point,
     verify_counts,
 )
+from residue_cells import ball_cells, bfs_orbit_cells, cell_ids, cell_value, required_level
+from test_cli import ENV
 
 
 def make_cfg(p, k, n, d=0):
@@ -133,12 +136,15 @@ def test_minimal_orbits_at_level_one():
 
 
 def test_minimal_flags_match_direct_poset_minimality():
-    for (p, k, n) in [(2, 1, 1), (3, 1, 1), (2, 2, 2), (3, 1, 2)]:
+    # minimal in the containment poset, decided on residue cells
+    for (p, k, n) in [(2, 1, 1), (3, 1, 1), (2, 2, 2), (3, 1, 2), (5, 1, 2), (2, 3, 3)]:
         cfg = make_cfg(p, k, n)
         reg = build_registry(cfg, n, k)
         balls = {r.ball for r in reg.all_vertex_records()}
+        M = max(required_level(b) for b in balls)
+        cells = {b: ball_cells(cfg, b, M) for b in balls}
         for i, rec in enumerate(reg.all_vertex_records()):
-            direct = not any(b != rec.ball and b.subset(rec.ball) for b in balls)
+            direct = not any(c < cells[rec.ball] for c in cells.values())
             assert reg.minimal[i] == direct, rec
 
 
@@ -180,7 +186,7 @@ def test_partition_check_does_not_depend_on_the_level(p, k, n):
     cases = [(balls, True), (balls + balls[:1], False), ([container] + balls[1:], False),
              ([twin] + balls[1:], False), (balls[1:], False)]
     for case, want in cases:
-        M = max(b.required_level() for b in case)
+        M = max(required_level(b) for b in case)
         assert check_partition(cfg, case) is want
         assert partition_by_cells(cfg, case, M) is want
         assert partition_by_cells(cfg, case, M + 1) is want
@@ -382,6 +388,25 @@ def test_poset_tables_match_direct_scans(p, k, n):
         chain = [reg.balls[b] for b in reg.ball_chain(reg.ball_of[i], reg.ball_of[j])]
         assert chain == [b for b in balls if dst.subset(b) and b.subset(src)], (src, dst)
         assert all(b.subset(a) for a, b in zip(chain, chain[1:]))
+
+
+def test_edge_split_invariant_survives_python_O():
+    # a containment that never holds leaves every edge orbit with no orbit
+    # inside it; edge_subs must refuse that even with asserts stripped
+    script = "\n".join([
+        "from btcomplex.orbits import build_registry",
+        "from btcomplex.padics import PadicConfig",
+        "from btcomplex.projline import Ball",
+        "reg = build_registry(PadicConfig(3, 12), 1, 1)",
+        "Ball.subset = lambda self, other: False",
+        "try:",
+        "    reg.edge_subs",
+        "except AssertionError as exc:",
+        "    print(exc)",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=ENV)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "an edge orbit splits into exactly q orbits opposite its owner\n"
 
 
 def test_bfs_oracle_smoke():

@@ -10,12 +10,10 @@ from btcomplex.projline import (
     GL2,
     ProjPoint,
     _canonical_center,
-    ball_cells,
-    cell_ids,
-    cell_value,
     moebius_apply,
     moebius_ball_image,
 )
+from residue_cells import ball_cells, cell_ids, cell_value, required_level
 
 
 @pytest.fixture
@@ -154,7 +152,7 @@ def test_subset_equals_cellwise_containment(cfg):
         mk = lambda c, m, comp: (Ball.complement_z(cfg, c, m) if comp else Ball.z_disc(cfg, c, m))
         a = mk(c1, m1, rng.random() < 0.4)
         b = mk(c2, m2, rng.random() < 0.4)
-        M = max(a.required_level(), b.required_level())
+        M = max(required_level(a), required_level(b))
         ca, cb = ball_cells(cfg, a, M), ball_cells(cfg, b, M)
         assert a.subset(b) == (ca <= cb)
         assert a.disjoint(b) == (not (ca & cb))
@@ -166,7 +164,7 @@ def test_measure_matches_cell_count(cfg):
         m = rng.randrange(-2, 3)
         c = Fraction(rng.randrange(-15, 15), rng.choice([1, cfg.p]))
         ball = Ball.complement_z(cfg, c, m) if rng.random() < 0.4 else Ball.z_disc(cfg, c, m)
-        M = ball.required_level() + 1
+        M = required_level(ball) + 1
         assert ball.measure() == Fraction(len(ball_cells(cfg, ball, M)), cfg.p**M)
 
 
@@ -176,7 +174,7 @@ def test_complement_at_zero_resolves_at_its_required_level(p, m):
     # the hole { val x >= m } needs cells of level m, as the disc itself does
     cfg = PadicConfig(p, 14)
     ball = Ball.complement_z(cfg, 0, m)
-    M = ball.required_level()
+    M = required_level(ball)
     assert M == m
     assert ball.measure() == Fraction(len(ball_cells(cfg, ball, M)), p**M)
 
@@ -203,7 +201,7 @@ def balls_on_one_line(draw, count):
 @given(balls_on_one_line(2))
 def test_subset_and_disjoint_match_cells_property(drawn):
     cfg, a, b = drawn
-    M = max(a.required_level(), b.required_level())
+    M = max(required_level(a), required_level(b))
     ca, cb = ball_cells(cfg, a, M), ball_cells(cfg, b, M)
     assert a.subset(b) == (ca <= cb)
     assert a.disjoint(b) == (not (ca & cb))
@@ -213,8 +211,90 @@ def test_subset_and_disjoint_match_cells_property(drawn):
 @given(balls_on_one_line(1))
 def test_measure_matches_cells_at_every_resolving_level_property(drawn):
     cfg, ball = drawn
-    for M in (ball.required_level(), ball.required_level() + 1):
+    for M in (required_level(ball), required_level(ball) + 1):
         assert ball.measure() == Fraction(len(ball_cells(cfg, ball, M)), cfg.p**M)
+
+
+# -- the cell key against the chart-valuation predicates it replaced ----------
+
+
+def _misses_oracle(a, flip, b):
+    """a is disjoint from b, or from P^1 minus b when flip, decided on the
+    normal forms by valuations of the center difference."""
+    b_comp = b.complement != flip
+    if a.complement and b_comp:
+        return False  # both contain infinity
+    if not (a.complement or b_comp):
+        return val_fraction(a.center - b.center, a.p) < min(a.m, b.m)
+    # a finite disc misses the complement of a hole exactly when it lies in the hole
+    disc, hole = (b.m, a.m) if a.complement else (a.m, b.m)
+    return disc >= hole and val_fraction(a.center - b.center, a.p) >= hole
+
+
+def _measure_oracle(ball):
+    """Mass p^-m of a finite disc of exponent m in its own chart; { val z >= m }
+    with m < 0 is P^1 minus the u-disc of exponent 1 - m."""
+    total = 1 + Fraction(1, ball.p)
+    if ball.complement:
+        return total - _measure_oracle(Ball(ball.p, False, ball.center, ball.m))
+    m = ball.chart_data()[2]
+    return total - Fraction(1, ball.p ** (1 - m)) if m < 0 else Fraction(1, ball.p**m)
+
+
+def _cell_of_key(ball):
+    """The oracle's cell id and level for the ball's key, and its flag."""
+    chart, q, r, flip = ball.cell
+    level = 1
+    while ball.p**level < q:
+        level += 1
+    assert ball.p**level == q
+    return (chart, r), level, flip
+
+
+def _registry_balls(p, k, n):
+    from btcomplex.orbits import build_registry
+
+    reg = build_registry(PadicConfig(p, k + 2 * n + 8), n, k)
+    return reg.cfg, reg.balls
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 2, 3), (3, 1, 3), (5, 1, 2)])
+def test_cell_key_matches_the_valuation_predicates_on_registry_balls(p, k, n):
+    _, balls = _registry_balls(p, k, n)
+    for a in balls:
+        assert a.measure() == _measure_oracle(a)
+        for b in balls:
+            assert a.subset(b) == _misses_oracle(a, True, b), (a, b)
+            assert a.disjoint(b) == _misses_oracle(a, False, b), (a, b)
+
+
+@PROPERTY
+@given(balls_on_one_line(2))
+def test_cell_key_matches_the_valuation_predicates_property(drawn):
+    cfg, a, b = drawn
+    assert a.measure() == _measure_oracle(a)
+    assert a.subset(b) == _misses_oracle(a, True, b)
+    assert a.disjoint(b) == _misses_oracle(a, False, b)
+
+
+def _assert_one_cell_or_its_complement(cfg, ball):
+    cid, level, flip = _cell_of_key(ball)
+    assert level == required_level(ball)
+    cells = ball_cells(cfg, ball, level)
+    assert cells == (set(cell_ids(cfg, level)) - {cid} if flip else {cid})
+
+
+@PROPERTY
+@given(balls_on_one_line(1))
+def test_every_ball_is_one_cell_or_its_complement_property(drawn):
+    _assert_one_cell_or_its_complement(*drawn)
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 2, 3), (3, 1, 3), (5, 1, 2)])
+def test_every_registry_ball_is_one_cell_or_its_complement(p, k, n):
+    cfg, balls = _registry_balls(p, k, n)
+    for ball in balls:
+        _assert_one_cell_or_its_complement(cfg, ball)
 
 
 # -- closed forms against the constructions they replace ----------------------
@@ -336,11 +416,11 @@ def test_ball_image_round_trip_and_membership(cfg):
         img = moebius_ball_image(g, ball)
         assert moebius_ball_image(g.inverse(), img) == ball
         # forward: representatives of the source land inside the image
-        for cid in ball_cells(cfg, ball, ball.required_level() + 1):
+        for cid in ball_cells(cfg, ball, required_level(ball) + 1):
             pt = ProjPoint.from_z(cfg, cell_value(cid)) if cell_value(cid) is not None else ProjPoint.infinity(cfg)
             assert img.member_point(cfg, moebius_apply(g, pt))
         # backward: representatives of the image pull back into the source
-        for cid in ball_cells(cfg, img, img.required_level()):
+        for cid in ball_cells(cfg, img, required_level(img)):
             v = cell_value(cid)
             pt = ProjPoint.infinity(cfg) if v is None else ProjPoint.from_z(cfg, v)
             assert ball.member_point(cfg, moebius_apply(g.inverse(), pt))
@@ -365,7 +445,7 @@ def test_ball_image_pointwise_biconditional(cfg):
                 continue
         ball = Ball.z_disc(cfg, rng.randrange(-4, 4), rng.randrange(0, 3))
         img = moebius_ball_image(g, ball)
-        if img.required_level() > L:
+        if required_level(img) > L:
             continue
         ginv = g.inverse()
         for pt in reps:
