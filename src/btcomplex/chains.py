@@ -13,6 +13,11 @@ restriction through the chain of intermediate registry discs
 (registry_restrict), which makes restriction functorial on the registry poset
 by construction, so the telescoping identities of the complex cancel exactly.
 
+Each one-step transition series is built by _step_series, from the two discs'
+Ball.param matrices and mobius_series, once per (registry, step, d): it is
+stored in the registry's ``steps`` table, which lives and dies with the
+registry, and every later restriction along that step reuses it.
+
 The group action enters only through act_on_function and the cocycle; the
 boundary maps never see the character.
 """
@@ -102,10 +107,6 @@ class TruncFun:
         return f"TruncFun({self.ball.id_str()}; [{cs}])"
 
 
-def zero_fun(cfg: PadicConfig, ball: Ball, d: int) -> TruncFun:
-    return TruncFun(cfg, ball, [cfg.zero()] * (d + 1))
-
-
 def monomial(cfg: PadicConfig, ball: Ball, j: int, d: int) -> TruncFun:
     coeffs = [cfg.zero()] * (d + 1)
     coeffs[j] = cfg.one()
@@ -189,38 +190,69 @@ def _binomial_series(cfg: PadicConfig, a0: PadicNum, a1: PadicNum, e: int, D: in
 # ---------------------------------------------------------------------------
 
 
-def restrict(f: TruncFun, target: Ball) -> TruncFun:
+def restrict(f: TruncFun, target: Ball, *, series=None) -> TruncFun:
     """Exact restriction onto a sub-disc, truncated to the same degree bound.
 
     For same-chart discs the transition is affine, degree is preserved and
     nothing is discarded; otherwise the transition series is composed exactly
-    and the degree-d tail dropped.
+    and the degree-d tail dropped.  series is that transition series to degree
+    d; registry_restrict passes it from its registry's step table, and when it
+    is omitted it is built here by _transition_series, on every call.
     """
     if not target.subset(f.ball):
         raise ValueError(f"{target.id_str()} is not inside {f.ball.id_str()}")
     if target == f.ball:
         return f
-    cfg = f.cfg
-    trans = GL2.from_rows(cfg, target.param()) @ GL2.from_rows(cfg, f.ball.param()).inverse()
-    return TruncFun(cfg, target, _pull_back(f.coeffs, trans, f.degree_bound))
+    D = f.degree_bound
+    if series is None:
+        series = _transition_series(f.cfg, f.ball, target, D)
+    return TruncFun(f.cfg, target, _compose_poly(f.coeffs, series, D))
+
+
+def _integral_series(trans: GL2, D: int):
+    """mobius_series of a transition, refusing one that does not carry Z_p
+    into Z_p: every coefficient must be p-integral."""
+    sigma = tuple(mobius_series(trans, D))
+    if not all(c.is_zero() or c.valuation >= 0 for c in sigma):
+        raise ValueError("transition series is not p-integral: the map does not carry Z_p into Z_p")
+    return sigma
+
+
+def _transition_series(cfg: PadicConfig, src: Ball, dst: Ball, D: int):
+    """Series of the coordinate change from src's canonical coordinate to
+    dst's, for dst inside src, to degree D."""
+    trans = GL2.from_rows(cfg, dst.param()) @ GL2.from_rows(cfg, src.param()).inverse()
+    return _integral_series(trans, D)
 
 
 def _pull_back(coeffs, trans: GL2, D: int):
     """Coefficients of t |-> f(t.trans) to degree D, for f with coefficients
     coeffs and a transition carrying Z_p into Z_p."""
-    sigma = mobius_series(trans, D)
-    assert all(c.is_zero() or c.valuation >= 0 for c in sigma)
-    return _compose_poly(list(coeffs), sigma, D)
+    return _compose_poly(coeffs, _integral_series(trans, D), D)
+
+
+def _step_series(reg: OrbitRegistry, a: int, b: int, D: int):
+    """The transition series from registry ball a to ball b to degree D, built
+    on first use and kept in the registry's step table."""
+    key = (a, b, D)
+    series = reg.steps.get(key)
+    if series is None:
+        series = reg.steps[key] = _transition_series(reg.cfg, reg.balls[a], reg.balls[b], D)
+    return series
 
 
 def registry_restrict(reg: OrbitRegistry, f: TruncFun, i: int, j: int) -> TruncFun:
     """Restriction used by the complex maps, of f on record i's disc to record
     j's: the composite of one-step restrictions along the chain of
     intermediate registry balls, which makes restriction functorial on the
-    registry poset by construction."""
+    registry poset by construction.  Each step's transition series comes from
+    the registry's step table (_step_series), so it is built once per
+    (registry, step, d)."""
+    chain = reg.ball_chain(reg.ball_of[i], reg.ball_of[j])
+    D = f.degree_bound
     out = f
-    for b in reg.ball_chain(reg.ball_of[i], reg.ball_of[j])[1:]:
-        out = restrict(out, reg.balls[b])
+    for a, b in zip(chain, chain[1:]):
+        out = restrict(out, reg.balls[b], series=_step_series(reg, a, b, D))
     return out
 
 

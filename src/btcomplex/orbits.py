@@ -100,7 +100,8 @@ def orbit_of_point(cfg: PadicConfig, simplex, k: int, z: ProjPoint) -> OrbitReco
 class OrbitRegistry:
     """The level-k orbit records of every simplex within distance n of the root.
 
-    build_registry fills it and nothing modifies it afterwards.  Each record
+    build_registry fills it; afterwards only the tables built on first use
+    (below) fill in, and nothing changes what is there.  Each record
     has a dense integer index: vertex records come first, then edge records,
     both in the iteration order of ``vertex_records`` / ``edge_records``;
     ``records[i]`` is record i and ``index[rec]`` is i.  Per-index tables:
@@ -122,6 +123,10 @@ class OrbitRegistry:
     parents/children are read off it comparing integers only, so a chain walk
     is cheap enough to need no memo.  These tables build on first use, so
     counting-only callers never pay for the quadratic relation.
+
+    ``steps`` is the chains layer's table of one-step restriction series,
+    (source ball id, target ball id, degree bound) -> series, filled on first
+    use of each step; it belongs to this registry alone.
     """
 
     cfg: PadicConfig
@@ -134,6 +139,7 @@ class OrbitRegistry:
     minimal: list = field(default_factory=list)  # vertex record index -> bool
     owner: dict = field(default_factory=dict)  # edge record index -> vertex record index
     nonmin_order: list = field(default_factory=list)  # non-minimal vertex record indices, ordered
+    steps: dict = field(default_factory=dict, repr=False, compare=False)  # (a, b, d) -> series
 
     @property
     def p(self) -> int:

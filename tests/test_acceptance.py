@@ -44,7 +44,6 @@ from btcomplex.chains import (
     Character,
     NotAnalyticError,
     act_on_function,
-    assemble_dbar1,
     random_truncfun,
     verify_exactness,
 )

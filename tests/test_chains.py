@@ -1,5 +1,7 @@
 import json
 import random
+import subprocess
+import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from importlib import resources
@@ -11,6 +13,7 @@ from btcomplex.padics import INF, PadicConfig
 from btcomplex.projline import Ball, GL2, ProjPoint, moebius_apply
 from btcomplex.tree import standard_orientation, standard_path
 from btcomplex.orbits import build_registry, enumerate_orbits, sample_group_element
+from btcomplex import chains
 from btcomplex.chains import (
     BoundaryMatrix,
     Chain,
@@ -21,6 +24,7 @@ from btcomplex.chains import (
     cocycle_xi,
     kernel_lift,
     kernel_project,
+    mobius_series,
     monomial,
     partial0,
     partial1,
@@ -32,9 +36,9 @@ from btcomplex.chains import (
     section_s,
     surjectivity_lift,
     verify_exactness,
-    zero_fun,
 )
 from test_acceptance import _single_branch
+from test_cli import ENV
 
 
 def make_cfg(p, k, n, d=1):
@@ -332,6 +336,125 @@ def test_registry_restrict_functorial_on_all_nested_triples():
                                     rec_of[b], rec_of[c])
             two = registry_restrict(reg, f, rec_of[a], rec_of[c])
             assert one == two, (a, b, c)
+
+
+# -- the registry's step table ------------------------------------------------------
+
+
+def _bits(coeffs):
+    return [(c.v, c.u, c.prec) for c in coeffs]
+
+
+def _fresh_series(reg, a, b, d):
+    """The transition series of the step from ball a to ball b, built anew."""
+    cfg = reg.cfg
+    trans = GL2.from_rows(cfg, reg.balls[b].param()) @ GL2.from_rows(cfg, reg.balls[a].param()).inverse()
+    return mobius_series(trans, d)
+
+
+def _stale_steps(reg):
+    """Table keys whose stored series differs, in any stored bit, from a fresh build."""
+    return [(a, b, d) for (a, b, d), series in reg.steps.items()
+            if _bits(series) != _bits(_fresh_series(reg, a, b, d))]
+
+
+def _routed_pairs(reg):
+    """The (record, record) restrictions the complex maps make: each edge record
+    into its sub-orbits, each vertex record onto the minimal records inside it."""
+    pairs = [(i, q) for i, subs in reg.edge_subs.items() for q in subs]
+    return pairs + [(i, m) for i, ms in enumerate(reg.min_cover) for m in ms if m != i]
+
+
+def _uncached_mismatches(reg, d, rng):
+    """Routed pairs on which registry_restrict of a random function differs, in
+    any stored bit, from the uncached restrict applied step by step."""
+    bad = []
+    for i, j in _routed_pairs(reg):
+        f = random_truncfun(reg.cfg, reg.records[i].ball, d, rng)
+        want = f
+        for b in reg.ball_chain(reg.ball_of[i], reg.ball_of[j])[1:]:
+            want = restrict(want, reg.balls[b])
+        if _bits(registry_restrict(reg, f, i, j).coeffs) != _bits(want.coeffs):
+            bad.append((i, j))
+    return bad
+
+
+@pytest.mark.parametrize("p,k,n,d", [(3, 2, 2, 2), (2, 2, 3, 1)])
+def test_step_table_matches_uncached_restriction(p, k, n, d):
+    # two degrees share the registry, as the benchmark grid's degrees do
+    reg = make_reg(p, k, n, d)
+    assert reg.steps == {}
+    rng = random.Random(14)
+    for deg in (d, d - 1):
+        assert _uncached_mismatches(reg, deg, rng) == []
+    assert {key[2] for key in reg.steps} == {d, d - 1}
+    assert _stale_steps(reg) == []
+
+
+def test_step_table_holds_each_transition_once_after_verify():
+    reg = make_reg(3, 2, 2, d=2)
+    assert verify_exactness(reg, 2, seed=0)["verdict"] == "exact"
+    steps = set()
+    for i, j in _routed_pairs(reg):
+        chain = reg.ball_chain(reg.ball_of[i], reg.ball_of[j])
+        steps.update((a, b, 2) for a, b in zip(chain, chain[1:]))
+    assert len(steps) == 168
+    assert set(reg.steps) == steps
+
+
+def test_step_table_belongs_to_one_registry():
+    one, two = make_reg(3, 1, 1), make_reg(3, 1, 1)
+    i = next(iter(one.edge_ids()))
+    q = one.edge_subs[i][0]
+    f = random_truncfun(one.cfg, one.records[i].ball, 1, random.Random(15))
+    registry_restrict(one, f, i, q)
+    assert len(one.steps) == 1 and two.steps == {}
+    registry_restrict(two, f, i, q)
+    assert set(two.steps) == set(one.steps)
+    assert all(two.steps[key] is not one.steps[key] for key in one.steps)
+
+
+def test_step_table_checks_catch_a_wrong_step(monkeypatch):
+    reg = make_reg(3, 2, 1, d=1)
+    rng = random.Random(16)
+    assert _uncached_mismatches(reg, 1, rng) == []
+    # a stored series swapped with another step's is stale
+    x, y = sorted(reg.steps)[:2]
+    assert _bits(reg.steps[x]) != _bits(reg.steps[y])
+    reg.steps[x], reg.steps[y] = reg.steps[y], reg.steps[x]
+    assert sorted(_stale_steps(reg)) == sorted([x, y])
+    # a table keyed without the target hands each step out of a ball the
+    # series of the first step taken from it
+    def keyed_by_source(reg, a, b, d):
+        if (a, d) not in reg.steps:
+            reg.steps[a, d] = _fresh_series(reg, a, b, d)
+        return reg.steps[a, d]
+
+    fresh = make_reg(3, 2, 1, d=1)
+    monkeypatch.setattr(chains, "_step_series", keyed_by_source)
+    assert _uncached_mismatches(fresh, 1, rng) != []
+
+
+def test_non_integral_transition_refused_under_python_O():
+    # t -> t + 1/3 does not carry Z_p into Z_p; neither the action's pull-back
+    # nor a step series may accept it, even with asserts stripped
+    script = "\n".join([
+        "from fractions import Fraction",
+        "from btcomplex.chains import _pull_back, _transition_series",
+        "from btcomplex.padics import PadicConfig",
+        "from btcomplex.projline import Ball, GL2",
+        "cfg = PadicConfig(3, 12)",
+        "for build in (lambda: _pull_back([cfg.one(), cfg.one()], GL2(cfg, 1, 0, Fraction(1, 3), 1), 1),",
+        "              lambda: _transition_series(cfg, Ball.z_disc(cfg, 0, 1), Ball.z_disc(cfg, 1, 1), 1)):",
+        "    try:",
+        "        build()",
+        "    except ValueError as exc:",
+        "        print(exc)",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=ENV)
+    assert r.returncode == 0, r.stderr
+    message = "transition series is not p-integral: the map does not carry Z_p into Z_p\n"
+    assert r.stdout == 2 * message
 
 
 # -- boundary maps -----------------------------------------------------------------

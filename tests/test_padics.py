@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from btcomplex.padics import INF, PadicConfig, PadicNum, PrecisionError
+from btcomplex.padics import INF, PadicConfig, PrecisionError
 
 
 @pytest.fixture(params=[2, 3, 5])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from btcomplex.padics import PadicConfig, PrecisionError, val_fraction, INF
+from btcomplex.padics import PadicConfig, PrecisionError, val_fraction
 from btcomplex.projline import (
     Ball,
     GL2,
