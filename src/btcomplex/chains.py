@@ -13,10 +13,14 @@ restriction through the chain of intermediate registry discs
 (registry_restrict), which makes restriction functorial on the registry poset
 by construction, so the telescoping identities of the complex cancel exactly.
 
-Each one-step transition series is built by _step_series, from the two discs'
-Ball.param matrices and mobius_series, once per (registry, step, d): it is
-stored in the registry's ``steps`` table, which lives and dies with the
-registry, and every later restriction along that step reuses it.
+A restriction is a linear map of coefficient vectors.  Each one-step
+restriction is stored as its (d+1)x(d+1) operator, the truncated powers of
+the step's transition series (built from the two discs' Ball.param matrices
+and mobius_series), once per (registry, step, d) in the registry's ``steps``
+table; the chain of steps between two registry discs is read off ball_chain
+once per (registry, source disc, target disc, d) into its ``routes`` table,
+whose entries point at the shared step operators.  Both tables live and die
+with the registry, and every restriction is a run of matrix-vector products.
 
 The group action enters only through act_on_function and the cocycle; the
 boundary maps never see the character.
@@ -190,23 +194,54 @@ def _binomial_series(cfg: PadicConfig, a0: PadicNum, a1: PadicNum, e: int, D: in
 # ---------------------------------------------------------------------------
 
 
-def restrict(f: TruncFun, target: Ball, *, series=None) -> TruncFun:
+def restrict(f: TruncFun, target: Ball, *, op=None) -> TruncFun:
     """Exact restriction onto a sub-disc, truncated to the same degree bound.
 
-    For same-chart discs the transition is affine, degree is preserved and
-    nothing is discarded; otherwise the transition series is composed exactly
-    and the degree-d tail dropped.  series is that transition series to degree
-    d; registry_restrict passes it from its registry's step table, and when it
-    is omitted it is built here by _transition_series, on every call.
+    The restriction is a linear map of the coefficients: f |-> f o sigma to
+    degree d, for sigma the transition series of the two disc coordinates, so
+    it is applied as the matrix-vector product of the step operator whose
+    column j is sigma^j (_operator).  For same-chart discs sigma is
+    affine, degree is preserved and nothing is discarded; otherwise the
+    degree-d tail is dropped.  op is that operator; registry_restrict passes
+    it from its registry's route table, and when it is omitted it is built
+    here, on every call, by the same code.
     """
     if not target.subset(f.ball):
         raise ValueError(f"{target.id_str()} is not inside {f.ball.id_str()}")
-    if target == f.ball:
+    if target is f.ball or target.cell == f.ball.cell:
         return f
-    D = f.degree_bound
-    if series is None:
-        series = _transition_series(f.cfg, f.ball, target, D)
-    return TruncFun(f.cfg, target, _compose_poly(f.coeffs, series, D))
+    if op is None:
+        D = f.degree_bound
+        op = _operator(_transition_series(f.cfg, f.ball, target, D), D)
+    return TruncFun(f.cfg, target, _apply(op, f.coeffs))
+
+
+def _operator(sigma, D):
+    """The matrix of f |-> f o sigma on polynomials of degree <= D, truncated
+    to degree D: column j holds the coefficients of sigma^j.  Stored by rows,
+    each row the (j, entry) pairs of its nonzero entries, highest j first,
+    the order in which Horner's rule (_compose_poly) adds the terms: truncated
+    sums are exact in value but not associative in their stored precision."""
+    cfg = sigma[0].cfg
+    columns = [[cfg.one()] + [cfg.zero()] * D]
+    for _ in range(D):
+        columns.append(_series_mul(columns[-1], sigma, D))
+    return tuple(tuple((j, columns[j][i]) for j in range(D, -1, -1) if not columns[j][i].is_zero())
+                 for i in range(D + 1))
+
+
+def _apply(op, coeffs):
+    """The operator op applied to a coefficient vector."""
+    zero = coeffs[0].cfg.zero()
+    out = []
+    for row in op:
+        acc = zero
+        for j, entry in row:
+            c = coeffs[j]
+            if c.v is not INF:
+                acc = acc + entry * c
+        out.append(acc)
+    return out
 
 
 def _integral_series(trans: GL2, D: int):
@@ -231,28 +266,41 @@ def _pull_back(coeffs, trans: GL2, D: int):
     return _compose_poly(coeffs, _integral_series(trans, D), D)
 
 
-def _step_series(reg: OrbitRegistry, a: int, b: int, D: int):
-    """The transition series from registry ball a to ball b to degree D, built
-    on first use and kept in the registry's step table."""
+def _step_operator(reg: OrbitRegistry, a: int, b: int, D: int):
+    """The operator of the one-step restriction from registry ball a to ball b
+    to degree D, built on first use and kept in the registry's step table."""
     key = (a, b, D)
-    series = reg.steps.get(key)
-    if series is None:
-        series = reg.steps[key] = _transition_series(reg.cfg, reg.balls[a], reg.balls[b], D)
-    return series
+    op = reg.steps.get(key)
+    if op is None:
+        op = reg.steps[key] = _operator(_transition_series(reg.cfg, reg.balls[a], reg.balls[b], D), D)
+    return op
+
+
+def _route(reg: OrbitRegistry, src: int, dst: int, D: int):
+    """((target ball, step operator), ...) along the chain of registry balls
+    from ball src down to ball dst, to degree D, read off ball_chain once and
+    kept in the registry's route table; the operators are the step table's."""
+    key = (src, dst, D)
+    route = reg.routes.get(key)
+    if route is None:
+        chain = reg.ball_chain(src, dst)
+        route = reg.routes[key] = tuple((reg.balls[b], _step_operator(reg, a, b, D))
+                                        for a, b in zip(chain, chain[1:]))
+    return route
 
 
 def registry_restrict(reg: OrbitRegistry, f: TruncFun, i: int, j: int) -> TruncFun:
     """Restriction used by the complex maps, of f on record i's disc to record
     j's: the composite of one-step restrictions along the chain of
     intermediate registry balls, which makes restriction functorial on the
-    registry poset by construction.  Each step's transition series comes from
-    the registry's step table (_step_series), so it is built once per
-    (registry, step, d)."""
-    chain = reg.ball_chain(reg.ball_of[i], reg.ball_of[j])
-    D = f.degree_bound
+    registry poset by construction.  The chain and its step operators come
+    from the registry's route table (_route), so each route is read off
+    ball_chain once per (registry, source ball, target ball, d) and each step
+    operator is built once per (registry, step, d); every step is one
+    restrict call."""
     out = f
-    for a, b in zip(chain, chain[1:]):
-        out = restrict(out, reg.balls[b], series=_step_series(reg, a, b, D))
+    for target, op in _route(reg, reg.ball_of[i], reg.ball_of[j], f.degree_bound):
+        out = restrict(out, target, op=op)
     return out
 
 

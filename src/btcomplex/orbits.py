@@ -120,13 +120,15 @@ class OrbitRegistry:
     its owner's).  The containment poset is one relation on ids, ``over``:
     ball id -> the ascending ids of the balls strictly containing it.
     ``min_cover``, ``edge_subs``, ``ball_chain`` and the orbits dump's
-    parents/children are read off it comparing integers only, so a chain walk
-    is cheap enough to need no memo.  These tables build on first use, so
-    counting-only callers never pay for the quadratic relation.
+    parents/children are read off it comparing integers only.  These tables
+    build on first use, so counting-only callers never pay for the quadratic
+    relation.
 
-    ``steps`` is the chains layer's table of one-step restriction series,
-    (source ball id, target ball id, degree bound) -> series, filled on first
-    use of each step; it belongs to this registry alone.
+    Two tables of the chains layer fill on first use and belong to this
+    registry alone: ``steps``, (source ball id, target ball id, degree bound)
+    -> the operator of that one-step restriction, and ``routes``, (source ball
+    id, target ball id, degree bound) -> ((ball, operator), ...) along
+    ``ball_chain``, whose operators are the ones in ``steps``.
     """
 
     cfg: PadicConfig
@@ -139,7 +141,8 @@ class OrbitRegistry:
     minimal: list = field(default_factory=list)  # vertex record index -> bool
     owner: dict = field(default_factory=dict)  # edge record index -> vertex record index
     nonmin_order: list = field(default_factory=list)  # non-minimal vertex record indices, ordered
-    steps: dict = field(default_factory=dict, repr=False, compare=False)  # (a, b, d) -> series
+    steps: dict = field(default_factory=dict, repr=False, compare=False)  # (a, b, d) -> operator
+    routes: dict = field(default_factory=dict, repr=False, compare=False)  # (a, b, d) -> route
 
     @property
     def p(self) -> int:

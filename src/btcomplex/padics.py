@@ -145,15 +145,21 @@ class PadicNum:
     __slots__ = ("cfg", "v", "u", "prec")
 
     def __init__(self, cfg: PadicConfig, v, u: int, prec: int):
+        """Checks the invariant, so that no caller can build a non-unit: exact
+        zero has unit part 0; otherwise 1 <= prec <= N and u is a unit mod
+        p^prec.  The arithmetic below builds results that satisfy it by
+        construction with _unit instead."""
+        if v is INF:
+            if u != 0:
+                raise ValueError(f"exact zero must have unit part 0, got {u}")
+        elif not 1 <= prec <= cfg.N:
+            raise ValueError(f"precision {prec} outside 1..{cfg.N}")
+        elif not (0 < u < cfg.p**prec and u % cfg.p != 0):
+            raise ValueError(f"{u} is not a unit residue mod {cfg.p}^{prec}")
         self.cfg = cfg
         self.v = v
         self.u = u
         self.prec = prec
-        if v is INF:
-            assert u == 0
-        else:
-            assert 1 <= prec <= cfg.N
-            assert 0 < u < cfg.p**prec and u % cfg.p != 0, (u, prec)
 
     # -- queries ------------------------------------------------------------
 
@@ -185,39 +191,39 @@ class PadicNum:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "PadicNum") -> "PadicNum":
-        cfg = self.cfg
-        if self.is_zero():
+        if self.v is INF:
             return other
-        if other.is_zero():
+        if other.v is INF:
             return self
+        cfg = self.cfg
+        p = cfg.p
         a, b = self, other
         if a.v > b.v:
             a, b = b, a
-        # both known mod p^K; work at scale p^(a.v)
-        K = min(a.v + a.prec, b.v + b.prec)
-        digits = K - a.v
-        p = cfg.p
+        # both known mod p^K, K = min(a.v + a.prec, b.v + b.prec); work at scale p^(a.v)
+        digits = min(a.prec, b.v + b.prec - a.v)
         r = (a.u + b.u * p ** (b.v - a.v)) % p**digits
         if r == 0:
             # full cancellation of every stored digit: the zero of this precision
             return cfg.zero()
         c = val_int(r, p)
-        return PadicNum(cfg, a.v + c, (r // p**c) % p ** (digits - c), digits - c)
+        # r < p^digits, so the unit r/p^c is already reduced mod p^(digits - c)
+        return _unit(cfg, a.v + c, r // p**c, digits - c)
 
     def __neg__(self) -> "PadicNum":
-        if self.is_zero():
+        if self.v is INF:
             return self
-        return PadicNum(self.cfg, self.v, (-self.u) % self.cfg.p**self.prec, self.prec)
+        return _unit(self.cfg, self.v, (-self.u) % self.cfg.p**self.prec, self.prec)
 
     def __sub__(self, other: "PadicNum") -> "PadicNum":
         return self + (-other)
 
     def __mul__(self, other: "PadicNum") -> "PadicNum":
         cfg = self.cfg
-        if self.is_zero() or other.is_zero():
+        if self.v is INF or other.v is INF:
             return cfg.zero()
         prec = min(self.prec, other.prec)
-        return PadicNum(cfg, self.v + other.v, (self.u * other.u) % cfg.p**prec, prec)
+        return _unit(cfg, self.v + other.v, (self.u * other.u) % cfg.p**prec, prec)
 
     def inverse(self) -> "PadicNum":
         if self.is_zero():
@@ -274,3 +280,17 @@ class PadicNum:
     def __repr__(self):
         return f"PadicNum({self.cfg.p}-adic {self.serialize()})"
 
+
+_new = object.__new__
+
+
+def _unit(cfg: PadicConfig, v: int, u: int, prec: int) -> PadicNum:
+    """p^v * u for a u already known to be a unit reduced mod p^prec, with
+    1 <= prec <= N: the arithmetic's results, built without PadicNum.__init__'s
+    re-check."""
+    x = _new(PadicNum)
+    x.cfg = cfg
+    x.v = v
+    x.u = u
+    x.prec = prec
+    return x

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .padics import INF, PadicConfig
+from .padics import INF, PadicConfig, val_int
 from .projline import GL2
 
 
@@ -180,14 +180,34 @@ def vertex_canonical(cfg: PadicConfig, matrix) -> Vertex:
     scaled = [e.shift(-e1) for e in ent]
     n = (scaled[0] * scaled[3] - scaled[1] * scaled[2]).valuation
     assert n is not INF and n >= 0
+    return _primitive_vertex(p, n, *(0 if e.is_zero() else int(e.residue_class(n)) for e in scaled))
+
+
+def _primitive_vertex(p: int, n: int, m11: int, m12: int, m21: int, m22: int) -> Vertex:
+    """Vertex of the lattice spanned by the columns of a primitive matrix (some
+    entry a unit) whose determinant has valuation n, from its entries mod p^n:
+    the lattice is the kernel of a unimodular row of the adjugate."""
     if n == 0:
         return Vertex.root(p)
     mod = p**n
-    m11, m12, m21, m22 = (0 if e.is_zero() else int(e.residue_class(n)) for e in scaled)
     for row in (((m22 % mod), (-m12) % mod), ((-m21) % mod, (m11 % mod))):
         if row[0] % p != 0 or row[1] % p != 0:
             return Vertex.make(p, n, row[0], row[1])
     raise AssertionError("adjugate of a primitive lattice matrix has a unimodular row")
+
+
+def _coord_in_frame(v: Vertex, w: Vertex) -> tuple:
+    """The coordinate of h^-1.w for h = v.basis_matrix(), in integers: h^-1 is
+    adj(h)/det(h), and a scalar does not move a lattice class, so h^-1.w is
+    the vertex of the lattice spanned by adj(h) B, B = w.basis_matrix()."""
+    p = v.p
+    (h11, h12), (h21, h22) = v.basis_matrix()
+    (b11, b12), (b21, b22) = w.basis_matrix()
+    m = (h22 * b11 - h12 * b21, h22 * b12 - h12 * b22,
+         h11 * b21 - h21 * b11, h11 * b22 - h21 * b12)
+    e = min(val_int(x, p) for x in m if x)
+    m11, m12, m21, m22 = (x // p**e for x in m)
+    return _primitive_vertex(p, val_int(m11 * m22 - m12 * m21, p), m11, m12, m21, m22).coord
 
 
 def _lca_depth(v: Vertex, w: Vertex) -> int:
@@ -264,17 +284,18 @@ def _standardize(cfg: PadicConfig, pathlist) -> GL2:
 
     h, the basis matrix of the first vertex, carries v0 to it.  In h's frame
     the path starts at v0, so it is the ancestor chain of its last vertex
-    u = h^-1.(last vertex): its vertex at depth i is u's coordinate (a : b)
-    reduced mod p^i.  The standard vertex v_i is the lattice on which the row
-    functional (1 : 0) vanishes mod p^i, and a matrix w carries the lattice of
-    a functional phi to that of phi.w^-1.  So w = [[1, -b], [0, 1]] when
-    a = 1, or [[0, 1], [1, -a]] when a lies in pZ, turns (1 : 0) into (a : b)
-    and carries every v_i onto u's ancestor at depth i at once; g = h w.
+    u = h^-1.(last vertex) (found in integers by _coord_in_frame): its vertex
+    at depth i is u's coordinate (a : b) reduced mod p^i.  The standard vertex
+    v_i is the lattice on which the row functional (1 : 0) vanishes mod p^i,
+    and a matrix w carries the lattice of a functional phi to that of
+    phi.w^-1.  So w = [[1, -b], [0, 1]] when a = 1, or [[0, 1], [1, -a]] when
+    a lies in pZ, turns (1 : 0) into (a : b) and carries every v_i onto u's
+    ancestor at depth i at once; g = h w.
     """
     h = GL2.from_rows(cfg, pathlist[0].basis_matrix())
     if len(pathlist) == 1:
         return h
-    a, b = act_vertex(h.inverse(), pathlist[-1]).coord
+    a, b = _coord_in_frame(pathlist[0], pathlist[-1])
     return h @ GL2.from_rows(cfg, ((1, -b), (0, 1)) if a == 1 else ((0, 1), (1, -a)))
 
 

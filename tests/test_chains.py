@@ -1,7 +1,9 @@
+import functools
 import json
 import random
 import subprocess
 import sys
+from collections import Counter
 from contextlib import nullcontext
 from fractions import Fraction
 from importlib import resources
@@ -9,16 +11,17 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from btcomplex.padics import INF, PadicConfig
+from btcomplex.padics import INF, PadicConfig, PadicNum
 from btcomplex.projline import Ball, GL2, ProjPoint, moebius_apply
 from btcomplex.tree import standard_orientation, standard_path
-from btcomplex.orbits import build_registry, enumerate_orbits, sample_group_element
+from btcomplex.orbits import OrbitRegistry, build_registry, enumerate_orbits, sample_group_element
 from btcomplex import chains
 from btcomplex.chains import (
     BoundaryMatrix,
     Chain,
     Character,
     NotAnalyticError,
+    TruncFun,
     act_on_function,
     assemble_dbar1,
     cocycle_xi,
@@ -338,24 +341,29 @@ def test_registry_restrict_functorial_on_all_nested_triples():
             assert one == two, (a, b, c)
 
 
-# -- the registry's step table ------------------------------------------------------
+# -- the registry's step and route tables --------------------------------------------
 
 
 def _bits(coeffs):
     return [(c.v, c.u, c.prec) for c in coeffs]
 
 
-def _fresh_series(reg, a, b, d):
-    """The transition series of the step from ball a to ball b, built anew."""
+def _op_bits(op):
+    return [[(j, *_bits([e])[0]) for j, e in row] for row in op]
+
+
+def _fresh_operator(reg, a, b, d):
+    """The operator of the step from ball a to ball b, built anew from a
+    transition series computed here."""
     cfg = reg.cfg
     trans = GL2.from_rows(cfg, reg.balls[b].param()) @ GL2.from_rows(cfg, reg.balls[a].param()).inverse()
-    return mobius_series(trans, d)
+    return chains._operator(mobius_series(trans, d), d)
 
 
 def _stale_steps(reg):
-    """Table keys whose stored series differs, in any stored bit, from a fresh build."""
-    return [(a, b, d) for (a, b, d), series in reg.steps.items()
-            if _bits(series) != _bits(_fresh_series(reg, a, b, d))]
+    """Table keys whose stored operator differs, in any stored bit, from a fresh build."""
+    return [(a, b, d) for (a, b, d), op in reg.steps.items()
+            if _op_bits(op) != _op_bits(_fresh_operator(reg, a, b, d))]
 
 
 def _routed_pairs(reg):
@@ -367,14 +375,15 @@ def _routed_pairs(reg):
 
 def _uncached_mismatches(reg, d, rng):
     """Routed pairs on which registry_restrict of a random function differs, in
-    any stored bit, from the uncached restrict applied step by step."""
+    its disc or any stored bit, from the uncached restrict applied step by step."""
     bad = []
     for i, j in _routed_pairs(reg):
         f = random_truncfun(reg.cfg, reg.records[i].ball, d, rng)
         want = f
         for b in reg.ball_chain(reg.ball_of[i], reg.ball_of[j])[1:]:
             want = restrict(want, reg.balls[b])
-        if _bits(registry_restrict(reg, f, i, j).coeffs) != _bits(want.coeffs):
+        got = registry_restrict(reg, f, i, j)
+        if got.ball != want.ball or _bits(got.coeffs) != _bits(want.coeffs):
             bad.append((i, j))
     return bad
 
@@ -383,11 +392,11 @@ def _uncached_mismatches(reg, d, rng):
 def test_step_table_matches_uncached_restriction(p, k, n, d):
     # two degrees share the registry, as the benchmark grid's degrees do
     reg = make_reg(p, k, n, d)
-    assert reg.steps == {}
+    assert reg.steps == {} and reg.routes == {}
     rng = random.Random(14)
     for deg in (d, d - 1):
         assert _uncached_mismatches(reg, deg, rng) == []
-    assert {key[2] for key in reg.steps} == {d, d - 1}
+    assert {key[2] for key in reg.steps} == {key[2] for key in reg.routes} == {d, d - 1}
     assert _stale_steps(reg) == []
 
 
@@ -400,6 +409,12 @@ def test_step_table_holds_each_transition_once_after_verify():
         steps.update((a, b, 2) for a, b in zip(chain, chain[1:]))
     assert len(steps) == 168
     assert set(reg.steps) == steps
+    # every route holds the shared step operators and the registry's own balls
+    for (src, dst, d), route in reg.routes.items():
+        chain = reg.ball_chain(src, dst)
+        assert [ball for ball, _ in route] == [reg.balls[b] for b in chain[1:]]
+        assert all(ball is reg.balls[b] and op is reg.steps[a, b, d]
+                   for (ball, op), a, b in zip(route, chain, chain[1:]))
 
 
 def test_step_table_belongs_to_one_registry():
@@ -409,30 +424,152 @@ def test_step_table_belongs_to_one_registry():
     f = random_truncfun(one.cfg, one.records[i].ball, 1, random.Random(15))
     registry_restrict(one, f, i, q)
     assert len(one.steps) == 1 and two.steps == {}
+    assert len(one.routes) == 1 and two.routes == {}
     registry_restrict(two, f, i, q)
-    assert set(two.steps) == set(one.steps)
+    assert set(two.steps) == set(one.steps) and set(two.routes) == set(one.routes)
     assert all(two.steps[key] is not one.steps[key] for key in one.steps)
+    assert all(two.routes[key] is not one.routes[key] for key in one.routes)
 
 
 def test_step_table_checks_catch_a_wrong_step(monkeypatch):
     reg = make_reg(3, 2, 1, d=1)
     rng = random.Random(16)
     assert _uncached_mismatches(reg, 1, rng) == []
-    # a stored series swapped with another step's is stale
+    # a stored operator swapped with another step's is stale
     x, y = sorted(reg.steps)[:2]
-    assert _bits(reg.steps[x]) != _bits(reg.steps[y])
+    assert _op_bits(reg.steps[x]) != _op_bits(reg.steps[y])
     reg.steps[x], reg.steps[y] = reg.steps[y], reg.steps[x]
     assert sorted(_stale_steps(reg)) == sorted([x, y])
     # a table keyed without the target hands each step out of a ball the
-    # series of the first step taken from it
+    # operator of the first step taken from it
     def keyed_by_source(reg, a, b, d):
         if (a, d) not in reg.steps:
-            reg.steps[a, d] = _fresh_series(reg, a, b, d)
+            reg.steps[a, d] = _fresh_operator(reg, a, b, d)
         return reg.steps[a, d]
 
     fresh = make_reg(3, 2, 1, d=1)
-    monkeypatch.setattr(chains, "_step_series", keyed_by_source)
+    monkeypatch.setattr(chains, "_step_operator", keyed_by_source)
     assert _uncached_mismatches(fresh, 1, rng) != []
+
+
+def _watch_routing(monkeypatch):
+    """Patch ball_chain and restrict to count, and registry_restrict to check
+    that it makes exactly len(chain) - 1 restrict calls, landing on record j's
+    disc.  Returns the Counter of ball_chain calls by (src, dst)."""
+    ball_chain = OrbitRegistry.ball_chain
+    built = Counter()
+    calls = [0]
+
+    def counted_chain(reg, src, dst):
+        built[src, dst] += 1
+        return ball_chain(reg, src, dst)
+
+    def counted_restrict(f, target, **kwargs):
+        calls[0] += 1
+        return restrict(f, target, **kwargs)
+
+    def checked_registry_restrict(reg, f, i, j):
+        before = calls[0]
+        out = registry_restrict(reg, f, i, j)
+        chain = ball_chain(reg, reg.ball_of[i], reg.ball_of[j])
+        assert calls[0] - before == len(chain) - 1, (i, j)
+        assert out.ball is reg.balls[chain[-1]] and out.ball == reg.records[j].ball
+        return out
+
+    monkeypatch.setattr(OrbitRegistry, "ball_chain", counted_chain)
+    monkeypatch.setattr(chains, "restrict", counted_restrict)
+    monkeypatch.setattr(chains, "registry_restrict", checked_registry_restrict)
+    return built
+
+
+def test_each_route_is_built_once_per_degree(monkeypatch):
+    # the benchmark grid's sharing: one registry verified at d = 2, 1, 0
+    reg = make_reg(3, 1, 2, d=2)
+    built = _watch_routing(monkeypatch)
+    for d in (2, 1, 0):
+        built.clear()
+        assert verify_exactness(reg, d, seed=0)["verdict"] == "exact"
+        assert built and set(built.values()) == {1}
+        assert set(built) == {(src, dst) for src, dst, deg in reg.routes if deg == d}
+    assert len(reg.routes) == 3 * len(built)
+
+
+def _misroutes(reg, d):
+    """Whether registry_restrict goes wrong on some routed pair: a result that
+    differs from the uncached restrict, or a step refused on the way."""
+    try:
+        return _uncached_mismatches(reg, d, random.Random(17)) != []
+    except (IndexError, ValueError):
+        return True
+
+
+def test_route_table_checks_catch_a_wrong_route(monkeypatch):
+    assert not _misroutes(make_reg(3, 1, 2), 1)
+    route = chains._route
+
+    # a route that drops its last step stops one disc short
+    def short(reg, src, dst, D):
+        return route(reg, src, dst, D)[:-1]
+
+    monkeypatch.setattr(chains, "_route", short)
+    assert _misroutes(make_reg(3, 1, 2), 1)
+
+    # a route keyed without the degree hands d = 0 the operators of d = 1
+    def keyed_without_degree(reg, src, dst, D):
+        if (src, dst) not in reg.routes:
+            reg.routes[src, dst] = route(reg, src, dst, D)
+        return reg.routes[src, dst]
+
+    monkeypatch.setattr(chains, "_route", keyed_without_degree)
+    shared = make_reg(3, 1, 2)
+    assert not _misroutes(shared, 1)
+    assert _misroutes(shared, 0)
+
+    # a route table shared between registries sends one registry's function
+    # onto the other's discs
+    one_table = {}
+
+    def shared_between_registries(reg, src, dst, D):
+        if (src, dst, D) not in one_table:
+            one_table[src, dst, D] = route(reg, src, dst, D)
+        return one_table[src, dst, D]
+
+    monkeypatch.setattr(chains, "_route", shared_between_registries)
+    assert not _misroutes(make_reg(3, 1, 2), 1)
+    assert _misroutes(make_reg(2, 1, 2), 1)
+
+
+@functools.cache
+def _registry_steps(p, k, n):
+    """A registry at a grid precision and its distinct one-step restrictions."""
+    reg = build_registry(PadicConfig(p, k + 2 * n + 12), n, k)
+    steps = set()
+    for i, j in _routed_pairs(reg):
+        chain = reg.ball_chain(reg.ball_of[i], reg.ball_of[j])
+        steps.update(zip(chain, chain[1:]))
+    return reg, sorted(steps)
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+@given(st.sampled_from([(2, 2, 2), (3, 1, 2), (5, 1, 1)]), st.integers(0, 3), st.data())
+def test_step_operator_matches_horner_composition_property(pkn, d, data):
+    # the matrix-vector product equals the Horner composition with the step's
+    # series by value, on coefficients of any valuation and stored precision
+    reg, steps = _registry_steps(*pkn)
+    cfg, p = reg.cfg, reg.p
+    a, b = data.draw(st.sampled_from(steps))
+    coeffs = []
+    for _ in range(d + 1):
+        prec = data.draw(st.integers(1, cfg.N))
+        digits = data.draw(st.integers(0, p**prec - 1))
+        x = cfg.from_int(digits) if digits % p else cfg.zero()
+        coeffs.append(x if x.is_zero() else PadicNum(cfg, data.draw(st.integers(0, 3)), x.u % p**prec, prec))
+    op = chains._step_operator(reg, a, b, d)
+    sigma = chains._transition_series(cfg, reg.balls[a], reg.balls[b], d)
+    got = chains._apply(op, coeffs)
+    assert len(got) == d + 1
+    assert got == chains._compose_poly(coeffs, sigma, d)
+    assert restrict(TruncFun(cfg, reg.balls[a], coeffs), reg.balls[b]).coeffs == tuple(got)
 
 
 def test_non_integral_transition_refused_under_python_O():

@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and the package
+defines no private function that nothing calls."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ SCANNED = sorted(
     for folder in ("src/btcomplex", "tests", "demos")
     for path in (ROOT / folder).rglob("*.py")
 )
+PACKAGE = sorted((ROOT / "src" / "btcomplex").rglob("*.py"))
 
 
 def _imported(tree):
@@ -70,3 +72,56 @@ def test_scan_sees_unused_and_string_annotation_uses():
         "    return os.path.sep",
     ])
     assert unused_imports(source) == [(2, "F"), (3, "choice")]
+
+
+def _referenced(node):
+    """Every name read, attribute taken or name imported inside node."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def unreferenced_private_functions(sources: dict):
+    """(module, name) of each module-level function named _private that no
+    module references outside the function's own body."""
+    top = [(module, node, _referenced(node))
+           for module, source in sources.items() for node in ast.parse(source).body]
+    return sorted(
+        (module, fn.name) for module, fn, _ in top
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and fn.name.startswith("_") and not fn.name.startswith("__")
+        and not any(fn.name in names for _, node, names in top if node is not fn)
+    )
+
+
+def test_no_unreferenced_private_functions_in_the_package():
+    sources = {str(path.relative_to(ROOT)): path.read_text() for path in PACKAGE}
+    assert unreferenced_private_functions(sources) == []
+
+
+def test_private_function_scan_sees_unreferenced_and_cross_module_uses():
+    sources = {
+        "a.py": "\n".join([
+            "def _called(): return 1",
+            "def _unused(): return 2",
+            "def _recursive(n): return _recursive(n - 1) if n else 0",
+            "def _imported(): return 3",
+            "def _as_attribute(): return 4",
+            "def __dunder__(): return 5",
+            "class C:",
+            "    def _method(self): return 6",
+            "x = _called()",
+        ]),
+        "b.py": "\n".join([
+            "from a import _imported",
+            "import a",
+            "y = a._as_attribute()",
+        ]),
+    }
+    assert unreferenced_private_functions(sources) == [("a.py", "_recursive"), ("a.py", "_unused")]

@@ -1,9 +1,13 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from btcomplex.padics import INF, PadicConfig, PrecisionError
+from btcomplex.padics import INF, PadicConfig, PadicNum, PrecisionError, val_int
+from test_cli import ENV
 
 
 @pytest.fixture(params=[2, 3, 5])
@@ -120,3 +124,110 @@ def test_invalid_config():
         PadicConfig(4, 8)
     with pytest.raises(ValueError):
         PadicConfig(3, 0)
+
+
+def test_unit_invariant_refused_under_python_O():
+    # the public constructor's check is a raise, not an assert, so -O keeps it
+    script = "\n".join([
+        "from btcomplex.padics import INF, PadicConfig, PadicNum",
+        "cfg = PadicConfig(3, 6)",
+        "for v, u, prec in ((0, 3, 4), (0, 0, 4), (1, 82, 4), (0, 1, 0), (0, 1, 7), (INF, 1, 6)):",
+        "    try:",
+        "        PadicNum(cfg, v, u, prec)",
+        "    except ValueError as exc:",
+        "        print(exc)",
+        "print(PadicNum(cfg, -2, 728, 6).serialize())",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=ENV)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == [
+        "3 is not a unit residue mod 3^4",
+        "0 is not a unit residue mod 3^4",
+        "82 is not a unit residue mod 3^4",
+        "precision 0 outside 1..6",
+        "precision 7 outside 1..6",
+        "exact zero must have unit part 0, got 1",
+        "v-2:u222222",
+    ]
+
+
+# The arithmetic as it was written against the checked constructor: every
+# result goes through PadicNum.__init__.  The kernels build theirs unchecked.
+
+
+def _checked_add(x, y):
+    cfg = x.cfg
+    if x.is_zero():
+        return y
+    if y.is_zero():
+        return x
+    a, b = (x, y) if x.v <= y.v else (y, x)
+    digits = min(a.v + a.prec, b.v + b.prec) - a.v
+    p = cfg.p
+    r = (a.u + b.u * p ** (b.v - a.v)) % p**digits
+    if r == 0:
+        return cfg.zero()
+    c = val_int(r, p)
+    return PadicNum(cfg, a.v + c, (r // p**c) % p ** (digits - c), digits - c)
+
+
+def _checked_neg(x):
+    return x if x.is_zero() else PadicNum(x.cfg, x.v, (-x.u) % x.cfg.p**x.prec, x.prec)
+
+
+def _checked_mul(x, y):
+    if x.is_zero() or y.is_zero():
+        return x.cfg.zero()
+    prec = min(x.prec, y.prec)
+    return PadicNum(x.cfg, x.v + y.v, (x.u * y.u) % x.cfg.p**prec, prec)
+
+
+def _bits(x):
+    return (x.v, x.u, x.prec)
+
+
+def _valid(x):
+    """Rebuilding x through the checked constructor keeps every bit."""
+    return isinstance(x, PadicNum) and _bits(PadicNum(x.cfg, x.v, x.u, x.prec)) == _bits(x)
+
+
+@st.composite
+def _padic_operands(draw):
+    """Two numbers at p in {2, 3, 5}: independent, exact negatives (full
+    cancellation), or agreeing in a few leading digits (partial cancellation)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    cfg = PadicConfig(p, draw(st.integers(1, 8)))
+
+    def number(v_lo=-3):
+        if draw(st.integers(0, 6)) == 0:
+            return cfg.zero()
+        prec = draw(st.integers(1, cfg.N))
+        u = draw(st.integers(0, p ** (prec - 1) - 1)) * p + draw(st.integers(1, p - 1))
+        return PadicNum(cfg, draw(st.integers(v_lo, 3)), u, prec)
+
+    x = number()
+    kind = draw(st.sampled_from(["independent", "negative", "near"]))
+    if kind == "independent" or x.is_zero():
+        return x, number()
+    if kind == "negative":
+        return x, _checked_neg(x)
+    return x, _checked_add(_checked_neg(x), number(v_lo=x.v))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_padic_operands())
+def test_unchecked_kernels_match_the_checked_path_property(pair):
+    x, y = pair
+    for got, want in ((x + y, _checked_add(x, y)), (y + x, _checked_add(y, x)),
+                      (x - y, _checked_add(x, _checked_neg(y))), (-x, _checked_neg(x)),
+                      (x * y, _checked_mul(x, y))):
+        assert _valid(got)
+        assert _bits(got) == _bits(want)
+
+
+def test_full_cancellation_is_exact_zero_at_each_prime():
+    for p in (2, 3, 5):
+        cfg = PadicConfig(p, 5)
+        x = PadicNum(cfg, -1, p + 1, 3)
+        assert _bits(x + (-x)) == _bits(cfg.zero()) == (INF, 0, 5)
+        assert _bits(x - x) == (INF, 0, 5)

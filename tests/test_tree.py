@@ -7,6 +7,7 @@ from btcomplex.padics import PadicConfig, val_fraction
 from btcomplex.projline import GL2
 from btcomplex.tree import (
     OrientedEdge,
+    _coord_in_frame,
     _standardize,
     Vertex,
     act_vertex,
@@ -275,6 +276,44 @@ def test_standardize_closed_form_matches_inductive_oracle(p):
     paths += [q for e in edges_upto(p, 3) for q in ([e.src, e.dst], [e.dst, e.src])]
     for q in paths:
         assert _digits(_standardize(cfg, q)) == _digits(_inductive_standardize(cfg, q)), q
+
+
+def _coord_in_frame_oracle(cfg, v, w):
+    """The coordinate of h^-1.w, h = v's basis matrix, by GL2.inverse and
+    act_vertex in PadicNum arithmetic."""
+    return act_vertex(GL2.from_rows(cfg, v.basis_matrix()).inverse(), w).coord
+
+
+def _standardize_oracle(cfg, pathlist):
+    """The closed form of _standardize with the frame coordinate read through
+    the PadicNum inverse."""
+    h = GL2.from_rows(cfg, pathlist[0].basis_matrix())
+    if len(pathlist) == 1:
+        return h
+    a, b = _coord_in_frame_oracle(cfg, pathlist[0], pathlist[-1])
+    return h @ GL2.from_rows(cfg, ((1, -b), (0, 1)) if a == 1 else ((0, 1), (1, -a)))
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 2, 4), (3, 1, 3), (5, 1, 2)])
+def test_integer_frame_coordinate_matches_padic_oracle(p, k, n):
+    # at the registry precision: every ordered vertex pair, every vertex and
+    # edge transport, and map_path from every geodesic onto its reverse
+    cfg = PadicConfig(p, k + 2 * n + 12)
+    verts = vertices_upto(p, n)
+    for v in verts:
+        for w in verts:
+            assert _coord_in_frame(v, w) == _coord_in_frame_oracle(cfg, v, w), (v, w)
+    for v in verts:
+        assert _digits(transport(cfg, v)) == _digits(_standardize_oracle(cfg, [v])), v
+    for e in edges_upto(p, n):
+        want = _digits(_standardize_oracle(cfg, [e.src, e.dst]))
+        assert _digits(transport(cfg, e)) == want, e
+        assert _digits(transport(cfg, OrientedEdge(e.dst, e.src))) == want, e
+    for v in verts:
+        for w in verts:
+            P = path(v, w)
+            want = _standardize_oracle(cfg, P[::-1]) @ _standardize_oracle(cfg, P).inverse()
+            assert _digits(map_path(cfg, P, P[::-1])) == _digits(want), (v, w)
 
 
 # -- congruence subgroups ------------------------------------------------------------
