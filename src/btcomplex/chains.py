@@ -13,14 +13,17 @@ restriction through the chain of intermediate registry discs
 (registry_restrict), which makes restriction functorial on the registry poset
 by construction, so the telescoping identities of the complex cancel exactly.
 
-A restriction is a linear map of coefficient vectors.  Each one-step
-restriction is stored as its (d+1)x(d+1) operator, the truncated powers of
-the step's transition series (built from the two discs' Ball.param matrices
-and mobius_series), once per (registry, step, d) in the registry's ``steps``
-table; the chain of steps between two registry discs is read off ball_chain
-once per (registry, source disc, target disc, d) into its ``routes`` table,
-whose entries point at the shared step operators.  Both tables live and die
-with the registry, and every restriction is a run of matrix-vector products.
+Restriction and the group action are one pull-back, f |-> f o sigma for
+sigma the series of a Moebius transition, and one kernel computes it:
+_operator turns a transition matrix into the truncated linear map of
+coefficient vectors (column j the truncated sigma^j), and _apply runs it.  A
+restriction step's transition is read off the two discs' Ball.param matrices
+(_transition); the action's is the disc chart composed with g.  The complex
+maps walk the registry's ``routes`` table, (source disc, target disc, d) ->
+((disc, operator), ...), filled once from ball_chain: the route of two
+adjacent discs is its one step, whose operator is built there, and a longer
+route shares its steps' entries, so each operator is built once per
+(registry, step, d) and lives and dies with the registry.
 
 The group action enters only through act_on_function and the cocycle; the
 boundary maps never see the character.
@@ -154,16 +157,6 @@ def mobius_series(g: GL2, D: int):
     return _series_mul(num, inv_den, D)
 
 
-def _compose_poly(coeffs, sigma, D):
-    """(f o sigma) to degree D for a polynomial f and series sigma."""
-    cfg = coeffs[0].cfg
-    out = [coeffs[-1]] + [cfg.zero()] * D
-    for j in range(len(coeffs) - 2, -1, -1):
-        out = _series_mul(out, sigma, D)
-        out[0] = out[0] + coeffs[j]
-    return out
-
-
 def _int_binom(m: int, i: int) -> int:
     """binom(m, i) for any integer m (negative included); always an integer."""
     num = 1
@@ -197,32 +190,37 @@ def _binomial_series(cfg: PadicConfig, a0: PadicNum, a1: PadicNum, e: int, D: in
 def restrict(f: TruncFun, target: Ball, *, op=None) -> TruncFun:
     """Exact restriction onto a sub-disc, truncated to the same degree bound.
 
-    The restriction is a linear map of the coefficients: f |-> f o sigma to
-    degree d, for sigma the transition series of the two disc coordinates, so
-    it is applied as the matrix-vector product of the step operator whose
-    column j is sigma^j (_operator).  For same-chart discs sigma is
-    affine, degree is preserved and nothing is discarded; otherwise the
-    degree-d tail is dropped.  op is that operator; registry_restrict passes
-    it from its registry's route table, and when it is omitted it is built
-    here, on every call, by the same code.
+    The restriction is the pull-back f |-> f o sigma to degree d along the
+    transition of the two disc coordinates (_transition), applied as the
+    matrix-vector product of its operator (_operator).  For same-chart discs
+    sigma is affine, degree is preserved and nothing is discarded; otherwise
+    the degree-d tail is dropped.  op is that operator; registry_restrict
+    passes it from its registry's route table, and when it is omitted it is
+    built here, on every call, by the same code.
     """
     if not target.subset(f.ball):
         raise ValueError(f"{target.id_str()} is not inside {f.ball.id_str()}")
     if target is f.ball or target.cell == f.ball.cell:
         return f
     if op is None:
-        D = f.degree_bound
-        op = _operator(_transition_series(f.cfg, f.ball, target, D), D)
+        op = _operator(_transition(f.cfg, f.ball, target), f.degree_bound)
     return TruncFun(f.cfg, target, _apply(op, f.coeffs))
 
 
-def _operator(sigma, D):
-    """The matrix of f |-> f o sigma on polynomials of degree <= D, truncated
-    to degree D: column j holds the coefficients of sigma^j.  Stored by rows,
-    each row the (j, entry) pairs of its nonzero entries, highest j first,
-    the order in which Horner's rule (_compose_poly) adds the terms: truncated
-    sums are exact in value but not associative in their stored precision."""
-    cfg = sigma[0].cfg
+def _operator(trans: GL2, D: int):
+    """The matrix of the pull-back f |-> f(t.trans) on polynomials of degree
+    <= D, truncated to degree D: column j holds the coefficients of sigma^j,
+    for sigma = mobius_series(trans, D).  The one place a transition becomes
+    a linear map, for restriction steps and the group action alike.  A
+    transition whose series is not p-integral does not carry Z_p into Z_p
+    and is refused.  Stored by rows, each row the (j, entry) pairs of its
+    nonzero entries, highest j first, the order in which Horner's rule adds
+    the terms: truncated sums are exact in value but not associative in their
+    stored precision."""
+    sigma = mobius_series(trans, D)
+    if not all(c.is_zero() or c.valuation >= 0 for c in sigma):
+        raise ValueError("transition series is not p-integral: the map does not carry Z_p into Z_p")
+    cfg = trans.cfg
     columns = [[cfg.one()] + [cfg.zero()] * D]
     for _ in range(D):
         columns.append(_series_mul(columns[-1], sigma, D))
@@ -244,48 +242,27 @@ def _apply(op, coeffs):
     return out
 
 
-def _integral_series(trans: GL2, D: int):
-    """mobius_series of a transition, refusing one that does not carry Z_p
-    into Z_p: every coefficient must be p-integral."""
-    sigma = tuple(mobius_series(trans, D))
-    if not all(c.is_zero() or c.valuation >= 0 for c in sigma):
-        raise ValueError("transition series is not p-integral: the map does not carry Z_p into Z_p")
-    return sigma
-
-
-def _transition_series(cfg: PadicConfig, src: Ball, dst: Ball, D: int):
-    """Series of the coordinate change from src's canonical coordinate to
-    dst's, for dst inside src, to degree D."""
-    trans = GL2.from_rows(cfg, dst.param()) @ GL2.from_rows(cfg, src.param()).inverse()
-    return _integral_series(trans, D)
-
-
-def _pull_back(coeffs, trans: GL2, D: int):
-    """Coefficients of t |-> f(t.trans) to degree D, for f with coefficients
-    coeffs and a transition carrying Z_p into Z_p."""
-    return _compose_poly(coeffs, _integral_series(trans, D), D)
-
-
-def _step_operator(reg: OrbitRegistry, a: int, b: int, D: int):
-    """The operator of the one-step restriction from registry ball a to ball b
-    to degree D, built on first use and kept in the registry's step table."""
-    key = (a, b, D)
-    op = reg.steps.get(key)
-    if op is None:
-        op = reg.steps[key] = _operator(_transition_series(reg.cfg, reg.balls[a], reg.balls[b], D), D)
-    return op
+def _transition(cfg: PadicConfig, src: Ball, dst: Ball) -> GL2:
+    """The coordinate change from src's canonical coordinate to dst's."""
+    return GL2.from_rows(cfg, dst.param()) @ GL2.from_rows(cfg, src.param()).inverse()
 
 
 def _route(reg: OrbitRegistry, src: int, dst: int, D: int):
-    """((target ball, step operator), ...) along the chain of registry balls
-    from ball src down to ball dst, to degree D, read off ball_chain once and
-    kept in the registry's route table; the operators are the step table's."""
+    """((target ball, operator), ...) along the chain of registry balls from
+    ball src down to ball dst, to degree D, read off ball_chain once and kept
+    in the registry's route table.  The route of two adjacent balls is its
+    one step, whose operator is built here; a longer route joins its steps'
+    routes and shares their entries, so each operator is built once per
+    (registry, step, D).  The route from a ball to itself is empty."""
     key = (src, dst, D)
     route = reg.routes.get(key)
     if route is None:
         chain = reg.ball_chain(src, dst)
-        route = reg.routes[key] = tuple((reg.balls[b], _step_operator(reg, a, b, D))
-                                        for a, b in zip(chain, chain[1:]))
+        if len(chain) == 2:
+            route = ((reg.balls[dst], _operator(_transition(reg.cfg, reg.balls[src], reg.balls[dst]), D)),)
+        else:
+            route = tuple(step for a, b in zip(chain, chain[1:]) for step in _route(reg, a, b, D))
+        reg.routes[key] = route
     return route
 
 
@@ -293,11 +270,8 @@ def registry_restrict(reg: OrbitRegistry, f: TruncFun, i: int, j: int) -> TruncF
     """Restriction used by the complex maps, of f on record i's disc to record
     j's: the composite of one-step restrictions along the chain of
     intermediate registry balls, which makes restriction functorial on the
-    registry poset by construction.  The chain and its step operators come
-    from the registry's route table (_route), so each route is read off
-    ball_chain once per (registry, source ball, target ball, d) and each step
-    operator is built once per (registry, step, d); every step is one
-    restrict call."""
+    registry poset by construction.  The chain and its operators come from
+    the registry's route table (_route); every step is one restrict call."""
     out = f
     for target, op in _route(reg, reg.ball_of[i], reg.ball_of[j], f.degree_bound):
         out = restrict(out, target, op=op)
@@ -312,11 +286,14 @@ def act_on_function(g: GL2, chi: Character, f: TruncFun):
 
     Expands chi1(det g) * chi2(cocycle) * f(x.g) in the disc coordinate to
     degree d + 4 and returns (degree-<=d part, min valuation of the discarded
-    guard coefficients).  When chi.m2 == d the degree-<=d space is the
-    algebraic representation Sym^d (x) det^m1, the composite is a polynomial
-    of degree <= d and the guard is INF.  For any other m2 the space is not
-    action-stable and the guard is the measured valuation of the tail; no
-    bound on it is promised.  Defined on discs lying inside a single section
+    guard coefficients).  f(x.g) is the pull-back along the transition of g
+    in the disc coordinate, by the operator restriction uses (_operator) to
+    degree d + 4, applied to f's coefficients padded with zeros.  When
+    chi.m2 == d the degree-<=d space is the algebraic representation
+    Sym^d (x) det^m1, the composite is a polynomial of degree <= d and the
+    guard is INF.  For any other m2 the space is not action-stable and the
+    guard is the measured valuation of the tail; no bound on it is
+    promised.  Defined on discs lying inside a single section
     branch (the closed unit disc, or its complement); elsewhere the cocycle
     twist is only piecewise analytic and NotAnalyticError is raised.
     """
@@ -338,7 +315,8 @@ def act_on_function(g: GL2, chi: Character, f: TruncFun):
     D = d + GUARD_DEGREES
     twist = _binomial_series(cfg, a0, a1, chi.m2, D)
     const = chi.chi1(g.det())
-    full = _series_mul(_pull_back(f.coeffs, Mg @ Mb.inverse(), D), twist, D)
+    pulled = _apply(_operator(Mg @ Mb.inverse(), D), f.coeffs + (cfg.zero(),) * GUARD_DEGREES)
+    full = _series_mul(pulled, twist, D)
     full = [const * c for c in full]
     guard_val = min((c.valuation for c in full[d + 1 :]), default=INF)
     return TruncFun(cfg, ball, full[: d + 1]), guard_val
@@ -667,10 +645,14 @@ def verify_exactness(reg: OrbitRegistry, d: int, seed: int = 0) -> dict:
                 witness = f"{rec.id_str()} degree {j}"
     check("kernel lift section", lift_ok, witness)
 
-    min_inj = all(
-        restrict(monomial(cfg, mr.ball, d, d), mr.ball) == monomial(cfg, mr.ball, d, d)
-        for mr in reg.minimal_records()
-    )
+    # a function on one minimal record is that function on that record alone
+    min_inj = True
+    for m, is_min in enumerate(reg.minimal):
+        if is_min:
+            f = monomial(cfg, reg.records[m].ball, d, d)
+            alone = Chain(reg, d, {m: f})
+            if restrict(f, f.ball) != f or partial0(alone, reg) != alone:
+                min_inj = False
     check("augmentation faithful on minimal records", min_inj)
 
     dim_c1 = (d + 1) * len(reg.edge_ids())

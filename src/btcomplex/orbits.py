@@ -124,11 +124,9 @@ class OrbitRegistry:
     build on first use, so counting-only callers never pay for the quadratic
     relation.
 
-    Two tables of the chains layer fill on first use and belong to this
-    registry alone: ``steps``, (source ball id, target ball id, degree bound)
-    -> the operator of that one-step restriction, and ``routes``, (source ball
-    id, target ball id, degree bound) -> ((ball, operator), ...) along
-    ``ball_chain``, whose operators are the ones in ``steps``.
+    The chains layer's route table fills on first use and belongs to this
+    registry alone: ``routes``, (source ball id, target ball id, degree bound)
+    -> ((ball, operator), ...) along ``ball_chain``.
     """
 
     cfg: PadicConfig
@@ -141,7 +139,6 @@ class OrbitRegistry:
     minimal: list = field(default_factory=list)  # vertex record index -> bool
     owner: dict = field(default_factory=dict)  # edge record index -> vertex record index
     nonmin_order: list = field(default_factory=list)  # non-minimal vertex record indices, ordered
-    steps: dict = field(default_factory=dict, repr=False, compare=False)  # (a, b, d) -> operator
     routes: dict = field(default_factory=dict, repr=False, compare=False)  # (a, b, d) -> route
 
     @property

@@ -6,7 +6,11 @@ distinguished value (valuation +infinity), never an underflowed unit, so
 membership and partition decisions downstream stay exact.  Additions that
 cancel all stored digits return exact zero: every quantity in this package
 is only ever interrogated far above the precision floor, and the driver
-picks the working precision with guard digits to keep it that way.
+picks the working precision with guard digits to keep it that way.  So two
+evaluation orders of one sum agree only modulo the precision of its inputs:
+at p = 2, t^2 known mod 2 pulled back along 1 + 2t has degree-1 coefficient
+4 mod 8 summed term by term, and exact zero by Horner's rule, where 2c + 2c
+cancels.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ def val_fraction(x: Fraction, p: int):
 class PadicConfig:
     """Working context: the prime p and the stored precision N (digits per unit)."""
 
-    __slots__ = ("p", "N")
+    __slots__ = ("p", "N", "_zero")
 
     def __init__(self, p: int, N: int):
         if not is_prime(p):
@@ -65,6 +69,7 @@ class PadicConfig:
             raise ValueError(f"precision N must be >= 1, got {N}")
         self.p = p
         self.N = N
+        self._zero = PadicNum(self, INF, 0, N)
 
     def __repr__(self):
         return f"PadicConfig(p={self.p}, N={self.N})"
@@ -76,7 +81,9 @@ class PadicConfig:
         return hash((self.p, self.N))
 
     def zero(self) -> "PadicNum":
-        return PadicNum(self, INF, 0, self.N)
+        """The exact zero of this context, one object shared by every caller:
+        nothing assigns a PadicNum's slots after it is built."""
+        return self._zero
 
     def one(self) -> "PadicNum":
         return PadicNum(self, 0, 1, self.N)
