@@ -207,24 +207,27 @@ def restrict(f: TruncFun, target: Ball, *, op=None) -> TruncFun:
     return TruncFun(f.cfg, target, _apply(op, f.coeffs))
 
 
-def _operator(trans: GL2, D: int):
+def _operator(trans: GL2, D: int, width: int | None = None):
     """The matrix of the pull-back f |-> f(t.trans) on polynomials of degree
     <= D, truncated to degree D: column j holds the coefficients of sigma^j,
     for sigma = mobius_series(trans, D).  The one place a transition becomes
-    a linear map, for restriction steps and the group action alike.  A
-    transition whose series is not p-integral does not carry Z_p into Z_p
-    and is refused.  Stored by rows, each row the (j, entry) pairs of its
-    nonzero entries, highest j first, the order in which Horner's rule adds
-    the terms: truncated sums are exact in value but not associative in their
-    stored precision."""
+    a linear map, for restriction steps and the group action alike.  Only
+    the first width columns are built (all D + 1 by default): the action
+    expands a degree-d function to degree D > d, and its coefficients past d
+    are zero.  A transition whose series is not p-integral does not carry
+    Z_p into Z_p and is refused.  Stored by rows, each row the (j, entry)
+    pairs of its nonzero entries, highest j first, the order in which
+    Horner's rule adds the terms: truncated sums are exact in value but not
+    associative in their stored precision."""
     sigma = mobius_series(trans, D)
     if not all(c.is_zero() or c.valuation >= 0 for c in sigma):
         raise ValueError("transition series is not p-integral: the map does not carry Z_p into Z_p")
     cfg = trans.cfg
+    top = D if width is None else width - 1
     columns = [[cfg.one()] + [cfg.zero()] * D]
-    for _ in range(D):
+    for _ in range(top):
         columns.append(_series_mul(columns[-1], sigma, D))
-    return tuple(tuple((j, columns[j][i]) for j in range(D, -1, -1) if not columns[j][i].is_zero())
+    return tuple(tuple((j, columns[j][i]) for j in range(top, -1, -1) if not columns[j][i].is_zero())
                  for i in range(D + 1))
 
 
@@ -243,8 +246,14 @@ def _apply(op, coeffs):
 
 
 def _transition(cfg: PadicConfig, src: Ball, dst: Ball) -> GL2:
-    """The coordinate change from src's canonical coordinate to dst's."""
-    return GL2.from_rows(cfg, dst.param()) @ GL2.from_rows(cfg, src.param()).inverse()
+    """The coordinate change from src's canonical coordinate to dst's, formed
+    exactly from the two Ball.param matrices, dst's times the inverse of
+    src's, and converted to p-adic numbers once, so no digit is lost."""
+    (a, b), (c, d) = src.param()
+    det = a * d - b * c
+    (e, f), (g, h) = dst.param()
+    return GL2(cfg, (e * d - f * c) / det, (f * a - e * b) / det,
+               (g * d - h * c) / det, (h * a - g * b) / det)
 
 
 def _route(reg: OrbitRegistry, src: int, dst: int, D: int):
@@ -288,7 +297,8 @@ def act_on_function(g: GL2, chi: Character, f: TruncFun):
     degree d + 4 and returns (degree-<=d part, min valuation of the discarded
     guard coefficients).  f(x.g) is the pull-back along the transition of g
     in the disc coordinate, by the operator restriction uses (_operator) to
-    degree d + 4, applied to f's coefficients padded with zeros.  When
+    degree d + 4, of which only the d + 1 columns that meet f's coefficients
+    are built.  When
     chi.m2 == d the degree-<=d space is the algebraic representation
     Sym^d (x) det^m1, the composite is a polynomial of degree <= d and the
     guard is INF.  For any other m2 the space is not action-stable and the
@@ -315,7 +325,7 @@ def act_on_function(g: GL2, chi: Character, f: TruncFun):
     D = d + GUARD_DEGREES
     twist = _binomial_series(cfg, a0, a1, chi.m2, D)
     const = chi.chi1(g.det())
-    pulled = _apply(_operator(Mg @ Mb.inverse(), D), f.coeffs + (cfg.zero(),) * GUARD_DEGREES)
+    pulled = _apply(_operator(Mg @ Mb.inverse(), D, d + 1), f.coeffs)
     full = _series_mul(pulled, twist, D)
     full = [const * c for c in full]
     guard_val = min((c.valuation for c in full[d + 1 :]), default=INF)

@@ -6,10 +6,21 @@ the unit disc and p^-k on the outside.  Every other simplex is handled by
 transporting the standard picture with the deterministic path-transitivity
 element: orbits move by B -> B.g^{-1} when the simplex moves by g.
 
+Each orbit disc is the set of ends beyond one oriented edge x -> y of the
+tree: D(y) when y is x's child, P^1 minus D(x) when y is x's parent, where
+D(u) is the residue cell read off u's coordinate.  So the transport is done
+on the tree, in integers: the simplex's integer transport carries the
+standard orbits' edges onto its own, and each disc is built once from its
+cell key (Ball.from_cell).  The Moebius image of the standard disc under
+the p-adic transport gives the same ball; that transport stays where the
+group acts (sample_group_element) and as the tests' oracle.
+
 The registry collects all orbit records over a ball of simplices, flags the
 minimal ones (the smallest discs: the level-(n+k) residue cells, p^k at each
 deepest vertex), links containments, and fixes the total order used by the
 boundary matrix: measure descending, then owner direction, then ball key.
+check_partition certifies a disjoint cover by exact measure and an antichain
+test on the cell keys.
 """
 
 from __future__ import annotations
@@ -18,16 +29,19 @@ import random
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
-from itertools import combinations
 
 from .padics import PadicConfig
-from .projline import Ball, GL2, ProjPoint, moebius_ball_image
+from .projline import Ball, GL2, ProjPoint, _inside
 from .tree import (
     OrientedEdge,
     Vertex,
+    _act_coord,
+    _point_cell,
+    _simplex_path,
     edges_upto,
     level_exponents,
     transport,
+    transport_rows,
     vertices_upto,
 )
 
@@ -53,35 +67,55 @@ class OrbitRecord:
 
 
 @cache
-def _standard_vertex_balls(cfg: PadicConfig, k: int):
-    p = cfg.p
-    return (*(Ball.z_disc(cfg, r, k) for r in range(p**k)),
-            *(Ball.u_disc(cfg, u, k) for u in range(0, p**k, p)))
+def _standard_targets(p: int, k: int, vertex: bool) -> tuple:
+    """The standard simplex's level-k orbits, in record order, each as the far
+    vertex y of its oriented edge x -> y, by (depth m, a, b) with (a : b) y's
+    coordinate.  For v0 they are the ends beyond its depth-k vertices: the
+    z-cells r mod p^k, then the w-cells u in pZ mod p^k.  For (v0, v1) they are
+    v1's orbits on v0's side, the ends beyond v0's depth-(k-1) z-side vertices
+    (at k = 1, beyond the edge v1 -> v0), then v0's on v1's side, the ends
+    beyond v1's descendants at depth k."""
+    def z_side(m):
+        q = p**m
+        return [(m, r, 1) if r % p == 0 else (m, 1, pow(r, -1, q)) for r in range(q)]
+
+    near = z_side(k) if vertex else (z_side(k - 1) if k > 1 else [(0, 1, 0)])
+    return (*near, *((k, 1, u) for u in range(0, p**k, p)))
 
 
-@cache
-def _standard_edge_balls(cfg: PadicConfig, k: int):
-    p = cfg.p
-    return (*(Ball.z_disc(cfg, r, k - 1) for r in range(p ** (k - 1))),
-            *(Ball.u_disc(cfg, u, k) for u in range(0, p**k, p)))
+def _orbit_cells(simplex, k: int):
+    """The cell keys (Ball.cell) of a simplex's level-k orbit discs in record
+    order, in integers, with each orbit's owner: the simplex itself for a
+    vertex; for an edge the child for the first half of its orbits and the
+    parent for the rest.
 
-
-def _standard_balls(cfg: PadicConfig, simplex, k: int):
-    """The level-k orbit discs of the standard simplex of the same kind, built
-    once per (cfg, k): for v0 the discs of radius p^-k in both charts; for
-    (v0, v1) the discs of radius p^-(k-1) on the unit disc, which are v1's
-    orbits, then v0's discs of radius p^-k outside it."""
-    if isinstance(simplex, Vertex):
-        return _standard_vertex_balls(cfg, k)
-    return _standard_edge_balls(cfg, k)
+    The transport h (tree.transport_rows) carries each standard orbit's edge
+    x -> y onto the edge h.x -> h.y, and the orbit is the set of ends beyond
+    it.  h.y lies at distance k from the owner w, and h.x is its neighbour
+    toward w: y's parent, so the disc is D(h.y), unless h.y is an ancestor
+    of w, at depth n(w) - k, when h.x is w's ancestor one level deeper and the
+    disc is P^1 minus D(h.x)."""
+    path = _simplex_path(simplex)  # [vertex] or [parent, child]
+    p, n = path[0].p, path[0].n  # h carries v0 onto path[0], so det h has valuation n
+    targets = _standard_targets(p, k, len(path) == 1)
+    half = len(targets) // 2
+    owners = path * len(targets) if len(path) == 1 else [path[1]] * half + [path[0]] * half
+    h = transport_rows(simplex)
+    out = []
+    for (m, a, b), w in zip(targets, owners):
+        depth, s, t = _act_coord(p, h, n, m, a, b)
+        if depth == w.n - k:
+            key = (*_point_cell(p, depth + 1, *w.coord), True)
+        else:
+            key = (*_point_cell(p, depth, s, t), False)
+        out.append((key, w))
+    return out
 
 
 def enumerate_orbits(cfg: PadicConfig, simplex, k: int):
     """All level-k orbit records of a simplex: pairwise-disjoint discs covering P^1."""
     assert k >= 1
-    hinv = transport(cfg, simplex).inverse()
-    records = [OrbitRecord(simplex, k, moebius_ball_image(hinv, b))
-               for b in _standard_balls(cfg, simplex, k)]
+    records = [OrbitRecord(simplex, k, Ball.from_cell(cfg, key)) for key, _ in _orbit_cells(simplex, k)]
     assert len({r.ball for r in records}) == len(records)
     return records
 
@@ -111,9 +145,11 @@ class OrbitRegistry:
       same disc at the endpoint owning the orbit.
 
     Every disc is a residue cell of P^1 or the complement of one
-    (``Ball.cell``), and its mass is read off that cell.  The minimal records
-    are the smallest discs: the level-(n+k) cells, which only the p^k finest
-    orbits of each deepest vertex reach.
+    (``Ball.cell``), and its mass is read off that cell.  The registry holds
+    one Ball per distinct disc, shared by every record of it.  The minimal
+    records are the smallest discs: the level-(n+k) cells, which only the p^k
+    finest orbits of each deepest vertex reach.  ``index`` is built on first
+    use: the build itself identifies records by position.
 
     The distinct vertex-record discs have dense ids too: ``balls[b]`` is disc
     b, superset-first, and ``ball_of[i]`` is record i's (an edge record takes
@@ -135,7 +171,6 @@ class OrbitRegistry:
     vertex_records: dict = field(default_factory=dict)  # Vertex -> [OrbitRecord]
     edge_records: dict = field(default_factory=dict)  # OrientedEdge -> [OrbitRecord]
     records: list = field(default_factory=list)  # index -> OrbitRecord
-    index: dict = field(default_factory=dict)  # OrbitRecord -> index
     minimal: list = field(default_factory=list)  # vertex record index -> bool
     owner: dict = field(default_factory=dict)  # edge record index -> vertex record index
     nonmin_order: list = field(default_factory=list)  # non-minimal vertex record indices, ordered
@@ -165,6 +200,11 @@ class OrbitRegistry:
 
     def nonminimal_records(self):
         return [r for r, m in zip(self.records, self.minimal) if not m]
+
+    @cached_property
+    def index(self) -> dict:
+        """OrbitRecord -> its index."""
+        return {r: i for i, r in enumerate(self.records)}
 
     # -- the containment relation and the tables read off it, on first use -----
 
@@ -228,37 +268,49 @@ class OrbitRegistry:
 
 def _total_order_key(rec: OrbitRecord):
     # Measure-descending refines inclusion strictly; ties broken by the owner
-    # vertex's direction, then by the ball's canonical key.
-    mu = rec.ball.measure()
-    return (-mu, rec.simplex.sort_key(), rec.ball.sort_key())
+    # vertex's direction, then by the ball's canonical key.  The measure is
+    # read off the cell: a complement (mass 1 + 1/p - 1/q) outweighs every
+    # cell (mass 1/q), and a finer hole weighs more.
+    _, q, _, flip = rec.ball.cell
+    return ((0, -q) if flip else (1, q), rec.simplex.sort_key(), rec.ball.sort_key())
 
 
 def build_registry(cfg: PadicConfig, n: int, k: int) -> OrbitRegistry:
-    """All orbit records for simplices within distance n of the root."""
+    """All orbit records for simplices within distance n of the root, built
+    in integers (_orbit_cells): one Ball per distinct disc, shared by every
+    record of that disc."""
     assert n >= 0 and k >= 1
     reg = OrbitRegistry(cfg, n, k)
     p = cfg.p
+    discs = {}  # cell key -> its one Ball
+    at = {}  # (vertex, cell key) -> the vertex record's index
+    records = reg.records
+
+    def add(simplex, key):
+        ball = discs.get(key)
+        if ball is None:
+            ball = discs[key] = Ball.from_cell(cfg, key)
+        rec = OrbitRecord(simplex, k, ball)
+        records.append(rec)
+        return rec
+
     for v in vertices_upto(p, n):
-        reg.vertex_records[v] = enumerate_orbits(cfg, v, k)
-    at_v0 = set(_standard_vertex_balls(cfg, k))  # the other standard edge discs are v1's
-    owner_is_child = [b not in at_v0 for b in _standard_edge_balls(cfg, k)]
-    owners = []  # per edge record: the record of the same disc at its owner
+        recs = reg.vertex_records[v] = []
+        for key, _ in _orbit_cells(v, k):
+            at[v, key] = len(records)
+            recs.append(add(v, key))
+    finest = p ** (n + k)  # the minimal records: the level-(n+k) cells
+    reg.minimal = [n >= 1 and not r.ball.cell[3] and r.ball.cell[1] == finest for r in records]
     for e in edges_upto(p, n):
-        recs = reg.edge_records[e] = enumerate_orbits(cfg, e, k)
-        for rec, child in zip(recs, owner_is_child):
-            owners.append(OrbitRecord(e.dst if child else e.src, k, rec.ball))
-    for recs in (*reg.vertex_records.values(), *reg.edge_records.values()):
-        reg.records.extend(recs)
-    reg.index = {r: i for i, r in enumerate(reg.records)}
-    smallest = Fraction(1, p ** (n + k))  # the mass of a level-(n+k) cell
-    reg.minimal = [n >= 1 and r.ball.measure() == smallest
-                   for recs in reg.vertex_records.values() for r in recs]
-    for i, rec in zip(reg.edge_ids(), owners):
-        if rec not in reg.index:
-            raise AssertionError(f"edge orbit {reg.records[i]!r} has no record at its owner")
-        reg.owner[i] = reg.index[rec]
+        recs = reg.edge_records[e] = []
+        for key, w in _orbit_cells(e, k):  # w: the endpoint owning the orbit
+            rec = add(e, key)
+            if (w, key) not in at:
+                raise AssertionError(f"edge orbit {rec!r} has no record at its owner")
+            reg.owner[len(records) - 1] = at[w, key]
+            recs.append(rec)
     nonmin = [i for i, m in enumerate(reg.minimal) if not m]
-    reg.nonmin_order = sorted(nonmin, key=lambda i: _total_order_key(reg.records[i]))
+    reg.nonmin_order = sorted(nonmin, key=lambda i: _total_order_key(records[i]))
     return reg
 
 
@@ -288,13 +340,33 @@ def check_partition(cfg: PadicConfig, balls) -> bool:
     """Exact disjoint-cover test: the balls' exact measures sum to the measure
     1 + 1/p of P^1, and no two of them meet.  Pairwise disjoint balls of full
     total measure cover P^1, since any uncovered part would be a nonempty open
-    set of positive measure.  Residue-cell enumeration (``ball_cells`` in the
-    tests' ``residue_cells`` helper) is the oracle the tests compare this
-    against."""
-    balls = list(balls)
-    if sum(b.measure() for b in balls) != 1 + Fraction(1, cfg.p):
+    set of positive measure.
+
+    Disjointness is decided on the cell keys (Ball.cell) in one pass: two
+    complements of cells always meet, so there is at most one; a cell misses
+    it exactly when it lies inside its hole; and two cells, which nest or
+    miss, are disjoint unless one is an ancestor of, or equal to, the other,
+    which each cell tests against the set of cells at its coarser levels.
+    Measures are summed in integers, in units of the finest cell."""
+    cells = [b.cell for b in balls]
+    p = cfg.p
+    unit = max((q for _, q, _, _ in cells), default=p)
+    mass = sum(unit + unit // p - unit // q if flip else unit // q for _, q, _, flip in cells)
+    if mass != unit + unit // p:
         return False
-    return all(a.disjoint(b) for a, b in combinations(balls, 2))
+    holes = [c for c in cells if c[3]]
+    plain = {c[:3] for c in cells if not c[3]}
+    if len(holes) > 1 or len(plain) + len(holes) != len(cells):
+        return False
+    for chart, q, r in plain:
+        if any(not _inside((chart, q, r), hole) for hole in holes):
+            return False
+        up = q // p
+        while up > 1:
+            if (chart, up, r % up) in plain:
+                return False
+            up //= p
+    return True
 
 
 def expected_orbit_count(p: int, k: int, simplex) -> int:

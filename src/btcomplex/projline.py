@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .padics import INF, PadicConfig, PadicNum, PrecisionError, val_fraction
+from .padics import INF, PadicConfig, PadicNum, PrecisionError, val_fraction, val_int
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +240,28 @@ class Ball:
         _check_exponent(cfg, m)
         return Ball(cfg.p, True, _canonical_center(cfg, center, m), m)
 
+    @staticmethod
+    def from_cell(cfg: PadicConfig, key: tuple) -> "Ball":
+        """The ball whose cell (see Ball.cell) is key, with the key stored: the
+        inverse of Ball.cell, in integers.  A z-cell r mod p^d is the disc of
+        radius exponent d around r; the w-cell 0 is the complement of the disc
+        { val x >= 1 - d }; a w-cell r = p^j u (u a unit) is the disc around 1/r
+        of radius exponent d - 2j."""
+        p = cfg.p
+        chart, q, r, flip = key
+        d = val_int(q, p)
+        if chart == "z":
+            comp, center, m = flip, Fraction(r), d
+        elif r == 0:
+            comp, center, m = not flip, Fraction(0), 1 - d
+        else:
+            m = d - 2 * val_int(r, p)
+            comp, center = flip, _reduce_fraction(p, Fraction(1, r), m)
+        _check_exponent(cfg, m)
+        ball = Ball(p, comp, center, m)
+        ball.__dict__["cell"] = key
+        return ball
+
     # -- presentation ---------------------------------------------------------
 
     def chart_data(self):
@@ -282,6 +304,12 @@ class Ball:
         else:  # val x = v on the disc, so val(1/x - 1/c) = val(x - c) - 2v
             chart, q, r, flip = "w", p ** (m - 2 * v), int(_reduce_fraction(p, 1 / c, m - 2 * v)), False
         return (chart, q, r, flip != self.complement)
+
+    def __hash__(self):
+        # equal balls have equal cells; the chart is hashed as a flag so that
+        # the hash, and the order of sets of balls, is the same in every process
+        chart, q, r, flip = self.cell
+        return hash((chart == "z", q, r, flip))
 
     def subset(self, other: "Ball") -> bool:
         a, b = self.cell, other.cell

@@ -13,6 +13,7 @@ common digit prefix) and the classical ball parametrization of directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .padics import INF, PadicConfig, val_int
 from .projline import GL2
@@ -279,6 +280,17 @@ def is_geodesic(pathlist) -> bool:
     return all(pathlist[i + 1] != pathlist[i - 1] for i in range(1, len(pathlist) - 1))
 
 
+def _frame(pathlist):
+    """The integer rows (h, w) of the closed form of _standardize: h the basis
+    matrix of the first vertex, and w the matrix carrying the standard path
+    onto the path in h's frame (None for a one-vertex path)."""
+    h = pathlist[0].basis_matrix()
+    if len(pathlist) == 1:
+        return h, None
+    a, b = _coord_in_frame(pathlist[0], pathlist[-1])
+    return h, ((1, -b), (0, 1)) if a == 1 else ((0, 1), (1, -a))
+
+
 def _standardize(cfg: PadicConfig, pathlist) -> GL2:
     """g with g.(standard path) = pathlist, in closed form.
 
@@ -292,11 +304,9 @@ def _standardize(cfg: PadicConfig, pathlist) -> GL2:
     a lies in pZ, turns (1 : 0) into (a : b) and carries every v_i onto u's
     ancestor at depth i at once; g = h w.
     """
-    h = GL2.from_rows(cfg, pathlist[0].basis_matrix())
-    if len(pathlist) == 1:
-        return h
-    a, b = _coord_in_frame(pathlist[0], pathlist[-1])
-    return h @ GL2.from_rows(cfg, ((1, -b), (0, 1)) if a == 1 else ((0, 1), (1, -a)))
+    h, w = _frame(pathlist)
+    g = GL2.from_rows(cfg, h)
+    return g if w is None else g @ GL2.from_rows(cfg, w)
 
 
 def map_path(cfg: PadicConfig, path_p, path_q) -> GL2:
@@ -315,16 +325,68 @@ def map_path(cfg: PadicConfig, path_p, path_q) -> GL2:
     return g
 
 
+def _simplex_path(simplex):
+    """The path the standard simplex is carried onto: [the vertex], or the
+    edge's [parent, child] in either orientation."""
+    if isinstance(simplex, Vertex):
+        return [simplex]
+    src, dst = simplex.src, simplex.dst
+    return [src, dst] if src.n < dst.n else [dst, src]
+
+
 def transport(cfg: PadicConfig, simplex) -> GL2:
     """h carrying the standard simplex onto a vertex or edge: v0 to the vertex
     (its basis matrix), or the standard edge (v0, v1) to (parent, child) in
     either orientation, by the closed form of _standardize.  Equals map_path
     from the standard path of the same length, whose own standardizing element
     is the identity."""
-    if isinstance(simplex, Vertex):
-        return _standardize(cfg, [simplex])
-    src, dst = simplex.src, simplex.dst
-    return _standardize(cfg, [src, dst] if src.n < dst.n else [dst, src])
+    return _standardize(cfg, _simplex_path(simplex))
+
+
+def transport_rows(simplex) -> tuple:
+    """The integer rows of transport(cfg, simplex): the same matrix h w, the
+    product taken in integers."""
+    h, w = _frame(_simplex_path(simplex))
+    if w is None:
+        return h
+    (h11, h12), (h21, h22) = h
+    (w11, w12), (w21, w22) = w
+    return ((h11 * w11 + h12 * w21, h11 * w12 + h12 * w22),
+            (h21 * w11 + h22 * w21, h21 * w12 + h22 * w22))
+
+
+def _act_coord(p: int, h, n: int, m: int, a: int, b: int):
+    """The integer matrix h (rows; det of valuation n) applied to the vertex u
+    of coordinate (a : b) at depth m, on coordinate tuples: (D, s, t) with D
+    the depth of h.u and (s : t) a unimodular pair whose reduction mod p^D is
+    its coordinate, up to a unit.  h.u is the lattice of M = h B, B u's basis
+    matrix, and adj(M) = adj(B) adj(h) has the rows (a, b) adj(h) and
+    p^m (0, 1) adj(h) for a = 1, p^m (1, 0) adj(h) otherwise.  With p^e the
+    content of those rows, M / p^e is primitive, so h.u has depth
+    n + m - 2e, and its coordinate is whichever row stays unimodular after
+    division by p^e (the two agree mod p^D)."""
+    (h11, h12), (h21, h22) = h
+    r1, r2 = a * h22 - b * h21, b * h11 - a * h12
+    q = p**m
+    s1, s2 = (-h21 * q, h11 * q) if a == 1 else (h22 * q, -h12 * q)
+    e = val_int(gcd(r1, r2, s1, s2), p)
+    pe = p**e
+    if r1 % (pe * p) or r2 % (pe * p):
+        return n + m - 2 * e, r1 // pe, r2 // pe
+    return n + m - 2 * e, s1 // pe, s2 // pe
+
+
+def _point_cell(p: int, d: int, s: int, t: int) -> tuple:
+    """(chart, p^d, r) of the level-d residue cell of the ends (x : y) = (s : t)
+    mod p^d, for a unimodular pair and d >= 1, in the vocabulary of Ball.cell:
+    x/y = r mod p^d (chart "z") when t is a unit, else y/x = r mod p^d (chart
+    "w").  For a vertex's coordinate it is D(v), the ends beyond v away from
+    the root: (a, 1) is the z-cell a, (1, b) the z-cell 1/b for b a unit and
+    the w-cell b for b in pZ."""
+    q = p**d
+    if t % p:
+        return ("z", q, s * pow(t, -1, q) % q)
+    return ("w", q, t * pow(s, -1, q) % q)
 
 
 # ---------------------------------------------------------------------------

@@ -356,12 +356,47 @@ def _op_bits(op):
     return [[(j, *_bits([e])[0]) for j, e in row] for row in op]
 
 
+def _exact_transition(cfg, src, dst):
+    """dst.param() times the inverse of src.param(), multiplied out in exact
+    Fractions and converted to p-adic numbers once."""
+    (a, b), (c, d) = (map(Fraction, row) for row in src.param())
+    det = a * d - b * c
+    inv = ((d / det, -b / det), (-c / det, a / det))
+    return GL2.from_rows(cfg, [[sum(x * y for x, y in zip(row, col)) for col in zip(*inv)]
+                               for row in dst.param()])
+
+
 def _fresh_operator(reg, a, b, d):
     """The operator of the step from ball a to ball b, built anew from a
     transition matrix computed here."""
-    cfg = reg.cfg
-    trans = GL2.from_rows(cfg, reg.balls[b].param()) @ GL2.from_rows(cfg, reg.balls[a].param()).inverse()
-    return chains._operator(trans, d)
+    return chains._operator(_exact_transition(reg.cfg, reg.balls[a], reg.balls[b]), d)
+
+
+def test_step_transitions_keep_every_digit():
+    # the transition is formed from the exact Ball.param rows and converted
+    # once; inverting the source's matrix in PadicNum left the constant term
+    # of the step z(3;2) -> z(7;3) at (2,2,2), N = 18, two digits short
+    cfg = PadicConfig(2, 18)
+    reg = build_registry(cfg, 2, 2)
+    assert (reg.balls[10].id_str(), reg.balls[22].id_str()) == ("z(3;2)", "z(7;3)")
+    assert reg.ball_chain(10, 22) == [10, 22]
+    steps = [(a, b) for b in range(len(reg.balls)) for a in reg.over[b] if reg.ball_chain(a, b) == [a, b]]
+    assert (10, 22) in steps
+    for a, b in steps:
+        sigma = mobius_series(chains._transition(cfg, reg.balls[a], reg.balls[b]), 3)
+        assert all(c.is_zero() or c.prec == cfg.N for c in sigma), (a, b)
+
+
+def test_operator_columns_are_a_prefix_of_the_full_operator():
+    # the action builds only the columns that meet a degree-d function's
+    # coefficients; they are the full operator's, bit for bit
+    reg = make_reg(3, 2, 1)
+    for b, a in [(b, a) for b in range(len(reg.balls)) for a in reg.over[b]][::8]:
+        trans = chains._transition(reg.cfg, reg.balls[a], reg.balls[b])
+        full = chains._operator(trans, 5)
+        for width in range(1, 7):
+            cut = chains._operator(trans, 5, width)
+            assert _op_bits(cut) == _op_bits(tuple(tuple(e for e in row if e[0] < width) for row in full))
 
 
 def _steps(reg):

@@ -130,6 +130,10 @@ GOLDEN = [
     ("counts --p 3 --k 2 --n 4", "30bb60fcde9a0d0d2f12db7f1afa38f738407b1bc35dc3ee3129e229f748922e"),
     # a boundary matrix at level k = 2
     ("matrix --p 2 --k 2 --n 2 --d 0", "99e9c02b5525d27d100e26ff2217fa5f032a0e557e823ce27f40b6ce55827487"),
+    # level k = 3, and p = 5
+    ("orbits --p 2 --k 3 --n 3", "ce3b5680eadc7db82715a4b45466e9ae8dafed710e0fb5c887c2ce842961c23e"),
+    ("counts --p 5 --k 1 --n 3", "75a70e45b0621f8c226f26b82c08a432f1c168504bebeeed93cc3f35d2a72402"),
+    ("minimal --p 2 --k 3 --n 4", "be5d339bf0383756112390fe1cfe6fb7af1916a8d5354a81a1984960e4ceabab"),
 ]
 
 

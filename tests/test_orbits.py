@@ -2,12 +2,21 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from btcomplex.padics import PadicConfig
-from btcomplex.projline import Ball, ProjPoint
-from btcomplex.tree import Vertex, edges_upto, standard_orientation, standard_path, vertices_upto
+from btcomplex.padics import PadicConfig, PadicNum
+from btcomplex.projline import GL2, Ball, ProjPoint, moebius_ball_image
+from btcomplex.tree import (
+    OrientedEdge,
+    Vertex,
+    edges_upto,
+    standard_orientation,
+    standard_path,
+    transport,
+    vertices_upto,
+)
 from btcomplex.orbits import (
     OrbitRecord,
     build_registry,
@@ -162,6 +171,13 @@ def test_partition_rejects_a_complement_overlapping_a_disc(p):
     # the hole of the complement is { val x >= 2 }, so both balls hold { val x = 1 }
     cfg = PadicConfig(p, 14)
     assert not check_partition(cfg, [Ball.complement_z(cfg, 0, 2), Ball.z_disc(cfg, 0, 1)])
+    # at full measure too, with no cell nested in another: { x = 1 mod p^2 }
+    # lies outside the hole { x = 0 mod p^2 }, which only the hole test sees
+    full = [Ball.complement_z(cfg, 0, 2), Ball.z_disc(cfg, 1, 2)]
+    assert sum(b.measure() for b in full) == 1 + Fraction(1, p)
+    assert check_partition(cfg, full) is _pairwise_partition(cfg, full) is False
+    hole = [Ball.complement_z(cfg, 0, 2), Ball.z_disc(cfg, 0, 2)]
+    assert check_partition(cfg, hole) is _pairwise_partition(cfg, hole) is True
 
 
 def partition_by_cells(cfg, balls, M):
@@ -424,3 +440,155 @@ def test_bfs_oracle_smoke():
             rec = orbit_of_point(cfg, s, k, z)
             got = bfs_orbit_cells(cfg, s, k, z, rng, generators=12, level=M)
             assert got == ball_cells(cfg, rec.ball, M)
+
+
+# -- the integer build against the Moebius transport ---------------------------
+
+
+def _standard_discs(cfg, simplex, k):
+    """The standard simplex's level-k orbit discs in record order: for v0 the
+    discs of radius p^-k in both charts; for (v0, v1) the discs of radius
+    p^-(k-1) on the unit disc, then v0's discs of radius p^-k outside it."""
+    p = cfg.p
+    m = k if isinstance(simplex, Vertex) else k - 1
+    return [*(Ball.z_disc(cfg, r, m) for r in range(p**m)),
+            *(Ball.u_disc(cfg, u, k) for u in range(0, p**k, p))]
+
+
+def _transported_discs(cfg, simplex, k):
+    """Oracle: the standard discs moved by B -> B.h^-1, h the simplex's transport."""
+    hinv = transport(cfg, simplex).inverse()
+    return [moebius_ball_image(hinv, b) for b in _standard_discs(cfg, simplex, k)]
+
+
+def _oracle_registry(cfg, n, k):
+    """(balls, minimal, owner, nonmin_order) of the registry read off the
+    transport oracle, with the owner found by looking the disc up at both
+    endpoints and the order by exact Fraction measures."""
+    p = cfg.p
+    vrecs = [(v, b) for v in vertices_upto(p, n) for b in _transported_discs(cfg, v, k)]
+    at = {rec: i for i, rec in enumerate(vrecs)}
+    erecs = [(e, b) for e in edges_upto(p, n) for b in _transported_discs(cfg, e, k)]
+    owner = {}
+    for i, (e, b) in enumerate(erecs, start=len(vrecs)):
+        hits = [at[w, b] for w in e.endpoints() if (w, b) in at]
+        assert len(hits) == 1, (e, b)
+        owner[i] = hits[0]
+    smallest = Fraction(1, p ** (n + k))
+    minimal = [n >= 1 and b.measure() == smallest for _, b in vrecs]
+    order = sorted((i for i, m in enumerate(minimal) if not m),
+                   key=lambda i: (-vrecs[i][1].measure(), vrecs[i][0].sort_key(), vrecs[i][1].sort_key()))
+    return [b for _, b in vrecs + erecs], minimal, owner, order
+
+
+ORACLE_CONFIGS = [(2, 1, 3), (2, 2, 3), (2, 3, 2), (3, 1, 2), (3, 2, 2), (3, 3, 1),
+                  (5, 1, 2), (5, 2, 1), (5, 3, 1), (7, 1, 2), (7, 2, 1), (7, 3, 1)]
+
+
+@pytest.mark.parametrize("p,k,n", ORACLE_CONFIGS)
+def test_integer_orbits_match_the_transport_oracle(p, k, n):
+    cfg = make_cfg(p, k, n)
+    for s in vertices_upto(p, n) + edges_upto(p, n):
+        want = _transported_discs(cfg, s, k)
+        sides = [s] if isinstance(s, Vertex) else [s, OrientedEdge(s.dst, s.src)]
+        for simplex in sides:
+            recs = enumerate_orbits(cfg, simplex, k)
+            assert [r.ball for r in recs] == want, simplex
+            # the stored cell is the one the ball's normal form gives
+            assert [Ball(b.p, b.complement, b.center, b.m).cell for b in want] == [r.ball.cell for r in recs]
+
+
+@pytest.mark.parametrize("p,k,n", ORACLE_CONFIGS)
+def test_integer_registry_matches_the_transport_oracle(p, k, n):
+    cfg = make_cfg(p, k, n)
+    reg = build_registry(cfg, n, k)
+    balls, minimal, owner, order = _oracle_registry(cfg, n, k)
+    assert [r.ball for r in reg.records] == balls
+    assert reg.minimal == minimal
+    assert reg.owner == owner
+    assert reg.nonmin_order == order
+    # one Ball per distinct disc, shared by every record of it
+    assert len({id(r.ball) for r in reg.records}) == len(set(balls))
+    assert all(reg.records[i].ball is reg.records[j].ball for i, j in reg.owner.items())
+
+
+def test_registry_build_does_no_padic_arithmetic(monkeypatch):
+    # the build runs on integer coordinates and cell keys alone: with the
+    # p-adic arithmetic and GL2 disabled it still builds every registry
+    def refuse(*args, **kwargs):
+        raise AssertionError("p-adic arithmetic in the registry build")
+
+    for name in ("__add__", "__mul__", "inverse"):
+        monkeypatch.setattr(PadicNum, name, refuse)
+    monkeypatch.setattr(GL2, "__init__", refuse)
+    for p, k, n in [(2, 3, 3), (3, 2, 2), (5, 1, 2)]:
+        reg = build_registry(make_cfg(p, k, n), n, k)
+        assert len(reg.nonmin_order) == nonminimal_count_formula(p, k, n)
+    with pytest.raises(AssertionError, match="p-adic arithmetic"):
+        Ball.u_disc(make_cfg(2, 1, 1), 2, 1)
+
+
+# -- the antichain partition check against the pairwise oracle ------------------
+
+
+def _pairwise_partition(cfg, balls):
+    """Oracle: exact measures sum to 1 + 1/p and every pair is disjoint."""
+    balls = list(balls)
+    if sum(b.measure() for b in balls) != 1 + Fraction(1, cfg.p):
+        return False
+    return all(a.disjoint(b) for a, b in combinations(balls, 2))
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 3), (2, 3, 2), (3, 2, 2), (5, 1, 2)])
+def test_partition_check_matches_pairwise_oracle_on_registries(p, k, n):
+    cfg = make_cfg(p, k, n)
+    reg = build_registry(cfg, n, k)
+    cases = [[r.ball for r in minimal_orbits(reg)]]
+    cases += [[r.ball for r in recs] for recs in (*reg.vertex_records.values(), *reg.edge_records.values())]
+    for case in cases:
+        assert check_partition(cfg, case) is _pairwise_partition(cfg, case) is True
+
+
+def _perturbed(cfg, balls, rng):
+    """A seeded edit of a ball list: a ball dropped, duplicated, swapped for a
+    cell nested with it, for its complement, or for a random ball, or a
+    complement added."""
+    balls = list(balls)
+    i = rng.randrange(len(balls))
+    chart, q, r, flip = balls[i].cell
+    p = cfg.p
+    kind = rng.randrange(6)
+    if kind == 0:
+        del balls[i]
+    elif kind == 1:
+        balls.append(balls[i])
+    elif kind == 2 and q > p:  # its parent cell
+        balls[i] = Ball.from_cell(cfg, (chart, q // p, r % (q // p), flip))
+    elif kind == 3:  # a child cell, or a finer hole
+        balls[i] = Ball.from_cell(cfg, (chart, q * p, r + q * rng.randrange(p), flip))
+    elif kind == 4:
+        balls[i] = Ball.from_cell(cfg, (chart, q, r, not flip))
+    else:
+        d = rng.randrange(1, 4)
+        r = rng.randrange(p**d) if rng.random() < 0.5 else p * rng.randrange(p ** (d - 1))
+        new = Ball.from_cell(cfg, ("z" if rng.random() < 0.5 or r % p else "w", p**d, r, rng.random() < 0.3))
+        balls.insert(rng.randrange(len(balls) + 1), new)
+    return balls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_partition_check_matches_pairwise_oracle_on_seeded_edits(p):
+    cfg = PadicConfig(p, 20)
+    rng = random.Random(p)
+    reg = build_registry(cfg, 2, 1)
+    bases = [[r.ball for r in minimal_orbits(reg)]]
+    bases += [[r.ball for r in recs] for recs in (*reg.vertex_records.values(), *reg.edge_records.values())]
+    verdicts = []
+    for _ in range(400):
+        case = rng.choice(bases)
+        for _ in range(rng.randrange(1, 3)):
+            case = _perturbed(cfg, case, rng)
+        want = _pairwise_partition(cfg, case)
+        assert check_partition(cfg, case) is want, case
+        verdicts.append(want)
+    assert 0 < sum(verdicts) < len(verdicts)
