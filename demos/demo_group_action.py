@@ -25,7 +25,7 @@ v0 = Vertex.root(p)
 
 print("== a worked example ==")
 g = GL2(cfg, 1, p, 0, 1)  # unipotent: z.g = z / (pz + 1)
-ball = Ball.z_disc(cfg, 0, k)  # the orbit of 0, coordinate z = p t
+ball = Ball(cfg, ("z", p**k, 0, False))  # the orbit of 0, coordinate z = p t
 f = monomial(cfg, ball, 1, 1)  # f = t, degree bound 1
 out, guard = act_on_function(g, Character(0, 0), f)
 print(f"g = {g}")

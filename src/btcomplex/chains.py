@@ -34,7 +34,6 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .padics import INF, PadicConfig, PadicNum
@@ -311,7 +310,7 @@ def act_on_function(g: GL2, chi: Character, f: TruncFun):
     ball = f.ball
     if moebius_ball_image(g, ball) != ball:
         raise ValueError("matrix does not preserve this disc")
-    unit = Ball(cfg.p, False, Fraction(0), 0)
+    unit = Ball(cfg, ("w", cfg.p, 0, True))  # P^1 minus the w-cell 0: { val z >= 0 }
     inside = ball.subset(unit)
     if not (inside or ball.disjoint(unit)):
         raise NotAnalyticError("disc crosses the unit-circle section boundary")
@@ -470,10 +469,13 @@ class BoundaryMatrix:
         diag = {}
         for row, col, kind, sign in self.blocks:
             if row == col:
-                assert kind == "id"
-                assert row not in diag, "duplicate diagonal block"
+                if kind != "id":
+                    raise AssertionError(f"diagonal block {row} is not an identity")
+                if row in diag:
+                    raise AssertionError("duplicate diagonal block")
                 diag[row] = sign
-        assert sorted(diag) == list(range(self.size)), "missing diagonal block"
+        if sorted(diag) != list(range(self.size)):
+            raise AssertionError("missing diagonal block")
         return [diag[i] for i in range(self.size)]
 
     def structure(self):
@@ -528,7 +530,8 @@ def assemble_dbar1(reg: OrbitRegistry, d: int) -> BoundaryMatrix:
         raise AssertionError(f"registry counting certificates failed: {counts['counterexamples']}")
     order = list(reg.nonmin_order)
     row_of = {r: i for i, r in enumerate(order)}
-    assert len(order) == nonminimal_count_formula(reg.p, reg.k, reg.n)
+    if len(order) != nonminimal_count_formula(reg.p, reg.k, reg.n):
+        raise AssertionError("non-minimal record count differs from its formula")
     blocks = []
     columns = [None] * len(order)
     for i in reg.edge_ids():
@@ -547,7 +550,8 @@ def assemble_dbar1(reg: OrbitRegistry, d: int) -> BoundaryMatrix:
                 raise AssertionError("total order failed to refine inclusion")
             blocks.append((row, col, "res", -s))
     mat = BoundaryMatrix(reg, d, order, blocks, columns)
-    assert mat.is_lower_triangular()
+    if not mat.is_lower_triangular():
+        raise AssertionError("boundary matrix is not lower triangular")
     mat.diag_signs()
     return mat
 
@@ -600,7 +604,16 @@ def verify_exactness(reg: OrbitRegistry, d: int, seed: int = 0) -> dict:
     """Certify the truncated complex at this level: trivial kernel in degree
     one, invertible triangular projected boundary, kernel dimension of the
     augmentation, and constructive surjectivity on 50 sampled targets, with
-    a nonzero boundary on 100 sampled degree-one chains."""
+    a nonzero boundary on 100 sampled degree-one chains.
+
+    The argument does not depend on d: the triangular projection makes the
+    degree-one boundary injective, the augmentation is the identity on the
+    minimal records, and the boundary composite vanishes.  So at d >= 1 an
+    "exact" verdict certifies, beyond d = 0, two things only: every step
+    operator exists (each transition is p-integral and its pole misses the
+    disc), and the implementation agrees with that structure on every basis
+    element.  How well degree <= d models functions on the discs is the
+    group action's discarded tail (act_on_function's guard)."""
     cfg = reg.cfg
     rng = random.Random(seed)
     checks = []

@@ -42,6 +42,7 @@ class RunConfig:
 
 def registry_json(reg: OrbitRegistry) -> dict:
     ids = [r.id_str() for r in reg.records]
+    balls = [b.to_json(reg.cfg) for b in reg.balls]  # edge records share their owner's discs
     vrecs = reg.all_vertex_records()
     members = [[] for _ in reg.balls]  # ball id -> vertex records with that disc
     for i in range(len(vrecs)):
@@ -57,7 +58,7 @@ def registry_json(reg: OrbitRegistry) -> dict:
         {
             "id": ids[i],
             "simplex": r.simplex.id_str(),
-            "ball": r.ball.to_json(reg.cfg),
+            "ball": balls[reg.ball_of[i]],
             "minimal": reg.minimal[i],
             "parents": sorted(parents[i]),
             "children": sorted(children[i]),
@@ -68,7 +69,7 @@ def registry_json(reg: OrbitRegistry) -> dict:
         {
             "id": ids[i],
             "simplex": reg.records[i].simplex.id_str(),
-            "ball": reg.records[i].ball.to_json(reg.cfg),
+            "ball": balls[reg.ball_of[i]],
             "owner": reg.records[reg.owner[i]].simplex.id_str(),
         }
         for i in reg.edge_ids()

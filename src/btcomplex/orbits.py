@@ -11,9 +11,9 @@ tree: D(y) when y is x's child, P^1 minus D(x) when y is x's parent, where
 D(u) is the residue cell read off u's coordinate.  So the transport is done
 on the tree, in integers: the simplex's integer transport carries the
 standard orbits' edges onto its own, and each disc is built once from its
-cell key (Ball.from_cell).  The Moebius image of the standard disc under
-the p-adic transport gives the same ball; that transport stays where the
-group acts (sample_group_element) and as the tests' oracle.
+cell key.  The Moebius image of the standard disc under the p-adic transport
+gives the same ball; that transport stays where the group acts
+(sample_group_element) and as the tests' oracle.
 
 The registry collects all orbit records over a ball of simplices, flags the
 minimal ones (the smallest discs: the level-(n+k) residue cells, p^k at each
@@ -115,7 +115,7 @@ def _orbit_cells(simplex, k: int):
 def enumerate_orbits(cfg: PadicConfig, simplex, k: int):
     """All level-k orbit records of a simplex: pairwise-disjoint discs covering P^1."""
     assert k >= 1
-    records = [OrbitRecord(simplex, k, Ball.from_cell(cfg, key)) for key, _ in _orbit_cells(simplex, k)]
+    records = [OrbitRecord(simplex, k, Ball(cfg, key)) for key, _ in _orbit_cells(simplex, k)]
     assert len({r.ball for r in records}) == len(records)
     return records
 
@@ -289,7 +289,7 @@ def build_registry(cfg: PadicConfig, n: int, k: int) -> OrbitRegistry:
     def add(simplex, key):
         ball = discs.get(key)
         if ball is None:
-            ball = discs[key] = Ball.from_cell(cfg, key)
+            ball = discs[key] = Ball(cfg, key)
         rec = OrbitRecord(simplex, k, ball)
         records.append(rec)
         return rec

@@ -3,24 +3,25 @@
 Points are normalized homogeneous row pairs (x : y) acted on from the right:
 (x, y).g = (xa + yc, xb + yd), i.e. z.g = (az + c)/(bz + d) on z = x/y.
 
-A Ball is any closed ball of P^1(Q_p), stored in a canonical normal form:
-either a finite disc { x : val(x - c) >= m } (which never contains infinity),
-or the complement of one, { x : val(x - c) <= m - 1 } + {infinity}.  Every
-Moebius image of a ball is again a ball of this shape, so disc transport is
-closed and exact.  For display and JSON the normal form is presented in the
-chart vocabulary:
+A Ball is any closed ball of P^1(Q_p): the set of ends beyond one oriented
+edge of the Bruhat-Tits tree.  It is stored as one integer key, its residue
+cell (chart, q, r, flip).  The level-d cells, q = p^d with d >= 1, partition
+P^1: the points whose coordinate z lies in Z_p with z = r mod q (chart "z"),
+and the points whose coordinate 1/z lies in pZ_p with 1/z = r mod q (chart
+"w").  They are the depth-d vertices of the tree, so two cells nest or miss,
+and every ball is one cell or, when flip, the complement of one.  Equality,
+containment and mass are decided on the keys.  Every Moebius image of a ball
+is again a ball, so disc transport is closed and exact.
+
+Every other presentation is derived from the key, once per Ball.  The normal
+form is { x : val(x - center) >= m } (a finite disc) or its complement plus
+infinity, with the center reduced mod p^m; the Moebius image, membership and
+the sort key read it.  Display and JSON use the chart vocabulary:
 
   chart "z": finite disc with val(center) >= 0, coordinate z
   chart "w": disc in the coordinate u = 1/z (either a ball around infinity,
              or a bounded disc sitting at negative valuation)
   chart "c": complement of a z-disc that contains both 0 and infinity
-
-Containment and mass are decided on one integer key per ball, its residue
-cell (Ball.cell).  The level-d cells (d >= 1) partition P^1: the points whose
-coordinate z lies in Z_p with z = r mod p^d, and the points whose coordinate
-1/z lies in pZ_p with 1/z = r mod p^d.  They are the depth-d vertices of the
-tree, so two cells nest or miss, and every ball is one cell or the complement
-of one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .padics import INF, PadicConfig, PadicNum, PrecisionError, val_fraction, val_int
+from .padics import PadicConfig, PadicNum, PrecisionError, val_int
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +137,6 @@ class GL2:
         dt = self.det()
         return GL2(self.cfg, self.d / dt, -self.b / dt, -self.c / dt, self.a / dt)
 
-    def scaled_integral(self) -> "GL2":
-        """Projectively equal matrix with min entry valuation 0."""
-        m = min(e.valuation for e in self.entries() if not e.is_zero())
-        return GL2(self.cfg, *(e.shift(-m) for e in self.entries()))
-
     def __eq__(self, other):
         if not isinstance(other, GL2):
             return NotImplemented
@@ -167,149 +163,72 @@ def moebius_apply(g: GL2, pt: ProjPoint) -> ProjPoint:
 # ---------------------------------------------------------------------------
 
 
-def _reduce_fraction(p: int, c: Fraction, m: int) -> Fraction:
-    """Canonical representative of c + p^m Z_p: 0, or p^v * (unit mod p^(m-v))."""
-    v = val_fraction(c, p)
-    if v is INF or v >= m:
-        return Fraction(0)
-    digits = m - v
-    a, b = c.numerator, c.denominator
-    while a % p == 0:
-        a //= p
-    while b % p == 0:
-        b //= p
-    u = a * pow(b, -1, p**digits) % p**digits
-    if v >= 0:
-        return Fraction(u * p**v)
-    return Fraction(u, p**-v)
-
-
-def _canonical_center(cfg: PadicConfig, center, m: int) -> Fraction:
-    """Representative of center + p^m Z_p with unit digits reduced, as a Fraction."""
-    if isinstance(center, PadicNum):
-        return center.residue_class(m)
-    return _reduce_fraction(cfg.p, Fraction(center), m)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Ball:
-    """Canonical closed ball of P^1(Q_p).
+    """Closed ball of P^1(Q_p), identified by its cell key (chart, q, r, flip):
+    the points whose coordinate z (chart "z") or 1/z (chart "w") is r mod q,
+    q = p^d with d >= 1 and 0 <= r < q, or, when flip, every other point.
+    Two Balls are set-equal iff their keys are equal.
 
-    complement=False: { x : val(x - center) >= m }           (finite disc)
-    complement=True : { x : val(x - center) <= m - 1 } + inf (complement of one)
-
-    center is the canonical representative mod p^m; two Balls are set-equal
-    iff their records are identical.
-    """
+    Ball(cfg, key) is the one constructor.  It derives the normal form and
+    raises PrecisionError when its radius exponent m has |m| > N - 2; the
+    chart data is derived on first use.  Both are kept on the Ball."""
 
     p: int
-    complement: bool
-    center: Fraction
-    m: int
+    cell: tuple
 
-    # -- constructors --------------------------------------------------------
+    def __init__(self, cfg: PadicConfig, key: tuple):
+        object.__setattr__(self, "p", cfg.p)
+        object.__setattr__(self, "cell", key)
+        _check_exponent(cfg, self._normal_form[2])
 
-    @staticmethod
-    def z_disc(cfg: PadicConfig, center, m: int) -> "Ball":
-        """{ x in F : |x - center| <= p^-m }."""
-        _check_exponent(cfg, m)
-        return Ball(cfg.p, False, _canonical_center(cfg, center, m), m)
-
-    @staticmethod
-    def w_disc(cfg: PadicConfig, w_center, m: int) -> "Ball":
-        """{ x in F* + {inf} : |1/x - 1/w_center| <= p^-m }; w_center=None means inf."""
-        _check_exponent(cfg, m)
-        if w_center is None:
-            u = cfg.zero()
-        else:
-            w = cfg.number(w_center)
-            if w.is_zero():
-                raise ValueError("w-chart center must be nonzero (use the z chart)")
-            u = w.inverse()
-        return Ball.u_disc(cfg, u, m)
-
-    @staticmethod
-    def u_disc(cfg: PadicConfig, u_center, m: int) -> "Ball":
-        """Disc in the coordinate u = 1/z: { x : val(1/x - u_center) >= m }, the
-        image of the z-disc around u_center under the swap z -> 1/z."""
-        return moebius_ball_image(GL2(cfg, 0, 1, 1, 0), Ball.z_disc(cfg, u_center, m))
-
-    @staticmethod
-    def complement_z(cfg: PadicConfig, center, m: int) -> "Ball":
-        """P^1 minus the finite disc { val(x - center) >= m }."""
-        _check_exponent(cfg, m)
-        return Ball(cfg.p, True, _canonical_center(cfg, center, m), m)
-
-    @staticmethod
-    def from_cell(cfg: PadicConfig, key: tuple) -> "Ball":
-        """The ball whose cell (see Ball.cell) is key, with the key stored: the
-        inverse of Ball.cell, in integers.  A z-cell r mod p^d is the disc of
-        radius exponent d around r; the w-cell 0 is the complement of the disc
-        { val x >= 1 - d }; a w-cell r = p^j u (u a unit) is the disc around 1/r
-        of radius exponent d - 2j."""
-        p = cfg.p
-        chart, q, r, flip = key
+    @cached_property
+    def _normal_form(self) -> tuple:
+        """(complement, center, m): the ball is { x : val(x - center) >= m },
+        or, when complement, every other point.  A z-cell r mod q is the disc
+        of exponent d around r; the w-cell 0 is the complement of
+        { val x >= 1 - d }; a w-cell r = p^j u (u a unit) is the disc of
+        exponent d - 2j around 1/r, since val x = -j on it."""
+        p = self.p
+        chart, q, r, flip = self.cell
         d = val_int(q, p)
         if chart == "z":
-            comp, center, m = flip, Fraction(r), d
-        elif r == 0:
-            comp, center, m = not flip, Fraction(0), 1 - d
-        else:
-            m = d - 2 * val_int(r, p)
-            comp, center = flip, _reduce_fraction(p, Fraction(1, r), m)
-        _check_exponent(cfg, m)
-        ball = Ball(p, comp, center, m)
-        ball.__dict__["cell"] = key
-        return ball
+            return flip, Fraction(r), d
+        if r == 0:
+            return not flip, Fraction(0), 1 - d
+        j = val_int(r, p)
+        return flip, Fraction(pow(r // p**j, -1, p ** (d - j)), p**j), d - 2 * j
+
+    @cached_property
+    def _chart(self) -> tuple:
+        chart, q, r, flip = self.cell
+        if flip and r:
+            return ("c", *self._normal_form[1:])
+        d = val_int(q, self.p)
+        if flip:  # P^1 minus the cell around 0 (or infinity) is a disc around infinity (or 0)
+            return ("w" if chart == "z" else "z"), Fraction(0), 1 - d
+        return chart, Fraction(r), d
 
     # -- presentation ---------------------------------------------------------
 
     def chart_data(self):
         """(chart, center value in that chart's coordinate, radius exponent)."""
-        v = val_fraction(self.center, self.p)
-        if not self.complement:
-            if v is INF or v >= 0:
-                return ("z", self.center, self.m)
-            mu = self.m - 2 * v
-            return ("w", _reduce_fraction(self.p, 1 / self.center, mu), mu)
-        if self.center == 0:
-            return ("w", Fraction(0), 1 - self.m)
-        return ("c", self.center, self.m)
-
-    # -- set predicates --------------------------------------------------------
-
-    def member_value(self, x) -> bool:
-        """Membership for an exact value: a Fraction/int, or None for infinity."""
-        if x is None:
-            return self.complement
-        d = val_fraction(Fraction(x) - self.center, self.p)
-        return (d <= self.m - 1) if self.complement else (d >= self.m)
+        return self._chart
 
     def member_point(self, cfg: PadicConfig, pt: ProjPoint) -> bool:
+        complement, center, m = self._normal_form
         if pt.is_infinity():
-            return self.complement
-        d = (pt.z_coord() - cfg.from_fraction(self.center)).valuation
-        return (d <= self.m - 1) if self.complement else (d >= self.m)
-
-    @cached_property
-    def cell(self) -> tuple:
-        """(chart, q, r, flip): the ball is the residue cell of the points whose
-        coordinate z (chart "z") or 1/z (chart "w") is r mod q, q = p^d with
-        d >= 1 and 0 <= r < q, or, when flip, every other point."""
-        p, c, m = self.p, self.center, self.m
-        v = val_fraction(c, p)
-        if v is INF or v >= 0:
-            # for m <= 0 the center is 0: { val z >= m } is P^1 minus { val 1/z >= 1 - m }
-            chart, q, r, flip = ("z", p**m, int(c), False) if m >= 1 else ("w", p ** (1 - m), 0, True)
-        else:  # val x = v on the disc, so val(1/x - 1/c) = val(x - c) - 2v
-            chart, q, r, flip = "w", p ** (m - 2 * v), int(_reduce_fraction(p, 1 / c, m - 2 * v)), False
-        return (chart, q, r, flip != self.complement)
+            return complement
+        d = (pt.z_coord() - cfg.from_fraction(center)).valuation
+        return (d <= m - 1) if complement else (d >= m)
 
     def __hash__(self):
-        # equal balls have equal cells; the chart is hashed as a flag so that
-        # the hash, and the order of sets of balls, is the same in every process
+        # the chart is hashed as a flag so that the hash, and the order of
+        # sets of balls, is the same in every process
         chart, q, r, flip = self.cell
         return hash((chart == "z", q, r, flip))
+
+    # -- set predicates --------------------------------------------------------
 
     def subset(self, other: "Ball") -> bool:
         a, b = self.cell, other.cell
@@ -338,7 +257,7 @@ class Ball:
     def param(self):
         """Exact rows of the M for which t -> t.M maps Z_p onto this ball: the
         ball's canonical coordinate t."""
-        chart, c, m = self.chart_data()
+        chart, c, m = self._chart
         pm = Fraction(self.p) ** m
         if chart == "z":
             return ((pm, 0), (c, 1))  # x = c + p^m t
@@ -347,17 +266,17 @@ class Ball:
         return ((c, 1), (pm / self.p, 0))  # x = c + p^(m-1)/t
 
     def sort_key(self):
-        c = self.center
-        return (self.complement, c.numerator, c.denominator, self.m)
+        complement, c, m = self._normal_form
+        return (complement, c.numerator, c.denominator, m)
 
     # -- serialization -----------------------------------------------------------
 
     def to_json(self, cfg: PadicConfig) -> dict:
-        chart, center, m = self.chart_data()
+        chart, center, m = self._chart
         return {"chart": chart, "center": cfg.from_fraction(center).serialize(), "m": m}
 
     def id_str(self) -> str:
-        chart, center, m = self.chart_data()
+        chart, center, m = self._chart
         return f"{chart}({center};{m})"
 
     def __repr__(self):
@@ -398,11 +317,19 @@ def _disc_image(cfg: PadicConfig, g: GL2, center: Fraction, m: int):
 
 
 def moebius_ball_image(g: GL2, ball: Ball) -> Ball:
-    """The exact image { x.g : x in ball }."""
+    """The exact image { x.g : x in ball }, its cell key read off the p-adic
+    center c and exponent m of the image's normal form."""
     cfg = g.cfg
-    comp, ctr, m = _disc_image(cfg, g, ball.center, ball.m)
-    if ball.complement:
-        comp = not comp
+    p = cfg.p
+    complement, center, m = ball._normal_form
+    comp, c, m = _disc_image(cfg, g, center, m)
+    flip = comp != complement
     _check_exponent(cfg, m)
-    center = ctr.residue_class(m)
-    return Ball(cfg.p, comp, center, m)
+    v = c.valuation
+    if c.is_zero() or v >= m:  # { val x >= m }: P^1 minus the w-cell 0 when m <= 0
+        key = ("z", p**m, 0, flip) if m >= 1 else ("w", p ** (1 - m), 0, not flip)
+    elif v >= 0:
+        key = ("z", p**m, c.unit_residue(m - v) * p**v, flip)
+    else:  # val x = v on the disc, so val(1/x - 1/c) = val(x - c) - 2v
+        key = ("w", p ** (m - 2 * v), pow(c.unit_residue(m - v), -1, p ** (m - v)) * p**-v, flip)
+    return Ball(cfg, key)

@@ -1,17 +1,149 @@
 """Residue cells: the standard partition of P^1 at a given depth, and orbits
-as closures of sampled group elements on them.
+as closures of sampled group elements on them; and the normal form a ball
+was stored in before its cell key.
 
-This is the enumeration oracle the disc predicates are checked against, so it
-decides membership through ``Ball.member_value`` and its own
-``required_level``, never through ``Ball.cell``.
+This is the oracle the disc predicates and presentations are checked
+against.  It reads a ball's normal form off its key through the normal-form
+constructors (normal_form), decides membership through
+``NormalForm.member_value`` and its own ``required_level``, and never calls
+the Ball's own predicates or presentations.
 """
 
 import random
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from btcomplex.orbits import sample_group_element
-from btcomplex.padics import PadicConfig, val_fraction, val_int
-from btcomplex.projline import Ball, ProjPoint
+from btcomplex.padics import INF, PadicConfig, PadicNum, PrecisionError, val_fraction, val_int
+from btcomplex.projline import GL2, Ball, ProjPoint, _disc_image
+
+
+def _reduce_fraction(p: int, c: Fraction, m: int) -> Fraction:
+    """Canonical representative of c + p^m Z_p: 0, or p^v * (unit mod p^(m-v))."""
+    v = val_fraction(c, p)
+    if v is INF or v >= m:
+        return Fraction(0)
+    digits = m - v
+    a, b = c.numerator, c.denominator
+    while a % p == 0:
+        a //= p
+    while b % p == 0:
+        b //= p
+    u = a * pow(b, -1, p**digits) % p**digits
+    if v >= 0:
+        return Fraction(u * p**v)
+    return Fraction(u, p**-v)
+
+
+@dataclass(frozen=True)
+class NormalForm:
+    """A closed ball of P^1(Q_p) in its normal form:
+
+    complement=False: { x : val(x - center) >= m }           (finite disc)
+    complement=True : { x : val(x - center) <= m - 1 } + inf (complement of one)
+
+    center is the canonical representative mod p^m, so two normal forms are
+    set-equal iff they are identical."""
+
+    p: int
+    complement: bool
+    center: Fraction
+    m: int
+
+    @staticmethod
+    def z_disc(cfg: PadicConfig, center, m: int, complement: bool = False) -> "NormalForm":
+        """{ x in F : |x - center| <= p^-m }, or every other point."""
+        if isinstance(center, PadicNum):
+            center = center.residue_class(m)
+        return NormalForm(cfg.p, complement, _reduce_fraction(cfg.p, Fraction(center), m), m)
+
+    @staticmethod
+    def u_disc(cfg: PadicConfig, u_center, m: int) -> "NormalForm":
+        """Disc in the coordinate u = 1/z: { x : val(1/x - u_center) >= m }, the
+        image of the z-disc around u_center under the swap z -> 1/z."""
+        return NormalForm.z_disc(cfg, u_center, m).image(GL2(cfg, 0, 1, 1, 0))
+
+    def image(self, g: GL2) -> "NormalForm":
+        """The exact image { x.g : x in ball }."""
+        comp, center, m = _disc_image(g.cfg, g, self.center, self.m)
+        if abs(m) > g.cfg.N - 2:
+            raise PrecisionError(f"radius exponent {m} beyond working precision N={g.cfg.N}")
+        return NormalForm(self.p, comp != self.complement, center.residue_class(m), m)
+
+    @property
+    def cell(self) -> tuple:
+        """The cell key (chart, q, r, flip) of the same set of points."""
+        p, c, m = self.p, self.center, self.m
+        v = val_fraction(c, p)
+        if v is INF or v >= 0:
+            # for m <= 0 the center is 0: { val z >= m } is P^1 minus { val 1/z >= 1 - m }
+            chart, q, r, flip = ("z", p**m, int(c), False) if m >= 1 else ("w", p ** (1 - m), 0, True)
+        else:  # val x = v on the disc, so val(1/x - 1/c) = val(x - c) - 2v
+            chart, q, r, flip = "w", p ** (m - 2 * v), int(_reduce_fraction(p, 1 / c, m - 2 * v)), False
+        return (chart, q, r, flip != self.complement)
+
+    def chart_data(self):
+        """(chart, center value in that chart's coordinate, radius exponent)."""
+        v = val_fraction(self.center, self.p)
+        if not self.complement:
+            if v is INF or v >= 0:
+                return ("z", self.center, self.m)
+            mu = self.m - 2 * v
+            return ("w", _reduce_fraction(self.p, 1 / self.center, mu), mu)
+        if self.center == 0:
+            return ("w", Fraction(0), 1 - self.m)
+        return ("c", self.center, self.m)
+
+    def sort_key(self):
+        c = self.center
+        return (self.complement, c.numerator, c.denominator, self.m)
+
+    def member_value(self, x) -> bool:
+        """Membership for an exact value: a Fraction/int, or None for infinity."""
+        if x is None:
+            return self.complement
+        d = val_fraction(Fraction(x) - self.center, self.p)
+        return (d <= self.m - 1) if self.complement else (d >= self.m)
+
+    def member_point(self, cfg: PadicConfig, pt: ProjPoint) -> bool:
+        if pt.is_infinity():
+            return self.complement
+        d = (pt.z_coord() - cfg.from_fraction(self.center)).valuation
+        return (d <= self.m - 1) if self.complement else (d >= self.m)
+
+
+def _level(q: int, p: int) -> int:
+    d = val_int(q, p)
+    assert q == p**d and d >= 1, "cell modulus is not a positive power of p"
+    return d
+
+
+def _form(cfg: PadicConfig, center, m: int, complement: bool, chart: str) -> NormalForm:
+    """{ x : val(x - center) >= m } (chart "z") or { x : val(1/x - center) >= m }
+    (chart "w"), or, when complement, every other point."""
+    nf = NormalForm.z_disc(cfg, center, m) if chart == "z" else NormalForm.u_disc(cfg, center, m)
+    return replace(nf, complement=nf.complement != complement)
+
+
+def normal_form(ball: Ball) -> NormalForm:
+    """The ball's normal form, built from its key by the normal-form
+    constructors: the z-disc r + qZ_p, or for chart w the swap image of that
+    disc, complemented when flipped.  The swap is exact, so 2d + 2 digits are
+    plenty for a level-d key."""
+    chart, q, r, flip = ball.cell
+    d = _level(q, ball.p)
+    return _form(PadicConfig(ball.p, 2 * d + 2), r, d, flip, chart)
+
+
+def disc(cfg: PadicConfig, center, m: int, complement: bool = False, chart: str = "z") -> Ball:
+    """The Ball of that normal form (see _form), built from its key."""
+    return Ball(cfg, _form(cfg, center, m, complement, chart).cell)
+
+
+def scaled_integral(g: GL2) -> GL2:
+    """Projectively equal matrix with min entry valuation 0."""
+    m = min(e.valuation for e in g.entries() if not e.is_zero())
+    return GL2(g.cfg, *(e.shift(-m) for e in g.entries()))
 
 
 def cell_ids(cfg: PadicConfig, M: int):
@@ -43,11 +175,12 @@ def point_cell(cfg: PadicConfig, pt: ProjPoint, M: int):
 def required_level(ball: Ball) -> int:
     """Smallest cell level M at which every level-M cell is either inside
     this ball or disjoint from it (resolving both charts)."""
-    v = val_fraction(ball.center, ball.p)
-    if ball.center == 0:
-        base = max(ball.m, 1 - ball.m)
+    nf = normal_form(ball)
+    v = val_fraction(nf.center, nf.p)
+    if nf.center == 0:
+        base = max(nf.m, 1 - nf.m)
     else:
-        base = ball.m if v >= 0 else ball.m - 2 * v
+        base = nf.m if v >= 0 else nf.m - 2 * v
     return max(1, base)
 
 
@@ -58,7 +191,8 @@ def ball_cells(cfg: PadicConfig, ball: Ball, M: int):
     inside or disjoint; then cell membership reduces to its center.
     """
     assert M >= required_level(ball), "cell level too coarse for this ball"
-    return frozenset(cid for cid in cell_ids(cfg, M) if ball.member_value(cell_value(cid)))
+    nf = normal_form(ball)
+    return frozenset(cid for cid in cell_ids(cfg, M) if nf.member_value(cell_value(cid)))
 
 
 def bfs_orbit_cells(cfg: PadicConfig, simplex, k: int, z: ProjPoint, rng: random.Random,
@@ -72,7 +206,7 @@ def bfs_orbit_cells(cfg: PadicConfig, simplex, k: int, z: ProjPoint, rng: random
     """
     p = cfg.p
     M = (k + 3) if level is None else level
-    gens = [sample_group_element(cfg, simplex, k, rng).scaled_integral() for _ in range(generators)]
+    gens = [scaled_integral(sample_group_element(cfg, simplex, k, rng)) for _ in range(generators)]
     guard = min(
         [cfg.N - 2]
         + [e.prec for g in gens for e in g.entries() if not e.is_zero()]

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from btcomplex.padics import INF, PadicConfig, PadicNum
-from btcomplex.projline import Ball, GL2, ProjPoint, moebius_apply
-from btcomplex.tree import standard_orientation, standard_path
+from btcomplex.projline import GL2, Ball, ProjPoint, moebius_apply
+from btcomplex.tree import Vertex, standard_orientation, standard_path
 from btcomplex.orbits import OrbitRegistry, build_registry, enumerate_orbits, sample_group_element
 from btcomplex import chains
 from btcomplex.chains import (
@@ -41,6 +41,7 @@ from btcomplex.chains import (
     surjectivity_lift,
     verify_exactness,
 )
+from residue_cells import disc
 from test_acceptance import _single_branch
 from test_cli import ENV
 
@@ -100,7 +101,7 @@ def test_cocycle_law_and_factorization():
 
 def test_act_identity():
     cfg = PadicConfig(3, 12)
-    ball = Ball.z_disc(cfg, 0, 1)
+    ball = disc(cfg, 0, 1)
     f = random_truncfun(cfg, ball, 2, random.Random(2))
     out, guard = act_on_function(GL2.identity(cfg), Character(2, -1), f)
     assert out == f and guard is INF
@@ -108,7 +109,7 @@ def test_act_identity():
 
 def test_act_translation_recenters():
     cfg = PadicConfig(3, 12)
-    ball = Ball.z_disc(cfg, 0, 1)
+    ball = disc(cfg, 0, 1)
     f = monomial(cfg, ball, 1, 2)  # f = t with z = 3t
     g = GL2(cfg, 1, 0, 3, 1)  # z -> z + 3
     out, guard = act_on_function(g, Character(0, 0), f)
@@ -121,7 +122,7 @@ def test_act_diagonal_on_monomial():
     chi = Character(2, -1)
     a, d = 4, 7
     g = GL2(cfg, a, 0, 0, d)
-    ball = Ball.z_disc(cfg, 0, 0)  # t = z
+    ball = disc(cfg, 0, 0)  # t = z
     f = monomial(cfg, ball, 1, 1)
     out, _ = act_on_function(g, chi, f)
     expected = chi.chi1(cfg.from_int(a * d)) * chi.chi2(cfg.from_int(d)) * (
@@ -134,12 +135,26 @@ def test_act_guard_valuation_measured_exactly():
     # unipotent example where the discarded tail is a clean geometric series
     cfg = PadicConfig(3, 12)
     g = GL2(cfg, 1, 3, 0, 1)  # z.g = z/(3z+1)
-    ball = Ball.z_disc(cfg, 0, 1)
+    ball = disc(cfg, 0, 1)
     f = monomial(cfg, ball, 1, 1)  # f = t, z = 3t
     out, guard = act_on_function(g, Character(0, 0), f)
     # f(z.g) = t - 9 t^2 + 81 t^3 - ...: kept [0, 1], first discarded has val 2
     assert [c.serialize() for c in out.coeffs] == ["vinf:u0", "v0:u1"]
     assert guard == 2
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 1), (5, 2)])
+def test_act_refuses_a_matrix_that_moves_the_disc(p, k):
+    # z -> z + 1 carries the orbit 0 mod p^k of the root onto 1 mod p^k; a
+    # level-k element of the root's stabilizer keeps it
+    cfg = PadicConfig(p, 16)
+    ball = Ball(cfg, ("z", p**k, 0, False))
+    f = monomial(cfg, ball, 1, 1)
+    with pytest.raises(ValueError, match="matrix does not preserve this disc"):
+        act_on_function(GL2(cfg, 1, 0, 1, 1), Character(0, 0), f)
+    g = sample_group_element(cfg, Vertex.root(p), k, random.Random(p))
+    out, _ = act_on_function(g, Character(1, 1), f)
+    assert out.ball == ball
 
 
 def test_act_rejects_boundary_crossing_disc():
@@ -174,7 +189,7 @@ def test_section_branch_is_the_chart_condition_on_records(p, k, n):
 def test_section_branch_is_the_chart_condition_property(p, a, j, m, comp):
     cfg = PadicConfig(p, 20)
     c = Fraction(a, p**j)
-    ball = Ball.complement_z(cfg, c, m) if comp else Ball.z_disc(cfg, c, m)
+    ball = disc(cfg, c, m, complement=comp)
     assert _acts_analytically(cfg, ball) == _single_branch(ball)
 
 
@@ -272,30 +287,30 @@ def test_edge_and_vertex_groups_act_alike_on_shared_orbit():
 
 def test_restrict_constant():
     cfg = PadicConfig(3, 12)
-    parent = Ball.z_disc(cfg, 0, 1)
+    parent = disc(cfg, 0, 1)
     f = monomial(cfg, parent, 0, 2)
-    out = restrict(f, Ball.z_disc(cfg, 3, 2))
+    out = restrict(f, disc(cfg, 3, 2))
     assert [str(c.serialize()) for c in out.coeffs] == ["v0:u1", "vinf:u0", "vinf:u0"]
 
 
 def test_restrict_recentring_examples():
     cfg = PadicConfig(3, 12)
     p = 3
-    parent = Ball.z_disc(cfg, 0, 1)  # z = p t
+    parent = disc(cfg, 0, 1)  # z = p t
     f = monomial(cfg, parent, 1, 1)  # f = t
-    child0 = Ball.z_disc(cfg, 0, 2)  # z = p^2 t'
+    child0 = disc(cfg, 0, 2)  # z = p^2 t'
     out = restrict(f, child0)
     assert out.coeffs[0].is_zero() and out.coeffs[1] == cfg.from_int(p)
-    childp = Ball.z_disc(cfg, p, 2)  # z = p + p^2 t'
+    childp = disc(cfg, p, 2)  # z = p + p^2 t'
     out = restrict(f, childp)
     assert out.coeffs[0] == cfg.one() and out.coeffs[1] == cfg.from_int(p)
 
 
 def test_restrict_requires_containment():
     cfg = PadicConfig(3, 12)
-    f = monomial(cfg, Ball.z_disc(cfg, 0, 2), 1, 1)
+    f = monomial(cfg, disc(cfg, 0, 2), 1, 1)
     with pytest.raises(ValueError):
-        restrict(f, Ball.z_disc(cfg, 1, 2))
+        restrict(f, disc(cfg, 1, 2))
 
 
 def test_restrict_affine_functoriality():
@@ -303,18 +318,18 @@ def test_restrict_affine_functoriality():
     rng = random.Random(6)
     for _ in range(60):
         c1 = rng.randrange(27)
-        big = Ball.z_disc(cfg, c1, 1)
-        mid = Ball.z_disc(cfg, c1 + 3 * rng.randrange(3), 2)
-        small = Ball.z_disc(cfg, int(mid.center) + 9 * rng.randrange(3), 3)
+        big = disc(cfg, c1, 1)
+        mid = disc(cfg, c1 + 3 * rng.randrange(3), 2)
+        small = disc(cfg, int(mid.chart_data()[1]) + 9 * rng.randrange(3), 3)
         f = random_truncfun(cfg, big, 2, rng)
         assert restrict(restrict(f, mid), small) == restrict(f, small)
     # reciprocal-chart chains restrict exactly as well
     for _ in range(60):
-        big = Ball.u_disc(cfg, 3 * rng.randrange(1, 9), 2)
+        big = disc(cfg, 3 * rng.randrange(1, 9), 2, chart="w")
         chart, cu, m = big.chart_data()
-        mid = Ball.u_disc(cfg, cu + 9 * rng.randrange(3), 3)
+        mid = disc(cfg, cu + 9 * rng.randrange(3), 3, chart="w")
         _, cu2, _ = mid.chart_data()
-        small = Ball.u_disc(cfg, cu2 + 27 * rng.randrange(3), 4)
+        small = disc(cfg, cu2 + 27 * rng.randrange(3), 4, chart="w")
         f = random_truncfun(cfg, big, 2, rng)
         assert restrict(restrict(f, mid), small) == restrict(f, small)
 
@@ -686,7 +701,7 @@ def test_non_integral_transition_refused_under_python_O():
         "from btcomplex.projline import Ball, GL2",
         "cfg = PadicConfig(3, 12)",
         "for trans in (GL2(cfg, 1, 0, Fraction(1, 3), 1),",
-        "              _transition(cfg, Ball.z_disc(cfg, 0, 1), Ball.z_disc(cfg, 1, 1))):",
+        "              _transition(cfg, Ball(cfg, ('z', 3, 0, False)), Ball(cfg, ('z', 3, 1, False)))):",
         "    try:",
         "        _operator(trans, 1)",
         "    except ValueError as exc:",
@@ -696,6 +711,49 @@ def test_non_integral_transition_refused_under_python_O():
     assert r.returncode == 0, r.stderr
     message = "transition series is not p-integral: the map does not carry Z_p into Z_p\n"
     assert r.stdout == 2 * message
+
+
+def test_boundary_matrix_invariants_survive_python_O():
+    # a duplicated, a restriction and a missing diagonal block, a wrong count
+    # of non-minimal records and a block above the diagonal each raise, even
+    # with asserts stripped
+    script = "\n".join([
+        "from btcomplex import chains, orbits",
+        "from btcomplex.chains import BoundaryMatrix, assemble_dbar1",
+        "from btcomplex.orbits import build_registry",
+        "from btcomplex.padics import PadicConfig",
+        "reg = build_registry(PadicConfig(3, 12), 1, 1)",
+        "mat = assemble_dbar1(reg, 0)",
+        "first = next(b for b in mat.blocks if b[:2] == (0, 0))",
+        "edits = [mat.blocks + [first],",
+        "         [(r, c, 'res', s) if (r, c) == (0, 0) else (r, c, k, s) for r, c, k, s in mat.blocks],",
+        "         [b for b in mat.blocks if b is not first]]",
+        "for blocks in edits:",
+        "    try:",
+        "        BoundaryMatrix(reg, 0, mat.order, blocks, mat.columns).diag_signs()",
+        "    except AssertionError as exc:",
+        "        print(exc)",
+        "chains.nonminimal_count_formula = lambda p, k, n: 0",
+        "try:",
+        "    assemble_dbar1(reg, 0)",
+        "except AssertionError as exc:",
+        "    print(exc)",
+        "chains.nonminimal_count_formula = orbits.nonminimal_count_formula",
+        "BoundaryMatrix.is_lower_triangular = lambda self: False",
+        "try:",
+        "    assemble_dbar1(reg, 0)",
+        "except AssertionError as exc:",
+        "    print(exc)",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=ENV)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == [
+        "duplicate diagonal block",
+        "diagonal block 0 is not an identity",
+        "missing diagonal block",
+        "non-minimal record count differs from its formula",
+        "boundary matrix is not lower triangular",
+    ]
 
 
 # -- boundary maps -----------------------------------------------------------------

@@ -22,10 +22,13 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(script):
+# each demo also runs under python -O, with the same output
+@pytest.mark.parametrize("flags,script", [
+    pytest.param(flags, d, id=" ".join([*flags, d.name])) for flags in ([], ["-O"]) for d in DEMOS
+])
+def test_demo_runs(flags, script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    r = subprocess.run([sys.executable, str(script)], capture_output=True, env=env, timeout=120)
+    r = subprocess.run([sys.executable, *flags, str(script)], capture_output=True, env=env, timeout=120)
     assert r.returncode == 0, r.stderr.decode()
     assert hashlib.sha256(r.stdout).hexdigest() == DIGESTS[script.name]

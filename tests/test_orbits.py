@@ -29,7 +29,15 @@ from btcomplex.orbits import (
     orbit_of_point,
     verify_counts,
 )
-from residue_cells import ball_cells, bfs_orbit_cells, cell_ids, cell_value, required_level
+from residue_cells import (
+    ball_cells,
+    bfs_orbit_cells,
+    cell_ids,
+    cell_value,
+    disc,
+    normal_form,
+    required_level,
+)
 from test_cli import ENV
 
 
@@ -45,9 +53,9 @@ def test_standard_vertex_orbit_of_point():
     v0 = Vertex.root(3)
     for z0 in (0, 5, -7):
         rec = orbit_of_point(cfg, v0, 2, ProjPoint.from_z(cfg, z0))
-        assert rec.ball == Ball.z_disc(cfg, z0, 2)
+        assert rec.ball == disc(cfg, z0, 2)
     rec = orbit_of_point(cfg, v0, 2, ProjPoint.infinity(cfg))
-    assert rec.ball == Ball.w_disc(cfg, None, 2)
+    assert rec.ball == disc(cfg, 0, 2, chart="w")
 
 
 def test_deeper_vertex_orbit_radii():
@@ -57,11 +65,11 @@ def test_deeper_vertex_orbit_radii():
     k = 2
     v1 = standard_path(3, 1)[1]
     rec = orbit_of_point(cfg, v1, k, ProjPoint.from_z(cfg, 4))
-    assert rec.ball == Ball.z_disc(cfg, 4, k - 1)
+    assert rec.ball == disc(cfg, 4, k - 1)
     rec = orbit_of_point(cfg, v1, k, ProjPoint.from_z(cfg, Fraction(1, 3)))
-    assert rec.ball == Ball.u_disc(cfg, 3, k + 1)
+    assert rec.ball == disc(cfg, 3, k + 1, chart="w")
     rec = orbit_of_point(cfg, v1, k, ProjPoint.infinity(cfg))
-    assert rec.ball == Ball.w_disc(cfg, None, k + 1)
+    assert rec.ball == disc(cfg, 0, k + 1, chart="w")
 
 
 def test_edge_orbit_radii():
@@ -69,9 +77,9 @@ def test_edge_orbit_radii():
     k = 2
     e0 = standard_orientation(*standard_path(3, 1))
     rec = orbit_of_point(cfg, e0, k, ProjPoint.from_z(cfg, 4))
-    assert rec.ball == Ball.z_disc(cfg, 4, k - 1)
+    assert rec.ball == disc(cfg, 4, k - 1)
     rec = orbit_of_point(cfg, e0, k, ProjPoint.infinity(cfg))
-    assert rec.ball == Ball.w_disc(cfg, None, k)
+    assert rec.ball == disc(cfg, 0, k, chart="w")
 
 
 def test_enumerate_orbit_counts_examples():
@@ -134,8 +142,8 @@ def test_minimal_orbits_at_level_one():
     reg = build_registry(cfg, 1, 1)
     mins = minimal_orbits(reg)
     assert len(mins) == 12
-    expected = {Ball.z_disc(cfg, r, 2) for r in range(9)}
-    expected |= {Ball.u_disc(cfg, u, 2) for u in (0, 3, 6)}
+    expected = {disc(cfg, r, 2) for r in range(9)}
+    expected |= {disc(cfg, u, 2, chart="w") for u in (0, 3, 6)}
     assert {r.ball for r in mins} == expected
     percount = {}
     for r in mins:
@@ -170,13 +178,13 @@ def test_minimal_partition_and_dropping_one():
 def test_partition_rejects_a_complement_overlapping_a_disc(p):
     # the hole of the complement is { val x >= 2 }, so both balls hold { val x = 1 }
     cfg = PadicConfig(p, 14)
-    assert not check_partition(cfg, [Ball.complement_z(cfg, 0, 2), Ball.z_disc(cfg, 0, 1)])
+    assert not check_partition(cfg, [disc(cfg, 0, 2, complement=True), disc(cfg, 0, 1)])
     # at full measure too, with no cell nested in another: { x = 1 mod p^2 }
     # lies outside the hole { x = 0 mod p^2 }, which only the hole test sees
-    full = [Ball.complement_z(cfg, 0, 2), Ball.z_disc(cfg, 1, 2)]
+    full = [disc(cfg, 0, 2, complement=True), disc(cfg, 1, 2)]
     assert sum(b.measure() for b in full) == 1 + Fraction(1, p)
     assert check_partition(cfg, full) is _pairwise_partition(cfg, full) is False
-    hole = [Ball.complement_z(cfg, 0, 2), Ball.z_disc(cfg, 0, 2)]
+    hole = [disc(cfg, 0, 2, complement=True), disc(cfg, 0, 2)]
     assert check_partition(cfg, hole) is _pairwise_partition(cfg, hole) is True
 
 
@@ -247,7 +255,7 @@ def test_edge_orbit_owner_rejects_a_disc_at_neither_endpoint():
     cfg = make_cfg(3, 1, 1)
     reg = build_registry(cfg, 1, 1)
     e = reg.edges()[0]
-    stray = OrbitRecord(e, 1, Ball.z_disc(cfg, 0, 5))
+    stray = OrbitRecord(e, 1, disc(cfg, 0, 5))
     assert all(r.ball != stray.ball for r in reg.all_vertex_records())
     with pytest.raises(AssertionError, match="owned by 0 endpoints"):
         edge_orbit_owner(reg, stray)
@@ -305,7 +313,7 @@ def test_depth_one_fine_orbit_center_sign():
     for alpha in range(p):
         v = act_vertex(GL2(cfg, 1, 0, alpha, p), Vertex.root(p))
         rec = orbit_of_point(cfg, v, k, ProjPoint.from_z(cfg, -alpha))
-        assert rec.ball == Ball.z_disc(cfg, -alpha, k + 1)
+        assert rec.ball == disc(cfg, -alpha, k + 1)
 
 
 def test_fundamental_system_of_neighborhoods():
@@ -317,8 +325,8 @@ def test_fundamental_system_of_neighborhoods():
     for n in range(5):
         v = Vertex.make(3, n, 0, 1)  # toward the z-point 0
         rec = orbit_of_point(cfg, v, k, z)
-        radii.append(rec.ball.m)
-        assert rec.ball == Ball.z_disc(cfg, 0, k + n)
+        radii.append(rec.ball.chart_data()[2])
+        assert rec.ball == disc(cfg, 0, k + n)
     assert radii == [k + n for n in range(5)]
 
 
@@ -451,8 +459,8 @@ def _standard_discs(cfg, simplex, k):
     p^-(k-1) on the unit disc, then v0's discs of radius p^-k outside it."""
     p = cfg.p
     m = k if isinstance(simplex, Vertex) else k - 1
-    return [*(Ball.z_disc(cfg, r, m) for r in range(p**m)),
-            *(Ball.u_disc(cfg, u, k) for u in range(0, p**k, p))]
+    return [*(disc(cfg, r, m) for r in range(p**m)),
+            *(disc(cfg, u, k, chart="w") for u in range(0, p**k, p))]
 
 
 def _transported_discs(cfg, simplex, k):
@@ -490,12 +498,14 @@ def test_integer_orbits_match_the_transport_oracle(p, k, n):
     cfg = make_cfg(p, k, n)
     for s in vertices_upto(p, n) + edges_upto(p, n):
         want = _transported_discs(cfg, s, k)
+        # the cells the transport gives on the normal forms
+        hinv = transport(cfg, s).inverse()
+        cells = [normal_form(b).image(hinv).cell for b in _standard_discs(cfg, s, k)]
         sides = [s] if isinstance(s, Vertex) else [s, OrientedEdge(s.dst, s.src)]
         for simplex in sides:
             recs = enumerate_orbits(cfg, simplex, k)
             assert [r.ball for r in recs] == want, simplex
-            # the stored cell is the one the ball's normal form gives
-            assert [Ball(b.p, b.complement, b.center, b.m).cell for b in want] == [r.ball.cell for r in recs]
+            assert [r.ball.cell for r in recs] == cells, simplex
 
 
 @pytest.mark.parametrize("p,k,n", ORACLE_CONFIGS)
@@ -525,7 +535,7 @@ def test_registry_build_does_no_padic_arithmetic(monkeypatch):
         reg = build_registry(make_cfg(p, k, n), n, k)
         assert len(reg.nonmin_order) == nonminimal_count_formula(p, k, n)
     with pytest.raises(AssertionError, match="p-adic arithmetic"):
-        Ball.u_disc(make_cfg(2, 1, 1), 2, 1)
+        disc(make_cfg(2, 1, 1), 2, 1, chart="w")
 
 
 # -- the antichain partition check against the pairwise oracle ------------------
@@ -563,15 +573,15 @@ def _perturbed(cfg, balls, rng):
     elif kind == 1:
         balls.append(balls[i])
     elif kind == 2 and q > p:  # its parent cell
-        balls[i] = Ball.from_cell(cfg, (chart, q // p, r % (q // p), flip))
+        balls[i] = Ball(cfg, (chart, q // p, r % (q // p), flip))
     elif kind == 3:  # a child cell, or a finer hole
-        balls[i] = Ball.from_cell(cfg, (chart, q * p, r + q * rng.randrange(p), flip))
+        balls[i] = Ball(cfg, (chart, q * p, r + q * rng.randrange(p), flip))
     elif kind == 4:
-        balls[i] = Ball.from_cell(cfg, (chart, q, r, not flip))
+        balls[i] = Ball(cfg, (chart, q, r, not flip))
     else:
         d = rng.randrange(1, 4)
         r = rng.randrange(p**d) if rng.random() < 0.5 else p * rng.randrange(p ** (d - 1))
-        new = Ball.from_cell(cfg, ("z" if rng.random() < 0.5 or r % p else "w", p**d, r, rng.random() < 0.3))
+        new = Ball(cfg, ("z" if rng.random() < 0.5 or r % p else "w", p**d, r, rng.random() < 0.3))
         balls.insert(rng.randrange(len(balls) + 1), new)
     return balls
 

@@ -1,19 +1,21 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from btcomplex.padics import PadicConfig, PrecisionError, val_fraction
-from btcomplex.projline import (
-    Ball,
-    GL2,
-    ProjPoint,
-    _canonical_center,
-    moebius_apply,
-    moebius_ball_image,
+from btcomplex.projline import GL2, Ball, ProjPoint, moebius_apply, moebius_ball_image
+from residue_cells import (
+    NormalForm,
+    ball_cells,
+    cell_ids,
+    cell_value,
+    disc,
+    normal_form,
+    required_level,
 )
-from residue_cells import ball_cells, cell_ids, cell_value, required_level
 
 
 @pytest.fixture
@@ -74,9 +76,9 @@ def test_point_normalization_canonical(cfg):
 
 def test_ball_canonicalize_recenter(cfg):
     p = cfg.p
-    assert Ball.z_disc(cfg, p + p * p, 1) == Ball.z_disc(cfg, 0, 1)
-    b = Ball.z_disc(cfg, 0, 1)
-    assert Ball.z_disc(cfg, 0, 1) == b
+    assert disc(cfg, p + p * p, 1) == disc(cfg, 0, 1)
+    b = disc(cfg, 0, 1)
+    assert disc(cfg, 0, 1) == b
 
 
 def _members_by_enumeration(cfg, describe, M):
@@ -93,7 +95,7 @@ def test_w_ball_canonical_center_matches_enumeration(cfg):
     # disc of radius p^-2 around the point 1/p + 1, in the reciprocal coordinate
     p = cfg.p
     w0 = Fraction(1, p) + 1
-    ball = Ball.w_disc(cfg, w0, 2)
+    ball = disc(cfg, 1 / w0, 2, chart="w")
 
     def describe(x):
         if x is None or x == 0:
@@ -110,12 +112,12 @@ def test_w_ball_canonical_center_matches_enumeration(cfg):
 
 def test_membership_and_subset_examples(cfg):
     p = cfg.p
-    z2, z1 = Ball.z_disc(cfg, 0, 2), Ball.z_disc(cfg, 0, 1)
+    z2, z1 = disc(cfg, 0, 2), disc(cfg, 0, 1)
     assert z2.subset(z1) and not z1.subset(z2)
-    w2, w1 = Ball.w_disc(cfg, None, 2), Ball.w_disc(cfg, None, 1)
+    w2, w1 = disc(cfg, 0, 2, chart="w"), disc(cfg, 0, 1, chart="w")
     assert w2.subset(w1) and not w1.subset(w2)
-    assert not w1.subset(Ball.z_disc(cfg, 0, 0))  # the two charts are disjoint
-    assert w1.disjoint(Ball.z_disc(cfg, 0, 0))
+    assert not w1.subset(disc(cfg, 0, 0))  # the two charts are disjoint
+    assert w1.disjoint(disc(cfg, 0, 0))
     assert z1.member_point(cfg, ProjPoint.from_z(cfg, p * 7))
     assert not z1.member_point(cfg, ProjPoint.from_z(cfg, 1))
     assert w1.member_point(cfg, ProjPoint.infinity(cfg))
@@ -129,9 +131,9 @@ def test_subset_partial_order_sampled(cfg):
         m = rng.randrange(-2, 4)
         c = Fraction(rng.randrange(-20, 20), rng.choice([1, 1, cfg.p]))
         if rng.random() < 0.3:
-            balls.append(Ball.complement_z(cfg, c, m))
+            balls.append(disc(cfg, c, m, complement=True))
         else:
-            balls.append(Ball.z_disc(cfg, c, m))
+            balls.append(disc(cfg, c, m))
     for a in balls:
         assert a.subset(a)
     for a in balls:
@@ -149,7 +151,7 @@ def test_subset_equals_cellwise_containment(cfg):
         m1, m2 = rng.randrange(-1, 3), rng.randrange(-1, 3)
         c1 = Fraction(rng.randrange(-15, 15), rng.choice([1, cfg.p]))
         c2 = Fraction(rng.randrange(-15, 15), rng.choice([1, cfg.p]))
-        mk = lambda c, m, comp: (Ball.complement_z(cfg, c, m) if comp else Ball.z_disc(cfg, c, m))
+        mk = lambda c, m, comp: disc(cfg, c, m, complement=comp)
         a = mk(c1, m1, rng.random() < 0.4)
         b = mk(c2, m2, rng.random() < 0.4)
         M = max(required_level(a), required_level(b))
@@ -163,7 +165,7 @@ def test_measure_matches_cell_count(cfg):
     for _ in range(80):
         m = rng.randrange(-2, 3)
         c = Fraction(rng.randrange(-15, 15), rng.choice([1, cfg.p]))
-        ball = Ball.complement_z(cfg, c, m) if rng.random() < 0.4 else Ball.z_disc(cfg, c, m)
+        ball = disc(cfg, c, m, complement=rng.random() < 0.4)
         M = required_level(ball) + 1
         assert ball.measure() == Fraction(len(ball_cells(cfg, ball, M)), cfg.p**M)
 
@@ -173,7 +175,7 @@ def test_measure_matches_cell_count(cfg):
 def test_complement_at_zero_resolves_at_its_required_level(p, m):
     # the hole { val x >= m } needs cells of level m, as the disc itself does
     cfg = PadicConfig(p, 14)
-    ball = Ball.complement_z(cfg, 0, m)
+    ball = disc(cfg, 0, m, complement=True)
     M = required_level(ball)
     assert M == m
     assert ball.measure() == Fraction(len(ball_cells(cfg, ball, M)), p**M)
@@ -193,7 +195,7 @@ def balls_on_one_line(draw, count):
     for _ in range(count):
         c = Fraction(draw(st.just(0) | st.integers(-p, p)), draw(st.sampled_from([1, p])))
         m = draw(st.integers(-3, 3))
-        out.append(Ball.complement_z(cfg, c, m) if draw(st.booleans()) else Ball.z_disc(cfg, c, m))
+        out.append(disc(cfg, c, m, complement=draw(st.booleans())))
     return out
 
 
@@ -220,7 +222,7 @@ def test_measure_matches_cells_at_every_resolving_level_property(drawn):
 
 def _misses_oracle(a, flip, b):
     """a is disjoint from b, or from P^1 minus b when flip, decided on the
-    normal forms by valuations of the center difference."""
+    normal forms a and b by valuations of the center difference."""
     b_comp = b.complement != flip
     if a.complement and b_comp:
         return False  # both contain infinity
@@ -231,14 +233,14 @@ def _misses_oracle(a, flip, b):
     return disc >= hole and val_fraction(a.center - b.center, a.p) >= hole
 
 
-def _measure_oracle(ball):
+def _measure_oracle(nf):
     """Mass p^-m of a finite disc of exponent m in its own chart; { val z >= m }
     with m < 0 is P^1 minus the u-disc of exponent 1 - m."""
-    total = 1 + Fraction(1, ball.p)
-    if ball.complement:
-        return total - _measure_oracle(Ball(ball.p, False, ball.center, ball.m))
-    m = ball.chart_data()[2]
-    return total - Fraction(1, ball.p ** (1 - m)) if m < 0 else Fraction(1, ball.p**m)
+    total = 1 + Fraction(1, nf.p)
+    if nf.complement:
+        return total - _measure_oracle(replace(nf, complement=False))
+    m = nf.chart_data()[2]
+    return total - Fraction(1, nf.p ** (1 - m)) if m < 0 else Fraction(1, nf.p**m)
 
 
 def _cell_of_key(ball):
@@ -261,20 +263,22 @@ def _registry_balls(p, k, n):
 @pytest.mark.parametrize("p,k,n", [(2, 2, 3), (3, 1, 3), (5, 1, 2)])
 def test_cell_key_matches_the_valuation_predicates_on_registry_balls(p, k, n):
     _, balls = _registry_balls(p, k, n)
-    for a in balls:
-        assert a.measure() == _measure_oracle(a)
-        for b in balls:
-            assert a.subset(b) == _misses_oracle(a, True, b), (a, b)
-            assert a.disjoint(b) == _misses_oracle(a, False, b), (a, b)
+    forms = [normal_form(b) for b in balls]
+    for a, na in zip(balls, forms):
+        assert a.measure() == _measure_oracle(na)
+        for b, nb in zip(balls, forms):
+            assert a.subset(b) == _misses_oracle(na, True, nb), (a, b)
+            assert a.disjoint(b) == _misses_oracle(na, False, nb), (a, b)
 
 
 @PROPERTY
 @given(balls_on_one_line(2))
 def test_cell_key_matches_the_valuation_predicates_property(drawn):
     cfg, a, b = drawn
-    assert a.measure() == _measure_oracle(a)
-    assert a.subset(b) == _misses_oracle(a, True, b)
-    assert a.disjoint(b) == _misses_oracle(a, False, b)
+    na, nb = normal_form(a), normal_form(b)
+    assert a.measure() == _measure_oracle(na)
+    assert a.subset(b) == _misses_oracle(na, True, nb)
+    assert a.disjoint(b) == _misses_oracle(na, False, nb)
 
 
 def _assert_one_cell_or_its_complement(cfg, ball):
@@ -301,8 +305,9 @@ def test_every_registry_ball_is_one_cell_or_its_complement(p, k, n):
 
 
 def _ball_param_oracle(cfg, ball):
-    """The disc coordinate built as products with the swap z -> 1/z."""
-    chart, center, m = ball.chart_data()
+    """The disc coordinate built as products with the swap z -> 1/z, on the
+    normal form's chart data."""
+    chart, center, m = normal_form(ball).chart_data()
     pm = Fraction(cfg.p) ** m
     if chart == "z":
         return GL2(cfg, pm, 0, center, 1)
@@ -314,18 +319,16 @@ def _ball_param_oracle(cfg, ball):
 
 
 def _u_disc_oracle(cfg, u_center, m):
-    """The u-disc by hand inversion of its center, with no exponent check on
-    the result."""
-    u = cfg.number(u_center)
-    cu = _canonical_center(cfg, u, m)
+    """The normal form of the u-disc by hand inversion of its center, with no
+    exponent check on the result."""
+    cu = NormalForm.z_disc(cfg, cfg.number(u_center), m).center
     if cu == 0:
         # contains u = 0, i.e. the point at infinity: complement of a z-disc
-        return Ball(cfg.p, True, Fraction(0), 1 - m)
+        return NormalForm(cfg.p, True, Fraction(0), 1 - m)
     # bounded disc not containing 0: invert exactly
     s = val_fraction(cu, cfg.p)
     assert s < m
-    mz = m - 2 * s
-    return Ball(cfg.p, False, _canonical_center(cfg, 1 / cu, mz), mz)
+    return NormalForm.z_disc(cfg, 1 / cu, m - 2 * s)
 
 
 def _digits(x):
@@ -337,7 +340,7 @@ def _digits(x):
 def test_param_maps_the_unit_disc_onto_the_ball_property(drawn):
     cfg, ball = drawn
     M = GL2.from_rows(cfg, ball.param())
-    assert moebius_ball_image(M, Ball.z_disc(cfg, 0, 0)) == ball
+    assert moebius_ball_image(M, disc(cfg, 0, 0)) == ball
     oracle = _ball_param_oracle(cfg, ball)
     assert [_digits(e) for e in M.entries()] == [_digits(e) for e in oracle.entries()]
 
@@ -357,13 +360,79 @@ def test_u_disc_is_the_hand_inversion_within_precision_property(drawn):
     # the exponent of the inverted disc, from the exact center; u may be passed
     # as a Fraction or as a PadicNum of N digits
     cfg, exact, u, m = drawn
-    cu = Ball.z_disc(cfg, exact, m).center
+    cu = NormalForm.z_disc(cfg, exact, m).center
     exponent = 1 - m if cu == 0 else m - 2 * val_fraction(cu, cfg.p)
+    swap = GL2(cfg, 0, 1, 1, 0)
     if abs(exponent) <= cfg.N - 2:
-        assert Ball.u_disc(cfg, u, m) == _u_disc_oracle(cfg, u, m)
+        assert moebius_ball_image(swap, disc(cfg, u, m)).cell == _u_disc_oracle(cfg, u, m).cell
     else:
         with pytest.raises(PrecisionError):
-            Ball.u_disc(cfg, u, m)
+            moebius_ball_image(swap, disc(cfg, u, m))
+
+
+# -- the presentations derived from the key against the normal form ----------
+
+
+def _cell_or_precision_error(image, *args):
+    try:
+        return image(*args).cell
+    except PrecisionError:
+        return PrecisionError
+
+
+def _assert_presentations_match_the_normal_form(cfg, ball, rng):
+    """Every presentation Ball derives from its key equals the one the
+    normal form gives, and so do Moebius images under sampled matrices."""
+    nf = normal_form(ball)
+    assert nf.cell == ball.cell
+    chart, center, m = nf.chart_data()
+    assert ball.chart_data() == (chart, center, m)
+    assert ball.sort_key() == nf.sort_key()
+    assert ball.to_json(cfg) == {"chart": chart, "center": cfg.from_fraction(center).serialize(), "m": m}
+    assert ball.id_str() == f"{chart}({center};{m})"
+    param = GL2.from_rows(cfg, ball.param())
+    assert [_digits(e) for e in param.entries()] == [_digits(e) for e in _ball_param_oracle(cfg, ball).entries()]
+    p, level = cfg.p, required_level(ball)
+    points = [ProjPoint.infinity(cfg), ProjPoint.from_z(cfg, nf.center)]
+    points += [ProjPoint.from_z(cfg, nf.center + Fraction(rng.randrange(-p**level, p**level), p ** rng.randrange(level)))
+               for _ in range(6)]
+    for pt in points:
+        assert ball.member_point(cfg, pt) == nf.member_point(cfg, pt), pt
+    for _ in range(3):
+        g = random_gl2(cfg, rng)
+        assert _cell_or_precision_error(moebius_ball_image, g, ball) == _cell_or_precision_error(nf.image, g)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_presentations_match_the_normal_form_on_registry_balls(p, k):
+    n = 2 if p ** (k + 1) <= 27 else 1
+    cfg, balls = _registry_balls(p, k, n)
+    rng = random.Random(p * 10 + k)
+    for ball in balls:
+        _assert_presentations_match_the_normal_form(cfg, ball, rng)
+
+
+@PROPERTY
+@given(balls_on_one_line(1), st.integers(0, 2**32))
+def test_presentations_match_the_normal_form_property(drawn, seed):
+    cfg, ball = drawn
+    _assert_presentations_match_the_normal_form(cfg, ball, random.Random(seed))
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(3, 10), st.integers(-12, 12),
+       st.integers(-40, 40), st.integers(0, 3), st.booleans())
+def test_precision_error_at_the_normal_form_exponent_property(p, N, m, a, j, complement):
+    # the one constructor refuses a key exactly where the normal form's
+    # radius exponent leaves the working precision
+    cfg = PadicConfig(p, N)
+    key = NormalForm.z_disc(cfg, Fraction(a, p**j), m, complement).cell
+    if abs(m) <= N - 2:
+        assert normal_form(Ball(cfg, key)) == NormalForm.z_disc(cfg, Fraction(a, p**j), m, complement)
+    else:
+        with pytest.raises(PrecisionError):
+            Ball(cfg, key)
 
 
 # -- disc transport ------------------------------------------------------------
@@ -374,12 +443,12 @@ def test_ball_image_standard_contraction(cfg):
     p = cfg.p
     for n in (1, 2, 3):
         gn = GL2(cfg, 1, 0, 0, p**n)
-        img = moebius_ball_image(gn.inverse(), Ball.z_disc(cfg, 0, 1))
-        assert img == Ball.z_disc(cfg, 0, 1 + n)
+        img = moebius_ball_image(gn.inverse(), disc(cfg, 0, 1))
+        assert img == disc(cfg, 0, 1 + n)
 
 
 def test_ball_image_identity(cfg):
-    b = Ball.w_disc(cfg, None, 2)
+    b = disc(cfg, 0, 2, chart="w")
     assert moebius_ball_image(GL2.identity(cfg), b) == b
 
 
@@ -387,7 +456,7 @@ def test_ball_image_inversion_bruteforce():
     for p in (2, 3):
         cfg = PadicConfig(p, 12)
         w = GL2(cfg, 0, 1, 1, 0)  # z -> 1/z
-        b = Ball.z_disc(cfg, 1, 1)
+        b = disc(cfg, 1, 1)
         img = moebius_ball_image(w, b)
         oracle = _members_by_enumeration(
             cfg, lambda x: x is not None and x != 0 and val_fraction(1 / x - 1, p) >= 1, 3
@@ -401,7 +470,7 @@ def test_ball_image_composition_law(cfg):
     for _ in range(200):
         g, gp = random_gl2(cfg, rng), random_gl2(cfg, rng)
         m = rng.randrange(0, 3)
-        ball = Ball.z_disc(cfg, rng.randrange(-10, 10), m)
+        ball = disc(cfg, rng.randrange(-10, 10), m)
         one = moebius_ball_image(gp, moebius_ball_image(g, ball))
         two = moebius_ball_image(g @ gp, ball)
         assert one == two
@@ -412,7 +481,7 @@ def test_ball_image_round_trip_and_membership(cfg):
     for _ in range(200):
         g = random_gl2(cfg, rng)
         m = rng.randrange(0, 3)
-        ball = Ball.z_disc(cfg, rng.randrange(-8, 8), m)
+        ball = disc(cfg, rng.randrange(-8, 8), m)
         img = moebius_ball_image(g, ball)
         assert moebius_ball_image(g.inverse(), img) == ball
         # forward: representatives of the source land inside the image
@@ -443,7 +512,7 @@ def test_ball_image_pointwise_biconditional(cfg):
                 break
             except ValueError:
                 continue
-        ball = Ball.z_disc(cfg, rng.randrange(-4, 4), rng.randrange(0, 3))
+        ball = disc(cfg, rng.randrange(-4, 4), rng.randrange(0, 3))
         img = moebius_ball_image(g, ball)
         if required_level(img) > L:
             continue
