@@ -90,7 +90,8 @@ class TruncFun:
         return all(c.is_zero() for c in self.coeffs)
 
     def __add__(self, other: "TruncFun") -> "TruncFun":
-        assert self.ball == other.ball and len(self.coeffs) == len(other.coeffs)
+        if self.ball != other.ball or len(self.coeffs) != len(other.coeffs):
+            raise AssertionError("added functions differ in disc or degree")
         return TruncFun(self.cfg, self.ball, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "TruncFun":
@@ -368,7 +369,8 @@ class Chain:
             self.set_part(i, fun)
 
     def set_part(self, i: int, fun: TruncFun):
-        assert fun.degree_bound == self.d
+        if fun.degree_bound != self.d:
+            raise AssertionError(f"part of degree {fun.degree_bound} in a degree-{self.d} chain")
         if fun.is_zero():
             self.parts.pop(i, None)
         else:
@@ -436,8 +438,8 @@ def kernel_lift(nonmin: Chain, reg: OrbitRegistry) -> Chain:
     """Reconstruct the unique kernel element with the given non-minimal part:
     each minimal component is minus the sum of the restrictions of the
     strictly larger components, so the lift is nonmin - partial0(nonmin)."""
-    assert not any(reg.minimal[i] for i in nonmin.parts), \
-        "lift input must be supported off the minimal records"
+    if any(reg.minimal[i] for i in nonmin.parts):
+        raise AssertionError("lift input must be supported off the minimal records")
     out = Chain(reg, nonmin.d, nonmin.parts)
     for m, f in partial0(nonmin, reg).parts.items():
         out.set_part(m, -f)
@@ -594,8 +596,10 @@ def surjectivity_lift(target: Chain, reg: OrbitRegistry) -> Chain:
     assign each piece to the record owning its disc, zero elsewhere."""
     out = Chain(reg, target.d)
     for i, f in target.parts.items():
-        assert reg.minimal[i]
-        assert reg.records[i].ball == f.ball
+        if not reg.minimal[i]:
+            raise AssertionError(f"record {i} of the target is not minimal")
+        if reg.records[i].ball != f.ball:
+            raise AssertionError(f"piece {i} of the target lives on another disc")
         out.set_part(i, f)
     return out
 

@@ -168,7 +168,8 @@ def vertex_canonical(cfg: PadicConfig, matrix) -> Vertex:
     """Vertex of the lattice spanned by the columns of a 2x2 matrix.
 
     Entries may be ints, Fractions, or PadicNums; homothetic inputs give the
-    identical Vertex.
+    identical Vertex: scaled to be primitive, with determinant of content
+    p^n, the matrix mod p^n carries v0 to it through _act_coord.
     """
     p = cfg.p
     ent = [cfg.number(x) for row in matrix for x in row]
@@ -181,34 +182,10 @@ def vertex_canonical(cfg: PadicConfig, matrix) -> Vertex:
     scaled = [e.shift(-e1) for e in ent]
     n = (scaled[0] * scaled[3] - scaled[1] * scaled[2]).valuation
     assert n is not INF and n >= 0
-    return _primitive_vertex(p, n, *(0 if e.is_zero() else int(e.residue_class(n)) for e in scaled))
-
-
-def _primitive_vertex(p: int, n: int, m11: int, m12: int, m21: int, m22: int) -> Vertex:
-    """Vertex of the lattice spanned by the columns of a primitive matrix (some
-    entry a unit) whose determinant has valuation n, from its entries mod p^n:
-    the lattice is the kernel of a unimodular row of the adjugate."""
     if n == 0:
         return Vertex.root(p)
-    mod = p**n
-    for row in (((m22 % mod), (-m12) % mod), ((-m21) % mod, (m11 % mod))):
-        if row[0] % p != 0 or row[1] % p != 0:
-            return Vertex.make(p, n, row[0], row[1])
-    raise AssertionError("adjugate of a primitive lattice matrix has a unimodular row")
-
-
-def _coord_in_frame(v: Vertex, w: Vertex) -> tuple:
-    """The coordinate of h^-1.w for h = v.basis_matrix(), in integers: h^-1 is
-    adj(h)/det(h), and a scalar does not move a lattice class, so h^-1.w is
-    the vertex of the lattice spanned by adj(h) B, B = w.basis_matrix()."""
-    p = v.p
-    (h11, h12), (h21, h22) = v.basis_matrix()
-    (b11, b12), (b21, b22) = w.basis_matrix()
-    m = (h22 * b11 - h12 * b21, h22 * b12 - h12 * b22,
-         h11 * b21 - h21 * b11, h11 * b22 - h21 * b12)
-    e = min(val_int(x, p) for x in m if x)
-    m11, m12, m21, m22 = (x // p**e for x in m)
-    return _primitive_vertex(p, val_int(m11 * m22 - m12 * m21, p), m11, m12, m21, m22).coord
+    m11, m12, m21, m22 = (int(e.residue_class(n)) for e in scaled)
+    return Vertex.make(p, *_act_coord(p, ((m11, m12), (m21, m22)), n, 0, 1, 0))
 
 
 def _lca_depth(v: Vertex, w: Vertex) -> int:
@@ -280,48 +257,46 @@ def is_geodesic(pathlist) -> bool:
     return all(pathlist[i + 1] != pathlist[i - 1] for i in range(1, len(pathlist) - 1))
 
 
-def _frame(pathlist):
-    """The integer rows (h, w) of the closed form of _standardize: h the basis
-    matrix of the first vertex, and w the matrix carrying the standard path
-    onto the path in h's frame (None for a one-vertex path)."""
-    h = pathlist[0].basis_matrix()
-    if len(pathlist) == 1:
-        return h, None
-    a, b = _coord_in_frame(pathlist[0], pathlist[-1])
-    return h, ((1, -b), (0, 1)) if a == 1 else ((0, 1), (1, -a))
-
-
-def _standardize(cfg: PadicConfig, pathlist) -> GL2:
-    """g with g.(standard path) = pathlist, in closed form.
+def _path_rows(pathlist) -> tuple:
+    """Integer rows of g with g.(standard path) = pathlist, in closed form.
 
     h, the basis matrix of the first vertex, carries v0 to it.  In h's frame
     the path starts at v0, so it is the ancestor chain of its last vertex
-    u = h^-1.(last vertex) (found in integers by _coord_in_frame): its vertex
-    at depth i is u's coordinate (a : b) reduced mod p^i.  The standard vertex
-    v_i is the lattice on which the row functional (1 : 0) vanishes mod p^i,
-    and a matrix w carries the lattice of a functional phi to that of
-    phi.w^-1.  So w = [[1, -b], [0, 1]] when a = 1, or [[0, 1], [1, -a]] when
-    a lies in pZ, turns (1 : 0) into (a : b) and carries every v_i onto u's
-    ancestor at depth i at once; g = h w.
+    u = h^-1.(last vertex): its vertex at depth i is u's coordinate (a : b)
+    reduced mod p^i.  h^-1 is adj(h)/det(h), and a scalar does not move a
+    lattice class, so u is read off by _act_coord applied to adj(h).  The
+    standard vertex v_i is the lattice on which the row functional (1 : 0)
+    vanishes mod p^i, and a matrix w carries the lattice of a functional phi
+    to that of phi.w^-1.  So w = [[1, -b], [0, 1]] when a = 1, or
+    [[0, 1], [1, -a]] when a lies in pZ, turns (1 : 0) into (a : b) and
+    carries every v_i onto u's ancestor at depth i at once; g = h w.
     """
-    h, w = _frame(pathlist)
-    g = GL2.from_rows(cfg, h)
-    return g if w is None else g @ GL2.from_rows(cfg, w)
+    first, last = pathlist[0], pathlist[-1]
+    h = first.basis_matrix()
+    if len(pathlist) == 1:
+        return h
+    (h11, h12), (h21, h22) = h
+    depth, s, t = _act_coord(first.p, ((h22, -h12), (-h21, h11)), first.n, last.n, *last.coord)
+    a, b = _canonical_coord(first.p, depth, s, t)
+    if a == 1:
+        return ((h11, h12 - b * h11), (h21, h22 - b * h21))
+    return ((h12, h11 - a * h12), (h22, h21 - a * h22))
 
 
 def map_path(cfg: PadicConfig, path_p, path_q) -> GL2:
     """A matrix g with g . path_p[i] = path_q[i] for all i.
 
     Both inputs must be geodesics of equal length; the output is the
-    deterministic element _standardize(path_q) _standardize(path_p)^-1.
+    deterministic element S(path_q) S(path_p)^-1, S the closed form of
+    _path_rows.
     """
     if len(path_p) != len(path_q):
         raise ValueError("paths have different lengths")
     if not (is_geodesic(path_p) and is_geodesic(path_q)):
         raise ValueError("input is not a geodesic")
-    g = _standardize(cfg, path_q) @ _standardize(cfg, path_p).inverse()
-    for a, b in zip(path_p, path_q):
-        assert act_vertex(g, a) == b
+    g = GL2.from_rows(cfg, _path_rows(path_q)) @ GL2.from_rows(cfg, _path_rows(path_p)).inverse()
+    if any(act_vertex(g, a) != b for a, b in zip(path_p, path_q)):
+        raise AssertionError("map_path does not carry path_p onto path_q vertexwise")
     return g
 
 
@@ -337,22 +312,14 @@ def _simplex_path(simplex):
 def transport(cfg: PadicConfig, simplex) -> GL2:
     """h carrying the standard simplex onto a vertex or edge: v0 to the vertex
     (its basis matrix), or the standard edge (v0, v1) to (parent, child) in
-    either orientation, by the closed form of _standardize.  Equals map_path
-    from the standard path of the same length, whose own standardizing element
-    is the identity."""
-    return _standardize(cfg, _simplex_path(simplex))
+    either orientation.  Equals map_path from the standard path of the same
+    length, whose own standardizing element is the identity."""
+    return GL2.from_rows(cfg, transport_rows(simplex))
 
 
 def transport_rows(simplex) -> tuple:
-    """The integer rows of transport(cfg, simplex): the same matrix h w, the
-    product taken in integers."""
-    h, w = _frame(_simplex_path(simplex))
-    if w is None:
-        return h
-    (h11, h12), (h21, h22) = h
-    (w11, w12), (w21, w22) = w
-    return ((h11 * w11 + h12 * w21, h11 * w12 + h12 * w22),
-            (h21 * w11 + h22 * w21, h21 * w12 + h22 * w22))
+    """The integer rows of transport(cfg, simplex)."""
+    return _path_rows(_simplex_path(simplex))
 
 
 def _act_coord(p: int, h, n: int, m: int, a: int, b: int):
@@ -364,7 +331,10 @@ def _act_coord(p: int, h, n: int, m: int, a: int, b: int):
     p^m (0, 1) adj(h) for a = 1, p^m (1, 0) adj(h) otherwise.  With p^e the
     content of those rows, M / p^e is primitive, so h.u has depth
     n + m - 2e, and its coordinate is whichever row stays unimodular after
-    division by p^e (the two agree mod p^D)."""
+    division by p^e (the two agree mod p^D).  The one kernel reading a vertex
+    off a lattice matrix, for vertex_canonical (a primitive matrix on v0),
+    _path_rows (adj(h) on a path's last vertex) and orbits._orbit_cells (a
+    transport on the standard orbits' far vertices)."""
     (h11, h12), (h21, h22) = h
     r1, r2 = a * h22 - b * h21, b * h11 - a * h12
     q = p**m

@@ -756,6 +756,48 @@ def test_boundary_matrix_invariants_survive_python_O():
     ]
 
 
+def test_chain_guards_survive_python_O():
+    # adding functions of different degree, a part of the wrong degree, a
+    # kernel lift from a minimal part, a surjectivity lift from a non-minimal
+    # part or from a function on another disc, and a map_path that misses its
+    # target vertexwise each raise, even with asserts stripped
+    script = "\n".join([
+        "from btcomplex import tree",
+        "from btcomplex.chains import Chain, kernel_lift, monomial, surjectivity_lift",
+        "from btcomplex.orbits import build_registry",
+        "from btcomplex.padics import PadicConfig",
+        "reg = build_registry(PadicConfig(3, 12), 1, 1)",
+        "cfg = reg.cfg",
+        "m1, m2 = [i for i, flag in enumerate(reg.minimal) if flag][:2]",
+        "fun = lambda i, d: monomial(cfg, reg.records[i].ball, 0, d)",
+        "attempts = [lambda: fun(m1, 0) + fun(m1, 1),",
+        "            lambda: Chain(reg, 0, {m1: fun(m1, 1)}),",
+        "            lambda: kernel_lift(Chain(reg, 0, {m1: fun(m1, 0)}), reg),",
+        "            lambda: surjectivity_lift(Chain(reg, 0, {reg.nonmin_order[0]: fun(m1, 0)}), reg),",
+        "            lambda: surjectivity_lift(Chain(reg, 0, {m1: fun(m2, 0)}), reg)]",
+        "for attempt in attempts:",
+        "    try:",
+        "        attempt()",
+        "    except AssertionError as exc:",
+        "        print(exc)",
+        "tree.act_vertex = lambda g, v: v",
+        "try:",
+        "    tree.map_path(cfg, tree.standard_path(3, 1), tree.path(tree.Vertex.root(3), tree.Vertex.make(3, 1, 1, 1)))",
+        "except AssertionError as exc:",
+        "    print(exc)",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=ENV)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == [
+        "added functions differ in disc or degree",
+        "part of degree 1 in a degree-0 chain",
+        "lift input must be supported off the minimal records",
+        "record 19 of the target is not minimal",
+        "piece 4 of the target lives on another disc",
+        "map_path does not carry path_p onto path_q vertexwise",
+    ]
+
+
 # -- boundary maps -----------------------------------------------------------------
 
 

@@ -125,3 +125,26 @@ def test_private_function_scan_sees_unreferenced_and_cross_module_uses():
         ]),
     }
     assert unreferenced_private_functions(sources) == [("a.py", "_recursive"), ("a.py", "_unused")]
+
+
+def bare_asserts(source: str) -> int:
+    """The assert statements of a module: python -O deletes every one."""
+    return sum(isinstance(node, ast.Assert) for node in ast.walk(ast.parse(source)))
+
+
+def test_bare_asserts_in_the_package_are_pinned():
+    # a ratchet: a check that must survive -O raises AssertionError instead;
+    # lower the pin when an assert goes
+    assert sum(bare_asserts(path.read_text()) for path in PACKAGE) == 17
+
+
+def test_assert_scan_counts_statements_not_raises_or_strings():
+    source = "\n".join([
+        "assert x",
+        "def f(y):",
+        "    assert y, 'message'",
+        "    if not y:",
+        "        raise AssertionError('kept under -O')",
+        "    return 'assert y'",
+    ])
+    assert bare_asserts(source) == 2

@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from btcomplex.padics import PadicConfig, val_fraction
+from btcomplex.padics import INF, PadicConfig, PadicNum, PrecisionError, val_fraction, val_int
 from btcomplex.projline import GL2
 from btcomplex.tree import (
     OrientedEdge,
-    _coord_in_frame,
-    _standardize,
+    _path_rows,
     Vertex,
     act_vertex,
     distance,
@@ -77,6 +76,86 @@ def test_vertex_canonical_homothety_invariance(cfg):
 def test_vertex_canonical_rejects_singular(cfg):
     with pytest.raises(ValueError):
         vertex_canonical(cfg, ((1, 1), (1, 1)))
+
+
+def _primitive_vertex(p, n, m11, m12, m21, m22):
+    """Vertex of the lattice spanned by the columns of a primitive matrix (some
+    entry a unit) whose determinant has valuation n, from its entries mod p^n:
+    the lattice is the kernel of a unimodular row of the adjugate."""
+    if n == 0:
+        return Vertex.root(p)
+    mod = p**n
+    for row in (((m22 % mod), (-m12) % mod), ((-m21) % mod, (m11 % mod))):
+        if row[0] % p != 0 or row[1] % p != 0:
+            return Vertex.make(p, n, row[0], row[1])
+    raise AssertionError("adjugate of a primitive lattice matrix has a unimodular row")
+
+
+def _vertex_canonical_oracle(cfg, matrix):
+    """Oracle: the vertex of a lattice matrix read off a unimodular row of the
+    adjugate of its primitive scaling, entries reduced mod p^n."""
+    ent = [cfg.number(x) for row in matrix for x in row]
+    if all(e.is_zero() for e in ent):
+        raise ValueError("zero matrix spans no lattice")
+    if (ent[0] * ent[3] - ent[1] * ent[2]).is_zero():
+        raise ValueError("singular matrix spans no lattice")
+    e1 = min(e.valuation for e in ent if not e.is_zero())
+    scaled = [e.shift(-e1) for e in ent]
+    n = (scaled[0] * scaled[3] - scaled[1] * scaled[2]).valuation
+    assert n is not INF and n >= 0
+    return _primitive_vertex(cfg.p, n, *(0 if e.is_zero() else int(e.residue_class(n)) for e in scaled))
+
+
+def _stored_to(cfg, x, digits):
+    """The integer x as a PadicNum known mod p^digits exactly (one digit at least)."""
+    p, v = cfg.p, val_int(x, cfg.p)
+    prec = min(cfg.N, max(1, digits - v))
+    return PadicNum(cfg, v, (x // p**v) % p**prec, prec)
+
+
+def _random_lattice_matrix(cfg, rng):
+    """Integer, Fraction, zero, singular, and PadicNum entries stored to exactly
+    the digits the reduction mod p^n reads."""
+    p, N = cfg.p, cfg.N
+    kind = rng.randrange(5)
+    if kind == 0:
+        ent = [Fraction(rng.randrange(-50, 50), p ** rng.randrange(3)) for _ in range(4)]
+    else:
+        ent = [rng.choice([0, rng.randrange(-p**3, p**3), rng.randrange(-p**3, p**3),
+                           rng.randrange(1, p**2) * p ** rng.randrange(N)]) for _ in range(4)]
+    if kind == 1:  # proportional columns
+        c = rng.choice([1, -2, p, Fraction(1, p)])
+        ent[1], ent[3] = c * ent[0], c * ent[2]
+    elif kind == 2 and rng.random() < 0.1:
+        ent = [0] * 4
+    elif kind == 3 and any(ent) and ent[0] * ent[3] != ent[1] * ent[2]:
+        e1 = min(val_int(x, p) for x in ent if x)
+        n = val_int(ent[0] * ent[3] - ent[1] * ent[2], p) - 2 * e1
+        ent = [_stored_to(cfg, x, n + e1) if x and rng.random() < 0.5 else x for x in ent]
+    return ((ent[0], ent[1]), (ent[2], ent[3]))
+
+
+def _outcome(fn, cfg, matrix):
+    try:
+        return fn(cfg, matrix)
+    except (ArithmeticError, ValueError) as exc:  # PrecisionError is an ArithmeticError
+        return type(exc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_vertex_canonical_matches_the_adjugate_oracle(p):
+    # 3,000 seeded matrices per prime, compared on the vertex, or on the
+    # exception type where the oracle raises
+    rng = random.Random(p)
+    seen = set()
+    for N in (6, 12, 20):
+        cfg = PadicConfig(p, N)
+        for _ in range(1000):
+            m = _random_lattice_matrix(cfg, rng)
+            want = _outcome(_vertex_canonical_oracle, cfg, m)
+            assert _outcome(vertex_canonical, cfg, m) == want, (N, m)
+            seen.add(want if isinstance(want, type) else min(want.n, 2))
+    assert seen >= {0, 1, 2, ValueError, PrecisionError}
 
 
 def test_layer_counts_match_formula():
@@ -239,17 +318,32 @@ def test_transport_matches_map_path_and_basis_matrix(p):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_standardize_of_the_standard_edge_is_the_identity(p):
     cfg = PadicConfig(p, 16)
-    assert _standardize(cfg, standard_path(p, 1)) == GL2.identity(cfg)
+    assert _path_rows(standard_path(p, 1)) == ((1, 0), (0, 1))
+    assert transport(cfg, standard_orientation(*standard_path(p, 1))) == GL2.identity(cfg)
+
+
+def _mul(x, y):
+    """Exact product of two 2x2 row matrices of ints or Fractions."""
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def _inverse(x):
+    (a, b), (c, d) = x
+    det = Fraction(a * d - b * c)
+    return ((d / det, -b / det), (-c / det, a / det))
 
 
 def _inductive_standardize(cfg, pathlist):
-    """Oracle: the path-transitivity element built one vertex at a time, moving
-    the first vertex by its basis matrix, then repairing each next vertex with
-    an element that fixes everything shallower."""
+    """Oracle: the rows of the path-transitivity element built one vertex at a
+    time in exact rationals, moving the first vertex by its basis matrix, then
+    repairing each next vertex with an element that fixes everything
+    shallower; vertices are read by the adjugate oracle."""
     p = cfg.p
-    h = GL2.from_rows(cfg, pathlist[0].basis_matrix())
+    h = pathlist[0].basis_matrix()
     for i in range(1, len(pathlist)):
-        u = act_vertex(h.inverse(), pathlist[i])
+        u = _vertex_canonical_oracle(cfg, _mul(_inverse(h), pathlist[i].basis_matrix()))
         assert u.n == i and distance(u, standard_path(p, i)[i - 1]) == 1
         a, b = u.coord
         if i == 1:
@@ -257,9 +351,9 @@ def _inductive_standardize(cfg, pathlist):
         else:
             assert a == 1 and b % p ** (i - 1) == 0
             rows = ((1, b), (0, 1))
-        w = GL2.from_rows(cfg, rows).inverse()
-        assert act_vertex(w, standard_path(p, i)[i]) == u
-        h = h @ w
+        w = _inverse(rows)
+        assert act_vertex(GL2.from_rows(cfg, w), standard_path(p, i)[i]) == u
+        h = _mul(h, w)
     return h
 
 
@@ -269,13 +363,16 @@ def _digits(g):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_standardize_closed_form_matches_inductive_oracle(p):
-    # entry by entry: valuation, unit digits and precision
+    # the integer rows equal the oracle's as rationals, and entry by entry
+    # (valuation, unit digits and precision) once converted
     cfg = PadicConfig(p, 16)
     verts = vertices_upto(p, 3 if p == 2 else 2)
     paths = [path(v, w) for v in verts for w in verts]
     paths += [q for e in edges_upto(p, 3) for q in ([e.src, e.dst], [e.dst, e.src])]
     for q in paths:
-        assert _digits(_standardize(cfg, q)) == _digits(_inductive_standardize(cfg, q)), q
+        want = _inductive_standardize(cfg, q)
+        assert _path_rows(q) == want, q
+        assert _digits(GL2.from_rows(cfg, _path_rows(q))) == _digits(GL2.from_rows(cfg, want)), q
 
 
 def _coord_in_frame_oracle(cfg, v, w):
@@ -285,35 +382,52 @@ def _coord_in_frame_oracle(cfg, v, w):
 
 
 def _standardize_oracle(cfg, pathlist):
-    """The closed form of _standardize with the frame coordinate read through
-    the PadicNum inverse."""
-    h = GL2.from_rows(cfg, pathlist[0].basis_matrix())
+    """The rows of the closed form h w with the frame coordinate read through
+    the PadicNum inverse, multiplied exactly."""
+    h = pathlist[0].basis_matrix()
     if len(pathlist) == 1:
         return h
     a, b = _coord_in_frame_oracle(cfg, pathlist[0], pathlist[-1])
-    return h @ GL2.from_rows(cfg, ((1, -b), (0, 1)) if a == 1 else ((0, 1), (1, -a)))
+    return _mul(h, ((1, -b), (0, 1)) if a == 1 else ((0, 1), (1, -a)))
 
 
 @pytest.mark.parametrize("p,k,n", [(2, 2, 4), (3, 1, 3), (5, 1, 2)])
 def test_integer_frame_coordinate_matches_padic_oracle(p, k, n):
-    # at the registry precision: every ordered vertex pair, every vertex and
-    # edge transport, and map_path from every geodesic onto its reverse
+    # at the registry precision: the rows of every vertex-pair path, every
+    # vertex and edge transport, and map_path from every geodesic onto its
+    # reverse, each against the oracle's exact rows converted once
     cfg = PadicConfig(p, k + 2 * n + 12)
     verts = vertices_upto(p, n)
     for v in verts:
         for w in verts:
-            assert _coord_in_frame(v, w) == _coord_in_frame_oracle(cfg, v, w), (v, w)
+            assert _path_rows(path(v, w)) == _standardize_oracle(cfg, path(v, w)), (v, w)
     for v in verts:
-        assert _digits(transport(cfg, v)) == _digits(_standardize_oracle(cfg, [v])), v
+        assert _digits(transport(cfg, v)) == _digits(GL2.from_rows(cfg, _standardize_oracle(cfg, [v]))), v
     for e in edges_upto(p, n):
-        want = _digits(_standardize_oracle(cfg, [e.src, e.dst]))
+        want = _digits(GL2.from_rows(cfg, _standardize_oracle(cfg, [e.src, e.dst])))
         assert _digits(transport(cfg, e)) == want, e
         assert _digits(transport(cfg, OrientedEdge(e.dst, e.src))) == want, e
+    gained = 0
     for v in verts:
         for w in verts:
             P = path(v, w)
-            want = _standardize_oracle(cfg, P[::-1]) @ _standardize_oracle(cfg, P).inverse()
-            assert _digits(map_path(cfg, P, P[::-1])) == _digits(want), (v, w)
+            rows = [_standardize_oracle(cfg, q) for q in (P[::-1], P)]
+            S = [GL2.from_rows(cfg, r) for r in rows]
+            g = map_path(cfg, P, P[::-1])
+            assert _digits(g) == _digits(S[0] @ S[1].inverse()), (v, w)
+            assert g == GL2.from_rows(cfg, _mul(rows[0], _inverse(rows[1]))), (v, w)
+            # h w multiplied p-adically, as before the integer closed form,
+            # may drop digits on cancellation; the integer rows never do
+            old = [_padic_product(cfg, q[0].basis_matrix(), r) for q, r in zip((P[::-1], P), rows)]
+            precs = [(x.prec, y.prec) for x, y in zip(g.entries(), (old[0] @ old[1].inverse()).entries())]
+            assert all(x >= y for x, y in precs), (v, w)
+            gained += any(x > y for x, y in precs)
+    assert gained
+
+
+def _padic_product(cfg, h, rows):
+    """The matrix of rows as the PadicNum product of h and h^-1 rows."""
+    return GL2.from_rows(cfg, h) @ GL2.from_rows(cfg, _mul(_inverse(h), rows))
 
 
 # -- congruence subgroups ------------------------------------------------------------
