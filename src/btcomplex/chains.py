@@ -53,21 +53,12 @@ class NotAnalyticError(ValueError):
 
 @dataclass(frozen=True)
 class Character:
-    """Integer-weight character of the diagonal torus: diag(a,d) -> (ad)^m1 d^m2."""
+    """Integer-weight character of the Borel, read off its diagonal:
+    [[a, b], [0, d]] -> (ad)^m1 d^m2.  It is its two weights; callers raise
+    the entries to them."""
 
     m1: int
     m2: int
-
-    def chi1(self, x: PadicNum) -> PadicNum:
-        return x**self.m1
-
-    def chi2(self, x: PadicNum) -> PadicNum:
-        return x**self.m2
-
-    def of_borel(self, g: GL2) -> PadicNum:
-        """Value on an upper-triangular matrix (c-entry zero)."""
-        assert g.c.is_zero()
-        return self.chi1(g.a * g.d) * self.chi2(g.d)
 
 
 class TruncFun:
@@ -96,9 +87,6 @@ class TruncFun:
 
     def __neg__(self) -> "TruncFun":
         return TruncFun(self.cfg, self.ball, [-a for a in self.coeffs])
-
-    def __sub__(self, other: "TruncFun") -> "TruncFun":
-        return self + (-other)
 
     def __eq__(self, other):
         if not isinstance(other, TruncFun):
@@ -246,14 +234,10 @@ def _apply(op, coeffs):
 
 
 def _transition(cfg: PadicConfig, src: Ball, dst: Ball) -> GL2:
-    """The coordinate change from src's canonical coordinate to dst's, formed
-    exactly from the two Ball.param matrices, dst's times the inverse of
-    src's, and converted to p-adic numbers once, so no digit is lost."""
-    (a, b), (c, d) = src.param()
-    det = a * d - b * c
-    (e, f), (g, h) = dst.param()
-    return GL2(cfg, (e * d - f * c) / det, (f * a - e * b) / det,
-               (g * d - h * c) / det, (h * a - g * b) / det)
+    """The coordinate change from src's canonical coordinate to dst's: the
+    exact quotient of the two Ball.param matrices, dst's times the inverse
+    of src's."""
+    return GL2.quotient(cfg, dst.param(), src.param())
 
 
 def _route(reg: OrbitRegistry, src: int, dst: int, D: int):
@@ -293,7 +277,7 @@ GUARD_DEGREES = 4
 def act_on_function(g: GL2, chi: Character, f: TruncFun):
     """Twisted action of g on a truncated function over one of g's orbit discs.
 
-    Expands chi1(det g) * chi2(cocycle) * f(x.g) in the disc coordinate to
+    Expands det(g)^m1 * cocycle^m2 * f(x.g) in the disc coordinate to
     degree d + 4 and returns (degree-<=d part, min valuation of the discarded
     guard coefficients).  f(x.g) is the pull-back along the transition of g
     in the disc coordinate, by the operator restriction uses (_operator) to
@@ -318,13 +302,14 @@ def act_on_function(g: GL2, chi: Character, f: TruncFun):
     Mb = GL2.from_rows(cfg, ball.param())
     Mg = Mb @ g
     # (t, 1).Mb.g is (x, 1).g = (ax + c, bx + d) inside the closed unit disc
-    # and (1, u).g = (a + cu, b + du) outside it; the cocycle is chi2 of the
-    # second entry inside, and of the first outside, where the section flips
+    # and (1, u).g = (a + cu, b + du) outside it; the cocycle factor is the
+    # m2-th power of the second entry inside, and of the first outside, where
+    # the section flips
     a0, a1 = (Mg.d, Mg.b) if inside else (Mg.c, Mg.a)
     d = f.degree_bound
     D = d + GUARD_DEGREES
     twist = _binomial_series(cfg, a0, a1, chi.m2, D)
-    const = chi.chi1(g.det())
+    const = g.det() ** chi.m1
     pulled = _apply(_operator(Mg @ Mb.inverse(), D, d + 1), f.coeffs)
     full = _series_mul(pulled, twist, D)
     full = [const * c for c in full]
@@ -344,7 +329,8 @@ def section_s(cfg: PadicConfig, z: ProjPoint) -> GL2:
 def cocycle_xi(cfg: PadicConfig, z: ProjPoint, g: GL2) -> GL2:
     """xi(z, g) = s(z) g s(z.g)^{-1}; always upper triangular (c-entry 0)."""
     xi = section_s(cfg, z) @ g @ section_s(cfg, moebius_apply(g, z)).inverse()
-    assert xi.c.is_zero(), "cocycle left the Borel"
+    if not xi.c.is_zero():
+        raise AssertionError("cocycle left the Borel")
     return xi
 
 
@@ -519,7 +505,8 @@ def assemble_dbar1(reg: OrbitRegistry, d: int) -> BoundaryMatrix:
     owning endpoint, and the off-diagonal blocks are signed restrictions into
     the strictly smaller orbits across the edge.
     """
-    assert reg.n >= 1, "the truncated complex needs at least one edge layer"
+    if reg.n < 1:
+        raise AssertionError("the truncated complex needs at least one edge layer")
     if reg.p == 2 and reg.k == 1:
         warnings.warn(
             "level (p, k) = (2, 1): the pro-p uniformity hypothesis behind the "

@@ -112,7 +112,8 @@ def _emit(cfg_run: RunConfig, text: str):
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1, default=str)
+    """Strict JSON: a Fraction, INF or any value without a JSON literal raises."""
+    return json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
 
 
 def run(rc: RunConfig) -> int:

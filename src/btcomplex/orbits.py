@@ -114,9 +114,11 @@ def _orbit_cells(simplex, k: int):
 
 def enumerate_orbits(cfg: PadicConfig, simplex, k: int):
     """All level-k orbit records of a simplex: pairwise-disjoint discs covering P^1."""
-    assert k >= 1
+    if k < 1:
+        raise AssertionError(f"congruence level must be >= 1, got {k}")
     records = [OrbitRecord(simplex, k, Ball(cfg, key)) for key, _ in _orbit_cells(simplex, k)]
-    assert len({r.ball for r in records}) == len(records)
+    if len({r.ball for r in records}) != len(records):
+        raise AssertionError(f"two orbits of {simplex.id_str()} share a disc")
     return records
 
 
@@ -279,7 +281,8 @@ def build_registry(cfg: PadicConfig, n: int, k: int) -> OrbitRegistry:
     """All orbit records for simplices within distance n of the root, built
     in integers (_orbit_cells): one Ball per distinct disc, shared by every
     record of that disc."""
-    assert n >= 0 and k >= 1
+    if n < 0 or k < 1:
+        raise AssertionError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
     reg = OrbitRegistry(cfg, n, k)
     p = cfg.p
     discs = {}  # cell key -> its one Ball
@@ -316,13 +319,15 @@ def build_registry(cfg: PadicConfig, n: int, k: int) -> OrbitRegistry:
 
 def minimal_orbits(reg: OrbitRegistry):
     """The minimal records; their balls partition P^1 (a separate check)."""
-    assert reg.n >= 1
+    if reg.n < 1:
+        raise AssertionError("minimal orbits need n >= 1")
     return reg.minimal_records()
 
 
 def edge_orbit_owner(reg: OrbitRegistry, rec: OrbitRecord) -> Vertex:
     """The unique endpoint whose own registry holds the same ball."""
-    assert isinstance(rec.simplex, OrientedEdge)
+    if not isinstance(rec.simplex, OrientedEdge):
+        raise AssertionError(f"{rec.id_str()} is not an edge orbit")
     hits = [v for v in rec.simplex.endpoints() if OrbitRecord(v, reg.k, rec.ball) in reg.index]
     if len(hits) != 1:
         raise AssertionError(

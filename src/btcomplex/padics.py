@@ -107,7 +107,8 @@ class PadicConfig:
         return PadicNum(self, vn - vd, un * pow(ud, -1, mod) % mod, self.N)
 
     def number(self, x) -> "PadicNum":
-        """Coerce an int, Fraction, digit string, or PadicNum into this context."""
+        """Coerce an int, Fraction, or PadicNum into this context.  Digit
+        strings are output only (PadicNum.serialize); nothing reads them."""
         if isinstance(x, PadicNum):
             if x.cfg.p != self.p:
                 raise ValueError("prime mismatch")
@@ -118,32 +119,7 @@ class PadicConfig:
             return self.from_int(x)
         if isinstance(x, Fraction):
             return self.from_fraction(x)
-        if isinstance(x, str):
-            return self.parse(x)
         raise TypeError(f"cannot convert {type(x).__name__} to PadicNum")
-
-    def parse(self, s: str) -> "PadicNum":
-        """Parse 'vV:uDDDD' (unit digits little-endian base p), or an int/rational literal."""
-        s = s.strip()
-        if s.startswith("v"):
-            vpart, upart = s.split(":")
-            if vpart == "vinf":
-                return self.zero()
-            v = int(vpart[1:])
-            digits = upart[1:]
-            u = 0
-            for i, ch in enumerate(digits):
-                d = int(ch)
-                if not 0 <= d < self.p:
-                    raise ValueError(f"digit {d} out of range for p={self.p}")
-                u += d * self.p**i
-            if u % self.p == 0:
-                raise ValueError("unit part must be invertible mod p")
-            return PadicNum(self, v, u % self.p**self.N, self.N)
-        if "/" in s:
-            num, den = s.split("/")
-            return self.from_fraction(Fraction(int(num), int(den)))
-        return self.from_int(int(s))
 
 
 class PadicNum:

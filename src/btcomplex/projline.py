@@ -120,6 +120,16 @@ class GL2:
         (a, b), (c, d) = rows
         return cls(cfg, a, b, c, d)
 
+    @classmethod
+    def quotient(cls, cfg: PadicConfig, top, bottom) -> "GL2":
+        """top . bottom^-1 of exact rows (ints or Fractions), formed exactly
+        and converted to p-adic numbers once, so no digit is lost."""
+        (a, b), (c, d) = bottom
+        det = Fraction(a * d - b * c)
+        (e, f), (g, h) = top
+        return cls(cfg, (e * d - f * c) / det, (f * a - e * b) / det,
+                   (g * d - h * c) / det, (h * a - g * b) / det)
+
     def det(self) -> PadicNum:
         return self.a * self.d - self.b * self.c
 

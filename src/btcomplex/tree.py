@@ -31,7 +31,8 @@ def _canonical_coord(p: int, n: int, a: int, b: int):
     b %= mod
     if a % p != 0:
         return (1, b * pow(a, -1, mod) % mod if n else 0)
-    assert b % p != 0, "coordinate pair is not unimodular"
+    if b % p == 0:
+        raise AssertionError("coordinate pair is not unimodular")
     return (a * pow(b, -1, mod) % mod, 1)
 
 
@@ -54,7 +55,8 @@ class Vertex:
         return Vertex(p, n, _canonical_coord(p, n, a, b))
 
     def parent(self) -> "Vertex":
-        assert self.n >= 1, "the root has no parent"
+        if self.n < 1:
+            raise AssertionError("the root has no parent")
         a, b = self.coord
         return Vertex.make(self.p, self.n - 1, a, b)
 
@@ -77,13 +79,9 @@ class Vertex:
         return ((1, 0), (-a, q))
 
     def sort_key(self):
-        a, b = self.coord
-        if a != 1:  # type (a, 1): toward the z-point a (a in pZ)
-            return (self.n, 0, a)
-        if b % self.p != 0:  # toward the z-point 1/b
-            c = pow(b, -1, self.p**self.n) if self.n else 0
-            return (self.n, 0, c)
-        return (self.n, 1, b)  # toward the u-point b (w side)
+        """(depth, chart, residue) of D(v), the cell of ends beyond v."""
+        chart, _, r = _point_cell(self.p, self.n, *self.coord)
+        return (self.n, chart == "w", r)
 
     def to_json(self) -> dict:
         return {"n": self.n, "coord": list(self.coord)}
@@ -103,14 +101,11 @@ class OrientedEdge:
     dst: Vertex
 
     def __post_init__(self):
-        assert distance(self.src, self.dst) == 1, "endpoints are not adjacent"
+        if distance(self.src, self.dst) != 1:
+            raise AssertionError("endpoints are not adjacent")
 
     def endpoints(self):
         return (self.src, self.dst)
-
-    @property
-    def depth(self) -> int:
-        return max(self.src.n, self.dst.n)
 
     def id_str(self) -> str:
         return f"e[{self.src.id_str()}->{self.dst.id_str()}]"
@@ -121,7 +116,8 @@ class OrientedEdge:
 
 def standard_orientation(v: Vertex, w: Vertex) -> OrientedEdge:
     """Orient every edge away from the root (parent first)."""
-    assert abs(v.n - w.n) == 1
+    if abs(v.n - w.n) != 1:
+        raise AssertionError("vertices are not a parent and a child")
     return OrientedEdge(v, w) if v.n < w.n else OrientedEdge(w, v)
 
 
@@ -181,7 +177,8 @@ def vertex_canonical(cfg: PadicConfig, matrix) -> Vertex:
     e1 = min(e.valuation for e in ent if not e.is_zero())
     scaled = [e.shift(-e1) for e in ent]
     n = (scaled[0] * scaled[3] - scaled[1] * scaled[2]).valuation
-    assert n is not INF and n >= 0
+    if n is INF or n < 0:
+        raise AssertionError("primitive lattice matrix has a non-integral determinant")
     if n == 0:
         return Vertex.root(p)
     m11, m12, m21, m22 = (int(e.residue_class(n)) for e in scaled)
@@ -221,21 +218,15 @@ def path(v: Vertex, w: Vertex):
     down = [w]
     while down[-1].n > j:
         down.append(down[-1].parent())
-    assert up[-1] == down[-1]
+    if up[-1] != down[-1]:
+        raise AssertionError("the two ancestor chains miss a common ancestor")
     return up + down[-2::-1]
 
 
 def act_vertex(g: GL2, v: Vertex) -> Vertex:
     """g.[L] = [g.L]; a distance-preserving action."""
-    cfg = g.cfg
-    (m11, m12), (m21, m22) = v.basis_matrix()
-    b11, b12 = cfg.from_int(m11), cfg.from_int(m12)
-    b21, b22 = cfg.from_int(m21), cfg.from_int(m22)
-    out = (
-        (g.a * b11 + g.b * b21, g.a * b12 + g.b * b22),
-        (g.c * b11 + g.d * b21, g.c * b12 + g.d * b22),
-    )
-    return vertex_canonical(cfg, out)
+    m = g @ GL2.from_rows(g.cfg, v.basis_matrix())
+    return vertex_canonical(g.cfg, ((m.a, m.b), (m.c, m.d)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +279,13 @@ def map_path(cfg: PadicConfig, path_p, path_q) -> GL2:
 
     Both inputs must be geodesics of equal length; the output is the
     deterministic element S(path_q) S(path_p)^-1, S the closed form of
-    _path_rows.
+    _path_rows, formed exactly by GL2.quotient.
     """
     if len(path_p) != len(path_q):
         raise ValueError("paths have different lengths")
     if not (is_geodesic(path_p) and is_geodesic(path_q)):
         raise ValueError("input is not a geodesic")
-    g = GL2.from_rows(cfg, _path_rows(path_q)) @ GL2.from_rows(cfg, _path_rows(path_p)).inverse()
+    g = GL2.quotient(cfg, _path_rows(path_q), _path_rows(path_p))
     if any(act_vertex(g, a) != b for a, b in zip(path_p, path_q)):
         raise AssertionError("map_path does not carry path_p onto path_q vertexwise")
     return g
@@ -348,11 +339,12 @@ def _act_coord(p: int, h, n: int, m: int, a: int, b: int):
 
 def _point_cell(p: int, d: int, s: int, t: int) -> tuple:
     """(chart, p^d, r) of the level-d residue cell of the ends (x : y) = (s : t)
-    mod p^d, for a unimodular pair and d >= 1, in the vocabulary of Ball.cell:
+    mod p^d, for a unimodular pair and d >= 0, in the vocabulary of Ball.cell:
     x/y = r mod p^d (chart "z") when t is a unit, else y/x = r mod p^d (chart
     "w").  For a vertex's coordinate it is D(v), the ends beyond v away from
     the root: (a, 1) is the z-cell a, (1, b) the z-cell 1/b for b a unit and
-    the w-cell b for b in pZ."""
+    the w-cell b for b in pZ.  At d = 0 the root's (1 : 0) gives ("w", 1, 0),
+    which only Vertex.sort_key reads."""
     q = p**d
     if t % p:
         return ("z", q, s * pow(t, -1, q) % q)
@@ -382,7 +374,8 @@ def in_group(g: GL2, simplex, k: int) -> bool:
     conjugate g into the standard frame of the simplex, h^-1 g h with h its
     transport, and test the entries against level_exponents.  For a vertex
     that is the matrix being congruent to the identity mod p^k."""
-    assert k >= 1
+    if k < 1:
+        raise AssertionError(f"congruence level must be >= 1, got {k}")
     h = transport(g.cfg, simplex)
     return _fits_level(h.inverse() @ g @ h, simplex, k)
 
@@ -404,10 +397,12 @@ def factor_edge_group(g: GL2, e: OrientedEdge, k: int):
     g1_std = GL2(cfg, std.a, 0, std.c, 1)
     g2_std = g1_std.inverse() @ std
     par, chi = (e.src, e.dst) if e.src.n < e.dst.n else (e.dst, e.src)
-    assert _fits_level(g2_std, par, k)
+    if not _fits_level(g2_std, par, k):
+        raise AssertionError("shallow factor left the shallower vertex group")
     g1 = h @ g1_std @ hinv
     g2 = h @ g2_std @ hinv
-    assert in_group(g1, chi, k) and in_group(g2, par, k)
+    if not (in_group(g1, chi, k) and in_group(g2, par, k)):
+        raise AssertionError("edge group factors left their vertex groups")
     return g1, g2
 
 

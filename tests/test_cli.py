@@ -3,9 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from btcomplex.cli import _dump
+from btcomplex.padics import INF
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # an absolute path, so the subprocesses import this checkout from any working directory
@@ -99,6 +103,15 @@ def test_usage_errors_exit_two(tmp_path):
     r = run_cli("counts", "--out", str(tmp_path / "missing" / "x.json"))
     assert r.returncode == 2 and "Traceback" not in r.stderr
     assert len(r.stderr.splitlines()) == 1
+
+
+def test_dump_is_strict_json():
+    # a value without a JSON literal fails instead of printing as a string
+    with pytest.raises(TypeError):
+        _dump({"x": Fraction(1, 3)})
+    with pytest.raises(ValueError):
+        _dump({"x": INF})
+    assert _dump({"b": [1, "v0:u1"], "a": True}) == '{\n "a": true,\n "b": [\n  1,\n  "v0:u1"\n ]\n}'
 
 
 def test_out_file(tmp_path):

@@ -1,10 +1,17 @@
-"""Source hygiene: no module imports a name it never uses, and the package
-defines no private function that nothing calls."""
+"""Source hygiene: no module imports a name it never uses, the package
+defines no private function that nothing calls and no bare assert, and the
+benchmark tracer reads only names the package defines."""
 
 import ast
+import importlib
+import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from test_cli import ENV
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = sorted(
@@ -133,9 +140,32 @@ def bare_asserts(source: str) -> int:
 
 
 def test_bare_asserts_in_the_package_are_pinned():
-    # a ratchet: a check that must survive -O raises AssertionError instead;
-    # lower the pin when an assert goes
-    assert sum(bare_asserts(path.read_text()) for path in PACKAGE) == 17
+    # a check that must survive -O raises AssertionError instead
+    assert sum(bare_asserts(path.read_text()) for path in PACKAGE) == 0
+
+
+def test_package_checks_survive_python_O():
+    # a registry at level 0, the root's parent and an edge from a vertex to
+    # itself each raise, even with asserts stripped
+    script = "\n".join([
+        "from btcomplex.orbits import build_registry",
+        "from btcomplex.padics import PadicConfig",
+        "from btcomplex.tree import OrientedEdge, Vertex",
+        "v0 = Vertex.root(3)",
+        "for attempt in (lambda: build_registry(PadicConfig(3, 12), 1, 0),",
+        "                v0.parent, lambda: OrientedEdge(v0, v0)):",
+        "    try:",
+        "        attempt()",
+        "    except AssertionError as exc:",
+        "        print(exc)",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=ENV)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == [
+        "need n >= 0 and k >= 1, got n=1, k=0",
+        "the root has no parent",
+        "endpoints are not adjacent",
+    ]
 
 
 def test_assert_scan_counts_statements_not_raises_or_strings():
@@ -148,3 +178,51 @@ def test_assert_scan_counts_statements_not_raises_or_strings():
         "    return 'assert y'",
     ])
     assert bare_asserts(source) == 2
+
+
+def _bench_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _KeyRecorder(dict):
+    """A dict that records the key of every .get, in a shared set per role."""
+
+    def __init__(self, seen, role, **items):
+        super().__init__(items)
+        self.seen, self.role = seen, role
+
+    def get(self, key, default=None):
+        self.seen.add((self.role, key))
+        return super().get(key, default)
+
+
+def test_benchmark_tracer_reads_only_names_the_package_defines():
+    # a name the package drops reads 0 in the benchmark, silently; every span
+    # layer_metrics reads must be one the Tracer installs, every counted
+    # method must exist, and every snapshot field it reads must be one
+    # Tracer.snapshot writes
+    tracer = _bench_tracer()
+    spans = set()
+    for layer in tracer.LAYERS:
+        module = importlib.import_module(f"btcomplex.{layer}")
+        names = [name for name, _ in tracer._public_functions(module)]
+        names += [name for name in tracer.EXTRA_FUNCTIONS.get(layer, ()) if hasattr(module, name)]
+        spans |= {f"{layer}.{name}" for name in names}
+    spans |= {span for module, cls, meth, span in tracer.METHODS
+              if meth in vars(getattr(importlib.import_module(f"btcomplex.{module}"), cls))}
+    for module, cls, meth in tracer.COUNTED_METHODS.values():
+        assert meth in vars(getattr(importlib.import_module(f"btcomplex.{module}"), cls)), (cls, meth)
+
+    seen = set()
+    snapshot = tracer.Tracer("counts").snapshot()
+    fields = {key: _KeyRecorder(seen, key) for key, value in snapshot.items() if isinstance(value, dict)}
+    tracer.layer_metrics(_KeyRecorder(seen, "spans", **fields), _KeyRecorder(seen, "counts", **fields))
+    read = {role: {key for r, key in seen if r == role} for role, _ in seen}
+    assert read["spans"] | read["counts"] <= set(snapshot)
+    assert read["counted"] == set(tracer.COUNTED_METHODS)
+    assert read["layer_self_s"] <= set(tracer.LAYERS)
+    # projline.ball_cells left the package; the benchmark still reads it
+    assert (read["calls"] | read["inclusive_s"]) - spans == {"projline.ball_cells"}
