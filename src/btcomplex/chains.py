@@ -35,6 +35,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 from .padics import INF, PadicConfig, PadicNum
 from .projline import Ball, GL2, ProjPoint, moebius_apply, moebius_ball_image
@@ -127,7 +128,8 @@ def _series_mul(a, b, D):
 
 
 def mobius_series(g: GL2, D: int):
-    """Coefficients of t |-> t.g = (at + c)/(bt + d) on Z_p, to degree D.
+    """Coefficients of t |-> t.g = (at + c)/(bt + d) on Z_p, to degree D: the
+    numerator (c + at)/d times the binomial series of (1 + (b/d)t)^-1.
 
     Requires the pole outside the unit disc (val b > val d), which holds
     exactly when the map carries Z_p into Z_p.
@@ -136,27 +138,12 @@ def mobius_series(g: GL2, D: int):
     if g.d.is_zero() or (not g.b.is_zero() and g.b.valuation <= g.d.valuation):
         raise NotAnalyticError("pole of the transition meets the unit disc")
     dinv = g.d.inverse()
-    ratio = -(g.b * dinv)
-    inv_den = [cfg.one()]
-    for _ in range(D):
-        inv_den.append(inv_den[-1] * ratio)
-    inv_den = [dinv * x for x in inv_den]
-    num = [g.c, g.a]
-    return _series_mul(num, inv_den, D)
-
-
-def _int_binom(m: int, i: int) -> int:
-    """binom(m, i) for any integer m (negative included); always an integer."""
-    num = 1
-    for t in range(i):
-        num *= m - t
-    for t in range(2, i + 1):
-        num //= t
-    return num
+    return _series_mul([g.c * dinv, g.a * dinv], _binomial_series(cfg, cfg.one(), g.b * dinv, -1, D), D)
 
 
 def _binomial_series(cfg: PadicConfig, a0: PadicNum, a1: PadicNum, e: int, D: int):
-    """(a0 + a1 t)^e to degree D; needs val(a0)=0 and val(a1)>=1 to converge."""
+    """(a0 + a1 t)^e to degree D; needs val(a0)=0 and val(a1)>=1 to converge.
+    For e < 0, binom(e, i) = (-1)^i binom(i - e - 1, i)."""
     if a0.valuation != 0 or (not a1.is_zero() and a1.valuation < 1):
         raise NotAnalyticError("character factor is not analytic on this disc")
     ratio = a1 / a0
@@ -164,7 +151,7 @@ def _binomial_series(cfg: PadicConfig, a0: PadicNum, a1: PadicNum, e: int, D: in
     out = []
     power = cfg.one()
     for i in range(D + 1):
-        b = _int_binom(e, i)
+        b = comb(e, i) if e >= 0 else (-1) ** i * comb(i - e - 1, i)
         out.append(lead * cfg.from_int(b) * power if b else cfg.zero())
         power = power * ratio
     return out
@@ -347,8 +334,7 @@ class Chain:
     minimal records.
     """
 
-    def __init__(self, reg: OrbitRegistry, d: int, parts=None):
-        self.reg = reg
+    def __init__(self, d: int, parts=None):
         self.d = d
         self.parts = {}
         for i, fun in (parts or {}).items():
@@ -392,7 +378,7 @@ def partial1(c1: Chain, reg: OrbitRegistry) -> Chain:
     """f on an oriented edge goes to +f at the source and -f at the target,
     written out per orbit: identity into the endpoint owning the orbit, exact
     restrictions into the q sub-orbits at the other endpoint."""
-    out = Chain(reg, c1.d)
+    out = Chain(c1.d)
     for i, f in c1.parts.items():
         owner = reg.owner[i]
         s = _edge_sign(reg.records[i].simplex, reg.records[owner].simplex)
@@ -406,7 +392,7 @@ def partial1(c1: Chain, reg: OrbitRegistry) -> Chain:
 def partial0(c0: Chain, reg: OrbitRegistry) -> Chain:
     """Sum of the components inside the space of piecewise functions, written
     on the common refinement by minimal-orbit discs."""
-    out = Chain(reg, c0.d)
+    out = Chain(c0.d)
     for i, f in c0.parts.items():
         for m in reg.min_cover[i]:
             out.add_part(m, registry_restrict(reg, f, i, m))
@@ -417,7 +403,7 @@ def kernel_project(c0: Chain, reg: OrbitRegistry) -> Chain:
     """Drop the minimal components of a kernel element of the augmentation."""
     if not partial0(c0, reg).is_zero():
         raise ValueError("chain is not in the kernel of the augmentation")
-    return Chain(reg, c0.d, {i: f for i, f in c0.parts.items() if not reg.minimal[i]})
+    return Chain(c0.d, {i: f for i, f in c0.parts.items() if not reg.minimal[i]})
 
 
 def kernel_lift(nonmin: Chain, reg: OrbitRegistry) -> Chain:
@@ -426,7 +412,7 @@ def kernel_lift(nonmin: Chain, reg: OrbitRegistry) -> Chain:
     strictly larger components, so the lift is nonmin - partial0(nonmin)."""
     if any(reg.minimal[i] for i in nonmin.parts):
         raise AssertionError("lift input must be supported off the minimal records")
-    out = Chain(reg, nonmin.d, nonmin.parts)
+    out = Chain(nonmin.d, nonmin.parts)
     for m, f in partial0(nonmin, reg).parts.items():
         out.set_part(m, -f)
     return out
@@ -481,7 +467,7 @@ class BoundaryMatrix:
 
     def apply(self, c1: Chain) -> Chain:
         """Matrix action: columns are the edge records under the owner bijection."""
-        out = Chain(self.reg, self.d)
+        out = Chain(self.d)
         for i, f in c1.parts.items():
             for t, kind, sign in self._edge_blocks[i]:
                 g = f if kind == "id" else registry_restrict(self.reg, f, i, t)
@@ -561,7 +547,7 @@ def random_truncfun(cfg: PadicConfig, ball: Ball, d: int, rng: random.Random,
 
 def random_localfun(reg: OrbitRegistry, d: int, rng: random.Random) -> Chain:
     """A random piecewise function on the minimal records."""
-    out = Chain(reg, d)
+    out = Chain(d)
     for i, is_min in enumerate(reg.minimal):
         if is_min:
             out.set_part(i, random_truncfun(reg.cfg, reg.records[i].ball, d, rng))
@@ -572,7 +558,7 @@ def random_chain1(reg: OrbitRegistry, d: int, rng: random.Random) -> Chain:
     """A random degree-one chain: nonzero functions on 3 distinct edge records
     (all of them when the registry has fewer)."""
     ids = list(reg.edge_ids())
-    out = Chain(reg, d)
+    out = Chain(d)
     for i in rng.sample(ids, min(3, len(ids))):
         out.set_part(i, random_truncfun(reg.cfg, reg.records[i].ball, d, rng, nonzero=True))
     return out
@@ -581,7 +567,7 @@ def random_chain1(reg: OrbitRegistry, d: int, rng: random.Random) -> Chain:
 def surjectivity_lift(target: Chain, reg: OrbitRegistry) -> Chain:
     """Constructive preimage of a piecewise function with minimal breaks:
     assign each piece to the record owning its disc, zero elsewhere."""
-    out = Chain(reg, target.d)
+    out = Chain(target.d)
     for i, f in target.parts.items():
         if not reg.minimal[i]:
             raise AssertionError(f"record {i} of the target is not minimal")
@@ -630,12 +616,12 @@ def verify_exactness(reg: OrbitRegistry, d: int, seed: int = 0) -> dict:
     for i in reg.edge_ids():
         rec = reg.records[i]
         for j in range(d + 1):
-            c1 = Chain(reg, d, {i: monomial(cfg, rec.ball, j, d)})
+            c1 = Chain(d, {i: monomial(cfg, rec.ball, j, d)})
             image = partial1(c1, reg)
             if not partial0(image, reg).is_zero():
                 in_kernel = False
                 kernel_witness = f"{rec.id_str()} degree {j}"
-            projected = Chain(reg, d, {t: f for t, f in image.parts.items() if not reg.minimal[t]})
+            projected = Chain(d, {t: f for t, f in image.parts.items() if not reg.minimal[t]})
             if projected != mat.apply(c1):
                 consistent = False
                 matrix_witness = f"{rec.id_str()} degree {j}"
@@ -652,7 +638,7 @@ def verify_exactness(reg: OrbitRegistry, d: int, seed: int = 0) -> dict:
             continue
         rec = reg.records[i]
         for j in range(d + 1):
-            basis = Chain(reg, d, {i: monomial(cfg, rec.ball, j, d)})
+            basis = Chain(d, {i: monomial(cfg, rec.ball, j, d)})
             lifted = kernel_lift(basis, reg)
             if not partial0(lifted, reg).is_zero() or kernel_project(lifted, reg) != basis:
                 lift_ok = False
@@ -664,7 +650,7 @@ def verify_exactness(reg: OrbitRegistry, d: int, seed: int = 0) -> dict:
     for m, is_min in enumerate(reg.minimal):
         if is_min:
             f = monomial(cfg, reg.records[m].ball, d, d)
-            alone = Chain(reg, d, {m: f})
+            alone = Chain(d, {m: f})
             if restrict(f, f.ball) != f or partial0(alone, reg) != alone:
                 min_inj = False
     check("augmentation faithful on minimal records", min_inj)

@@ -10,34 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from importlib import resources
 
 from .padics import PadicConfig, is_prime
-from .tree import dot_tree
+from .tree import dot_tree, edges_upto, vertices_upto
 from .orbits import OrbitRegistry, build_registry, check_partition, minimal_orbits, verify_counts
 from .chains import assemble_dbar1, verify_exactness
 
 
-@dataclass
-class RunConfig:
-    p: int
-    k: int
-    n: int
-    d: int
-    N: int
-    seed: int
-    command: str
-    out: str | None
-    format: str
-
-    @staticmethod
-    def auto_precision(p: int, k: int, n: int, d: int) -> int:
-        # >= k + n + d + 4 guard digits; transported centers need ~k + 2n more
-        return k + 2 * n + d + 8
-
-    def padic(self) -> PadicConfig:
-        return PadicConfig(self.p, self.N)
+def auto_precision(k: int, n: int, d: int) -> int:
+    # >= k + n + d + 4 guard digits; transported centers need ~k + 2n more
+    return k + 2 * n + d + 8
 
 
 def registry_json(reg: OrbitRegistry) -> dict:
@@ -103,9 +86,9 @@ def compare_to_reference(cfg: PadicConfig) -> dict:
     }
 
 
-def _emit(cfg_run: RunConfig, text: str):
-    if cfg_run.out:
-        with open(cfg_run.out, "w") as fh:
+def _emit(args: argparse.Namespace, text: str):
+    if args.out:
+        with open(args.out, "w") as fh:
             print(text, file=fh)
     else:
         print(text)
@@ -116,60 +99,58 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
 
 
-def run(rc: RunConfig) -> int:
-    cfg = rc.padic()
-    if rc.command == "tree":
-        if rc.format == "json":
-            from .tree import edges_upto, vertices_upto
-
-            _emit(rc, _dump({
-                "vertices": [v.to_json() for v in vertices_upto(rc.p, rc.n)],
-                "edges": [e.id_str() for e in edges_upto(rc.p, rc.n)],
+def run(args: argparse.Namespace) -> int:
+    cfg = PadicConfig(args.p, args.prec)
+    if args.command == "tree":
+        if args.format == "json":
+            _emit(args, _dump({
+                "vertices": [v.to_json() for v in vertices_upto(args.p, args.n)],
+                "edges": [e.id_str() for e in edges_upto(args.p, args.n)],
             }))
         else:
-            _emit(rc, dot_tree(rc.p, rc.n))
+            _emit(args, dot_tree(args.p, args.n))
         return 0
 
-    if rc.command == "orbits":
-        _emit(rc, _dump(registry_json(build_registry(cfg, rc.n, rc.k))))
+    if args.command == "orbits":
+        _emit(args, _dump(registry_json(build_registry(cfg, args.n, args.k))))
         return 0
 
-    if rc.command == "minimal":
-        reg = build_registry(cfg, rc.n, rc.k)
+    if args.command == "minimal":
+        reg = build_registry(cfg, args.n, args.k)
         mins = minimal_orbits(reg)
         ok = check_partition(cfg, [r.ball for r in mins])
-        _emit(rc, _dump({
-            "params": {"p": rc.p, "k": rc.k, "n": rc.n},
+        _emit(args, _dump({
+            "params": {"p": args.p, "k": args.k, "n": args.n},
             "minimal": [{"id": r.id_str(), "ball": r.ball.to_json(cfg)} for r in mins],
             "partition": ok,
         }))
         return 0 if ok else 1
 
-    if rc.command == "counts":
-        report = verify_counts(build_registry(cfg, rc.n, rc.k))
-        _emit(rc, _dump(report))
+    if args.command == "counts":
+        report = verify_counts(build_registry(cfg, args.n, args.k))
+        _emit(args, _dump(report))
         return 0 if report["pass"] else 1
 
-    if rc.command == "matrix":
-        mat = assemble_dbar1(build_registry(cfg, rc.n, rc.k), rc.d)
-        _emit(rc, _dump(mat.to_json()))
+    if args.command == "matrix":
+        mat = assemble_dbar1(build_registry(cfg, args.n, args.k), args.d)
+        _emit(args, _dump(mat.to_json()))
         return 0
 
-    if rc.command == "verify":
-        reg = build_registry(cfg, rc.n, rc.k)
-        report = verify_exactness(reg, rc.d, seed=rc.seed)
+    if args.command == "verify":
+        reg = build_registry(cfg, args.n, args.k)
+        report = verify_exactness(reg, args.d, seed=args.seed)
         report["counts"] = verify_counts(reg)
         report["minimal_partition"] = check_partition(cfg, [r.ball for r in minimal_orbits(reg)])
-        _emit(rc, _dump(report))
+        _emit(args, _dump(report))
         ok = report["verdict"] == "exact" and report["counts"]["pass"] and report["minimal_partition"]
         return 0 if ok else 1
 
-    if rc.command == "example":
-        report = compare_to_reference(PadicConfig(2, RunConfig.auto_precision(2, 1, 1, rc.d)))
-        _emit(rc, _dump(report))
+    if args.command == "example":
+        report = compare_to_reference(PadicConfig(2, auto_precision(1, 1, args.d)))
+        _emit(args, _dump(report))
         return 0 if report["match"] else 1
 
-    raise AssertionError(f"unhandled command {rc.command}")
+    raise AssertionError(f"unhandled command {args.command}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,8 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def parse_args(argv=None) -> RunConfig:
-    """Parse and validate the command line; usage errors exit with status 2."""
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse and validate the command line; usage errors exit with status 2.
+    The namespace comes back with prec an int and format resolved."""
     ap = build_parser()
     ns = ap.parse_args(argv)
     if not is_prime(ns.p):
@@ -201,7 +183,7 @@ def parse_args(argv=None) -> RunConfig:
     if ns.n < 1 and ns.command in ("minimal", "matrix", "verify"):
         ap.error(f"{ns.command} needs n >= 1")
     if ns.prec == "auto":
-        prec = RunConfig.auto_precision(ns.p, ns.k, ns.n, ns.d)
+        prec = auto_precision(ns.k, ns.n, ns.d)
     else:
         try:
             prec = int(ns.prec)
@@ -209,19 +191,20 @@ def parse_args(argv=None) -> RunConfig:
             ap.error(f"--prec takes 'auto' or an integer, got {ns.prec!r}")
     if prec < ns.k + ns.n + ns.d + 4:
         ap.error(f"precision {prec} below the floor k+n+d+4")
-    fmt = ns.format or ("dot" if ns.command == "tree" else "json")
-    if fmt == "dot" and ns.command != "tree":
+    ns.prec = prec
+    ns.format = ns.format or ("dot" if ns.command == "tree" else "json")
+    if ns.format == "dot" and ns.command != "tree":
         ap.error("dot output is only available for the tree command")
-    return RunConfig(ns.p, ns.k, ns.n, ns.d, prec, ns.seed, ns.command, ns.out, fmt)
+    return ns
 
 
 def main(argv=None) -> int:
     try:
-        rc = parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return run(rc)
+        return run(args)
     except (AssertionError, ValueError, ArithmeticError) as e:
         print(f"verification error: {e}", file=sys.stderr)
         return 1

@@ -12,8 +12,9 @@ D(u) is the residue cell read off u's coordinate.  So the transport is done
 on the tree, in integers: the simplex's integer transport carries the
 standard orbits' edges onto its own, and each disc is built once from its
 cell key.  The Moebius image of the standard disc under the p-adic transport
-gives the same ball; that transport stays where the group acts
-(sample_group_element) and as the tests' oracle.
+gives the same ball; that transport still acts in the group membership test
+and edge-group factorization (tree.in_group, factor_edge_group) and as the
+tests' oracle.  Sampled group elements conjugate by the integer transport.
 
 The registry collects all orbit records over a ball of simplices, flags the
 minimal ones (the smallest discs: the level-(n+k) residue cells, p^k at each
@@ -28,7 +29,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from fractions import Fraction
 
 from .padics import PadicConfig
 from .projline import Ball, GL2, ProjPoint, _inside
@@ -40,7 +40,6 @@ from .tree import (
     _simplex_path,
     edges_upto,
     level_exponents,
-    transport,
     transport_rows,
     vertices_upto,
 )
@@ -53,10 +52,9 @@ from .tree import (
 
 @dataclass(frozen=True)
 class OrbitRecord:
-    """One orbit of the level-k group of a simplex, stored as its disc."""
+    """One orbit of the level-k group of a simplex (k is its registry's), stored as its disc."""
 
     simplex: object  # Vertex or OrientedEdge
-    k: int
     ball: Ball
 
     def id_str(self) -> str:
@@ -116,7 +114,7 @@ def enumerate_orbits(cfg: PadicConfig, simplex, k: int):
     """All level-k orbit records of a simplex: pairwise-disjoint discs covering P^1."""
     if k < 1:
         raise AssertionError(f"congruence level must be >= 1, got {k}")
-    records = [OrbitRecord(simplex, k, Ball(cfg, key)) for key, _ in _orbit_cells(simplex, k)]
+    records = [OrbitRecord(simplex, Ball(cfg, key)) for key, _ in _orbit_cells(simplex, k)]
     if len({r.ball for r in records}) != len(records):
         raise AssertionError(f"two orbits of {simplex.id_str()} share a disc")
     return records
@@ -293,7 +291,7 @@ def build_registry(cfg: PadicConfig, n: int, k: int) -> OrbitRegistry:
         ball = discs.get(key)
         if ball is None:
             ball = discs[key] = Ball(cfg, key)
-        rec = OrbitRecord(simplex, k, ball)
+        rec = OrbitRecord(simplex, ball)
         records.append(rec)
         return rec
 
@@ -328,7 +326,7 @@ def edge_orbit_owner(reg: OrbitRegistry, rec: OrbitRecord) -> Vertex:
     """The unique endpoint whose own registry holds the same ball."""
     if not isinstance(rec.simplex, OrientedEdge):
         raise AssertionError(f"{rec.id_str()} is not an edge orbit")
-    hits = [v for v in rec.simplex.endpoints() if OrbitRecord(v, reg.k, rec.ball) in reg.index]
+    hits = [v for v in rec.simplex.endpoints() if OrbitRecord(v, rec.ball) in reg.index]
     if len(hits) != 1:
         raise AssertionError(
             f"edge orbit {rec.id_str()} owned by {len(hits)} endpoints; expected exactly one"
@@ -390,10 +388,10 @@ def verify_counts(reg: OrbitRegistry) -> dict:
     rows = []
     fails = []
 
-    def row(name, expected, actual, detail=""):
+    def row(name, expected, actual):
         ok = expected == actual
         rows.append(
-            {"name": name, "expected": expected, "actual": actual, "pass": ok, "detail": detail}
+            {"name": name, "expected": expected, "actual": actual, "pass": ok, "detail": ""}
         )
         if not ok:
             fails.append(rows[-1])
@@ -434,7 +432,7 @@ def verify_counts(reg: OrbitRegistry) -> dict:
         owner_map = {}
         collisions = []
         for rec in reg.all_edge_records():
-            key = OrbitRecord(edge_orbit_owner(reg, rec), k, rec.ball)
+            key = OrbitRecord(edge_orbit_owner(reg, rec), rec.ball)
             if key in owner_map:
                 collisions.append(rec.id_str())
             owner_map[key] = rec
@@ -457,11 +455,14 @@ def verify_counts(reg: OrbitRegistry) -> dict:
 
 def sample_group_element(cfg: PadicConfig, simplex, k: int, rng: random.Random) -> GL2:
     """Seeded random element of the level-k group of a simplex, built from the
-    explicit congruence pattern in the standard frame and conjugated over."""
+    explicit congruence pattern in the standard frame and conjugated over:
+    h.std.h^-1 for h the integer transport rows, formed exactly by
+    GL2.quotient, so every entry keeps N digits."""
     p = cfg.p
     span = p ** min(cfg.N - 2, k + 5)
     a, b, c, d = (rng.randrange(span) for _ in range(4))
-    qa, qb, qc, qd = (Fraction(p**e) for e in level_exponents(simplex, k))
-    std = GL2(cfg, 1 + qa * a, qb * b, qc * c, 1 + qd * d)
-    h = transport(cfg, simplex)
-    return h @ std @ h.inverse()
+    qa, qb, qc, qd = (p**e for e in level_exponents(simplex, k))
+    std = ((1 + qa * a, qb * b), (qc * c, 1 + qd * d))
+    h = transport_rows(simplex)
+    h_std = tuple(tuple(x * s + y * t for s, t in zip(*std)) for x, y in h)
+    return GL2.quotient(cfg, h_std, h)

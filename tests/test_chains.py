@@ -402,6 +402,80 @@ def test_step_transitions_keep_every_digit():
         assert all(c.is_zero() or c.prec == cfg.N for c in sigma), (a, b)
 
 
+def _geometric_mobius_series(g, D):
+    """Oracle: t.g = (at + c)/(bt + d) to degree D, with 1/(bt + d) summed as
+    the geometric series in -(b/d)t term by term."""
+    cfg = g.cfg
+    dinv = g.d.inverse()
+    ratio = -(g.b * dinv)
+    inv_den = [cfg.one()]
+    for _ in range(D):
+        inv_den.append(inv_den[-1] * ratio)
+    inv_den = [dinv * x for x in inv_den]
+    return chains._series_mul([g.c, g.a], inv_den, D)
+
+
+def _int_binom(m, i):
+    """Oracle: binom(m, i) for any integer m as the falling factorial
+    m(m-1)...(m-i+1) over i!."""
+    num = 1
+    for t in range(i):
+        num *= m - t
+    for t in range(2, i + 1):
+        num //= t
+    return num
+
+
+@pytest.mark.parametrize("p,k,n,d", [(3, 2, 2, 2), (2, 1, 3, 1), (5, 1, 2, 1), (2, 2, 3, 3)])
+def test_mobius_series_matches_the_geometric_series_on_registry_steps(p, k, n, d):
+    # bit for bit, to the degree the action expands to, so also to d
+    reg = make_reg(p, k, n, d)
+    D = d + chains.GUARD_DEGREES
+    steps = [(a, b) for b in range(len(reg.balls)) for a in reg.over[b] if reg.ball_chain(a, b) == [a, b]]
+    assert steps
+    for a, b in steps:
+        trans = chains._transition(reg.cfg, reg.balls[a], reg.balls[b])
+        assert _bits(mobius_series(trans, D)) == _bits(_geometric_mobius_series(trans, D)), (a, b)
+
+
+@st.composite
+def _integral_transitions(draw):
+    """A degree D and a transition t -> (at + c)/(bt + d) with its pole off
+    the unit disc (val b > val d) and a/d, c/d p-integral, whose nonzero
+    entries carry any stored precision."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    cfg = PadicConfig(p, draw(st.integers(3, 12)))
+
+    def entry(v_min, v_max):
+        prec = draw(st.integers(1, cfg.N))
+        u = p * draw(st.integers(0, p ** (prec - 1) - 1)) + draw(st.integers(1, p - 1))
+        return PadicNum(cfg, draw(st.integers(v_min, v_max)), u, prec)
+
+    def maybe(v_min):
+        return cfg.zero() if draw(st.booleans()) else entry(v_min, v_min + 3)
+
+    vd = draw(st.integers(0, 2))
+    a, b, c, d = maybe(vd), maybe(vd + 1), maybe(vd), entry(vd, vd)
+    hypothesis.assume(not (a * d - b * c).is_zero())
+    return GL2(cfg, a, b, c, d), draw(st.integers(0, 6))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_integral_transitions())
+def test_mobius_series_matches_the_geometric_series_property(drawn):
+    trans, D = drawn
+    assert _bits(mobius_series(trans, D)) == _bits(_geometric_mobius_series(trans, D))
+
+
+def test_binomial_series_coefficients_match_the_falling_factorial():
+    # (1 + 2t)^m has coefficients binom(m, i) 2^i, for m of either sign; at
+    # 2^200 every one of them is stored whole
+    cfg = PadicConfig(2, 200)
+    for m in range(-40, 41):
+        series = chains._binomial_series(cfg, cfg.one(), cfg.from_int(2), m, 24)
+        assert _bits(series) == _bits([cfg.from_int(_int_binom(m, i) * 2**i) for i in range(25)]), m
+
+
 def test_operator_columns_are_a_prefix_of_the_full_operator():
     # the action builds only the columns that meet a degree-d function's
     # coefficients; they are the full operator's, bit for bit
@@ -771,10 +845,10 @@ def test_chain_guards_survive_python_O():
         "m1, m2 = [i for i, flag in enumerate(reg.minimal) if flag][:2]",
         "fun = lambda i, d: monomial(cfg, reg.records[i].ball, 0, d)",
         "attempts = [lambda: fun(m1, 0) + fun(m1, 1),",
-        "            lambda: Chain(reg, 0, {m1: fun(m1, 1)}),",
-        "            lambda: kernel_lift(Chain(reg, 0, {m1: fun(m1, 0)}), reg),",
-        "            lambda: surjectivity_lift(Chain(reg, 0, {reg.nonmin_order[0]: fun(m1, 0)}), reg),",
-        "            lambda: surjectivity_lift(Chain(reg, 0, {m1: fun(m2, 0)}), reg)]",
+        "            lambda: Chain(0, {m1: fun(m1, 1)}),",
+        "            lambda: kernel_lift(Chain(0, {m1: fun(m1, 0)}), reg),",
+        "            lambda: surjectivity_lift(Chain(0, {reg.nonmin_order[0]: fun(m1, 0)}), reg),",
+        "            lambda: surjectivity_lift(Chain(0, {m1: fun(m2, 0)}), reg)]",
         "for attempt in attempts:",
         "    try:",
         "        attempt()",
@@ -807,7 +881,7 @@ def test_partial1_single_edge_signs():
     e = reg.edges()[0]
     rec = reg.edge_records[e][0]
     one = monomial(cfg, rec.ball, 0, 1)
-    out = partial1(Chain(reg, 1, {reg.index[rec]: one}), reg)
+    out = partial1(Chain(1, {reg.index[rec]: one}), reg)
     owner = reg.records[reg.owner[reg.index[rec]]].simplex
     sign = 1 if owner == e.src else -1
     owner_part = [f for i, f in out.parts.items() if reg.records[i].simplex == owner]
@@ -843,7 +917,7 @@ def test_deepest_edge_support_shows_up_at_deep_vertex():
     cfg = reg.cfg
     deep = [e for e in reg.edges() if max(e.src.n, e.dst.n) == 2]
     rec = reg.edge_records[deep[0]][0]
-    out = partial1(Chain(reg, 1, {reg.index[rec]: monomial(cfg, rec.ball, 0, 1)}), reg)
+    out = partial1(Chain(1, {reg.index[rec]: monomial(cfg, rec.ball, 0, 1)}), reg)
     assert any(reg.records[i].simplex.n == 2 for i in out.parts)
 
 
@@ -852,7 +926,7 @@ def test_deepest_edge_support_shows_up_at_deep_vertex():
 
 def test_kernel_roundtrip_zero():
     reg = make_reg(3, 1, 1)
-    z = Chain(reg, 1)
+    z = Chain(1)
     assert kernel_lift(z, reg).is_zero()
     assert kernel_project(z, reg).is_zero()
 
@@ -864,7 +938,7 @@ def test_kernel_lift_of_single_component():
     cfg = reg.cfg
     rec = reg.records[reg.nonmin_order[0]]
     f = monomial(cfg, rec.ball, 1, 1)
-    c = Chain(reg, 1, {reg.index[rec]: f})
+    c = Chain(1, {reg.index[rec]: f})
     lifted = kernel_lift(c, reg)
     assert partial0(lifted, reg).is_zero()
     assert kernel_project(lifted, reg) == c
@@ -874,7 +948,7 @@ def test_kernel_lift_random_nonminimal_assignment():
     rng = random.Random(10)
     reg = make_reg(3, 1, 1, d=1)
     cfg = reg.cfg
-    c = Chain(reg, 1)
+    c = Chain(1)
     for rec in reg.nonminimal_records():
         c.set_part(reg.index[rec], random_truncfun(cfg, rec.ball, 1, rng))
     lifted = kernel_lift(c, reg)
@@ -886,7 +960,7 @@ def test_kernel_project_rejects_non_kernel():
     reg = make_reg(3, 1, 1)
     cfg = reg.cfg
     rec = reg.records[reg.nonmin_order[0]]
-    c = Chain(reg, 1, {reg.index[rec]: monomial(cfg, rec.ball, 0, 1)})
+    c = Chain(1, {reg.index[rec]: monomial(cfg, rec.ball, 0, 1)})
     with pytest.raises(ValueError):
         kernel_project(c, reg)
 
@@ -931,7 +1005,7 @@ def test_matrix_apply_matches_projected_boundary():
     for _ in range(10):
         c1 = random_chain1(reg, 1, rng)
         image = partial1(c1, reg)
-        projected = Chain(reg, 1)
+        projected = Chain(1)
         for i, f in image.parts.items():
             if not reg.minimal[i]:
                 projected.set_part(i, f)
@@ -958,7 +1032,7 @@ def test_verify_exactness_witness_belongs_to_the_failing_check(monkeypatch):
     dropped = next(iter(reg.edge_ids()))
     apply = BoundaryMatrix.apply
     monkeypatch.setattr(BoundaryMatrix, "apply", lambda mat, c1: apply(
-        mat, Chain(reg, c1.d, {i: f for i, f in c1.parts.items() if i != dropped})))
+        mat, Chain(c1.d, {i: f for i, f in c1.parts.items() if i != dropped})))
     with uniformity_warning():
         rep = verify_exactness(reg, 0, seed=0)
     checks = {c["name"]: c for c in rep["checks"]}

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from btcomplex.cli import _dump
+from btcomplex.cli import _dump, parse_args
 from btcomplex.padics import INF
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -103,6 +103,15 @@ def test_usage_errors_exit_two(tmp_path):
     r = run_cli("counts", "--out", str(tmp_path / "missing" / "x.json"))
     assert r.returncode == 2 and "Traceback" not in r.stderr
     assert len(r.stderr.splitlines()) == 1
+
+
+def test_parse_args_resolves_precision_and_format():
+    # run reads the namespace itself: prec an int, auto being k + 2n + d + 8,
+    # and format the command's default
+    args = parse_args(["counts", "--p", "5", "--k", "2", "--n", "3", "--d", "1"])
+    assert (args.command, args.p, args.k, args.n, args.d, args.seed, args.out) == ("counts", 5, 2, 3, 1, 0, None)
+    assert (args.prec, args.format) == (17, "json")
+    assert (parse_args(["tree", "--prec", "9"]).prec, parse_args(["tree"]).format) == (9, "dot")
 
 
 def test_dump_is_strict_json():

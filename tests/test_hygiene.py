@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, the package
-defines no private function that nothing calls and no bare assert, and the
-benchmark tracer reads only names the package defines."""
+defines no private function that nothing calls, no parameter that its
+function never reads and no bare assert, and the benchmark tracer reads only
+names the package defines."""
 
 import ast
 import importlib
@@ -132,6 +133,40 @@ def test_private_function_scan_sees_unreferenced_and_cross_module_uses():
         ]),
     }
     assert unreferenced_private_functions(sources) == [("a.py", "_recursive"), ("a.py", "_unused")]
+
+
+def ignored_parameters(source: str):
+    """(function, parameter) for each parameter a function's body never reads;
+    self, cls and _-prefixed names are exempt."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = fn.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+                      if a is not None]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+            out += [(fn.name, name) for name in params
+                    if name not in read and name not in ("self", "cls") and not name.startswith("_")]
+    return out
+
+
+def test_no_package_function_ignores_a_parameter():
+    # a parameter nothing reads is a knob that does nothing
+    found = {str(path.relative_to(ROOT)): ignored_parameters(path.read_text()) for path in PACKAGE}
+    assert {path: hits for path, hits in found.items() if hits} == {}
+
+
+def test_parameter_scan_sees_an_ignored_parameter_and_exempts_self():
+    source = "\n".join([
+        "def f(a, b): return a",
+        "def g(x, *rest, key=None, **extra): return [x, rest, key, extra]",
+        "def h(_unused, y): return lambda: y",
+        "class C:",
+        "    def m(self, z): return 1",
+        "    @classmethod",
+        "    def n(cls, w): return w",
+    ])
+    assert ignored_parameters(source) == [("f", "b"), ("m", "z")]
 
 
 def bare_asserts(source: str) -> int:

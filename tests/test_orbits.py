@@ -14,7 +14,9 @@ from btcomplex.tree import (
     edges_upto,
     standard_orientation,
     standard_path,
+    level_exponents,
     transport,
+    transport_rows,
     vertices_upto,
 )
 from btcomplex.orbits import (
@@ -27,6 +29,7 @@ from btcomplex.orbits import (
     minimal_orbits,
     nonminimal_count_formula,
     orbit_of_point,
+    sample_group_element,
     verify_counts,
 )
 from residue_cells import (
@@ -255,7 +258,7 @@ def test_edge_orbit_owner_rejects_a_disc_at_neither_endpoint():
     cfg = make_cfg(3, 1, 1)
     reg = build_registry(cfg, 1, 1)
     e = reg.edges()[0]
-    stray = OrbitRecord(e, 1, disc(cfg, 0, 5))
+    stray = OrbitRecord(e, disc(cfg, 0, 5))
     assert all(r.ball != stray.ball for r in reg.all_vertex_records())
     with pytest.raises(AssertionError, match="owned by 0 endpoints"):
         edge_orbit_owner(reg, stray)
@@ -602,3 +605,58 @@ def test_partition_check_matches_pairwise_oracle_on_seeded_edits(p):
         assert check_partition(cfg, case) is want, case
         verdicts.append(want)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+# -- sampled group elements -------------------------------------------------------
+
+
+def _standard_rows(cfg, simplex, k, rng):
+    """The standard-frame element sample_group_element draws, by the same rng calls."""
+    p = cfg.p
+    span = p ** min(cfg.N - 2, k + 5)
+    a, b, c, d = (rng.randrange(span) for _ in range(4))
+    qa, qb, qc, qd = (p**e for e in level_exponents(simplex, k))
+    return ((1 + qa * a, qb * b), (qc * c, 1 + qd * d))
+
+
+def _conjugated_padic(cfg, simplex, k, rng):
+    """Oracle: h.std.h^-1 in PadicNum arithmetic, with the GL2 inverse of the transport."""
+    h = transport(cfg, simplex)
+    return h @ GL2.from_rows(cfg, _standard_rows(cfg, simplex, k, rng)) @ h.inverse()
+
+
+def _conjugated_exactly(cfg, simplex, k, rng):
+    """Oracle: h.std.h^-1 multiplied out in Fractions and converted to p-adic
+    numbers entry by entry."""
+    std = _standard_rows(cfg, simplex, k, rng)
+    (h11, h12), (h21, h22) = h = transport_rows(simplex)
+    det = Fraction(h11 * h22 - h12 * h21)
+    inv = ((h22 / det, -h12 / det), (-h21 / det, h11 / det))
+
+    def mul(x, y):
+        return [[sum(s * t for s, t in zip(row, col)) for col in zip(*y)] for row in x]
+
+    return [cfg.from_fraction(Fraction(e)) for row in mul(mul(h, std), inv) for e in row]
+
+
+def _bits(entries):
+    return [(e.v, e.u, e.prec) for e in entries]
+
+
+@pytest.mark.parametrize("p,k,n,short", [(2, 2, 3, 78), (3, 2, 2, 72), (5, 1, 2, 118)])
+def test_sampled_group_elements_keep_every_digit(p, k, n, short):
+    # the conjugation is formed exactly from the integer transport rows; the
+    # PadicNum product with the transport's inverse agrees in value but drops
+    # digits on cancellation, here on `short` of the samples
+    cfg = PadicConfig(p, k + 2 * n + 9)
+    simplices = [*vertices_upto(p, n), *edges_upto(p, n)]
+    lost = 0
+    for simplex in simplices:
+        for seed in range(3):
+            g = sample_group_element(cfg, simplex, k, random.Random(seed))
+            exact = _conjugated_exactly(cfg, simplex, k, random.Random(seed))
+            assert _bits(g.entries()) == _bits(exact)
+            old = _conjugated_padic(cfg, simplex, k, random.Random(seed))
+            assert old == g
+            lost += any(not e.is_zero() and e.prec < cfg.N for e in old.entries())
+    assert (lost, 3 * len(simplices)) == (short, {2: 129, 3: 99, 5: 219}[p])
