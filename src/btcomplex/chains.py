@@ -135,10 +135,11 @@ def mobius_series(g: GL2, D: int):
     exactly when the map carries Z_p into Z_p.
     """
     cfg = g.cfg
-    if g.d.is_zero() or (not g.b.is_zero() and g.b.valuation <= g.d.valuation):
+    a, b, c, d = (cfg.from_fraction(e) for e in g.entries())
+    if d.is_zero() or (not b.is_zero() and b.valuation <= d.valuation):
         raise NotAnalyticError("pole of the transition meets the unit disc")
-    dinv = g.d.inverse()
-    return _series_mul([g.c * dinv, g.a * dinv], _binomial_series(cfg, cfg.one(), g.b * dinv, -1, D), D)
+    dinv = d.inverse()
+    return _series_mul([c * dinv, a * dinv], _binomial_series(cfg, cfg.one(), b * dinv, -1, D), D)
 
 
 def _binomial_series(cfg: PadicConfig, a0: PadicNum, a1: PadicNum, e: int, D: int):
@@ -295,8 +296,8 @@ def act_on_function(g: GL2, chi: Character, f: TruncFun):
     a0, a1 = (Mg.d, Mg.b) if inside else (Mg.c, Mg.a)
     d = f.degree_bound
     D = d + GUARD_DEGREES
-    twist = _binomial_series(cfg, a0, a1, chi.m2, D)
-    const = g.det() ** chi.m1
+    twist = _binomial_series(cfg, cfg.from_fraction(a0), cfg.from_fraction(a1), chi.m2, D)
+    const = cfg.from_fraction(g.det() ** chi.m1)
     pulled = _apply(_operator(Mg @ Mb.inverse(), D, d + 1), f.coeffs)
     full = _series_mul(pulled, twist, D)
     full = [const * c for c in full]
@@ -309,14 +310,13 @@ def section_s(cfg: PadicConfig, z: ProjPoint) -> GL2:
     disc, and the inverted branch outside."""
     if z.in_z_domain():
         return GL2(cfg, 1, 0, z.z_coord(), 1)
-    u = cfg.zero() if z.is_infinity() else z.u_coord()
-    return GL2(cfg, 0, -1, 1, u)
+    return GL2(cfg, 0, -1, 1, z.u_coord())
 
 
 def cocycle_xi(cfg: PadicConfig, z: ProjPoint, g: GL2) -> GL2:
     """xi(z, g) = s(z) g s(z.g)^{-1}; always upper triangular (c-entry 0)."""
     xi = section_s(cfg, z) @ g @ section_s(cfg, moebius_apply(g, z)).inverse()
-    if not xi.c.is_zero():
+    if xi.c:
         raise AssertionError("cocycle left the Borel")
     return xi
 

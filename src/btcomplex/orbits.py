@@ -11,10 +11,9 @@ tree: D(y) when y is x's child, P^1 minus D(x) when y is x's parent, where
 D(u) is the residue cell read off u's coordinate.  So the transport is done
 on the tree, in integers: the simplex's integer transport carries the
 standard orbits' edges onto its own, and each disc is built once from its
-cell key.  The Moebius image of the standard disc under the p-adic transport
-gives the same ball; that transport still acts in the group membership test
-and edge-group factorization (tree.in_group, factor_edge_group) and as the
-tests' oracle.  Sampled group elements conjugate by the integer transport.
+cell key.  The Moebius image of the standard disc under the transport, an
+exact GL2, gives the same ball; that matrix acts only where the group does,
+in tree.in_group, factor_edge_group and sampled group elements.
 
 The registry collects all orbit records over a ball of simplices, flags the
 minimal ones (the smallest discs: the level-(n+k) residue cells, p^k at each
@@ -40,6 +39,7 @@ from .tree import (
     _simplex_path,
     edges_upto,
     level_exponents,
+    transport,
     transport_rows,
     vertices_upto,
 )
@@ -122,7 +122,7 @@ def enumerate_orbits(cfg: PadicConfig, simplex, k: int):
 
 def orbit_of_point(cfg: PadicConfig, simplex, k: int, z: ProjPoint) -> OrbitRecord:
     """The orbit record whose disc contains z."""
-    return next(r for r in enumerate_orbits(cfg, simplex, k) if r.ball.member_point(cfg, z))
+    return next(r for r in enumerate_orbits(cfg, simplex, k) if r.ball.member_point(z))
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +456,10 @@ def verify_counts(reg: OrbitRegistry) -> dict:
 def sample_group_element(cfg: PadicConfig, simplex, k: int, rng: random.Random) -> GL2:
     """Seeded random element of the level-k group of a simplex, built from the
     explicit congruence pattern in the standard frame and conjugated over:
-    h.std.h^-1 for h the integer transport rows, formed exactly by
-    GL2.quotient, so every entry keeps N digits."""
+    h.std.h^-1 for h the transport, in exact arithmetic."""
     p = cfg.p
     span = p ** min(cfg.N - 2, k + 5)
     a, b, c, d = (rng.randrange(span) for _ in range(4))
     qa, qb, qc, qd = (p**e for e in level_exponents(simplex, k))
-    std = ((1 + qa * a, qb * b), (qc * c, 1 + qd * d))
-    h = transport_rows(simplex)
-    h_std = tuple(tuple(x * s + y * t for s, t in zip(*std)) for x, y in h)
-    return GL2.quotient(cfg, h_std, h)
+    h = transport(cfg, simplex)
+    return h @ GL2(cfg, 1 + qa * a, qb * b, qc * c, 1 + qd * d) @ h.inverse()

@@ -1,12 +1,14 @@
-"""Exact truncated arithmetic over Q_p.
+"""Exact truncated arithmetic over Q_p, for the function spaces alone (the
+coefficients, operators and series of chains) and the digits written out;
+points and matrices are exact rationals (projline), converted where needed.
 
 A nonzero scalar is a valuation together with a unit residue: x = p^v * u,
 where u is stored modulo p^prec and is invertible mod p.  Zero is a
-distinguished value (valuation +infinity), never an underflowed unit, so
-membership and partition decisions downstream stay exact.  Additions that
-cancel all stored digits return exact zero: every quantity in this package
-is only ever interrogated far above the precision floor, and the driver
-picks the working precision with guard digits to keep it that way.  So two
+distinguished value (valuation +infinity), never an underflowed unit.
+Additions that cancel all stored digits return exact zero: every quantity
+in this package is only ever interrogated far above the precision floor,
+and the driver picks the working precision with guard digits to keep it
+that way.  So two
 evaluation orders of one sum agree only modulo the precision of its inputs:
 at p = 2, t^2 known mod 2 pulled back along 1 + 2t has degree-1 coefficient
 4 mod 8 summed term by term, and exact zero by Horner's rule, where 2c + 2c
@@ -105,21 +107,6 @@ class PadicConfig:
         un = (x.numerator // p**vn) % mod
         ud = (x.denominator // p**vd) % mod
         return PadicNum(self, vn - vd, un * pow(ud, -1, mod) % mod, self.N)
-
-    def number(self, x) -> "PadicNum":
-        """Coerce an int, Fraction, or PadicNum into this context.  Digit
-        strings are output only (PadicNum.serialize); nothing reads them."""
-        if isinstance(x, PadicNum):
-            if x.cfg.p != self.p:
-                raise ValueError("prime mismatch")
-            return x
-        if isinstance(x, bool):
-            raise TypeError("bool is not a p-adic number")
-        if isinstance(x, int):
-            return self.from_int(x)
-        if isinstance(x, Fraction):
-            return self.from_fraction(x)
-        raise TypeError(f"cannot convert {type(x).__name__} to PadicNum")
 
 
 class PadicNum:
@@ -225,12 +212,6 @@ class PadicNum:
         for _ in range(abs(e) - 1):
             out = out * base
         return out
-
-    def shift(self, k: int) -> "PadicNum":
-        """Multiply by p^k (no digit loss)."""
-        if self.is_zero():
-            return self
-        return PadicNum(self.cfg, self.v + k, self.u, self.prec)
 
     # -- comparison & display -------------------------------------------------
 

@@ -1,7 +1,8 @@
 """The projective line P^1(Q_p), Moebius action, and an exact calculus of discs.
 
-Points are normalized homogeneous row pairs (x : y) acted on from the right:
-(x, y).g = (xa + yc, xb + yd), i.e. z.g = (az + c)/(bz + d) on z = x/y.
+Points and matrices hold exact rationals, each entry passed through exact: a
+point is (z : 1), or (1 : 0) for infinity, and a matrix acts on row pairs from
+the right, (x, y).g = (xa + yc, xb + yd), i.e. z.g = (az + c)/(bz + d).
 
 A Ball is any closed ball of P^1(Q_p): the set of ends beyond one oriented
 edge of the Bruhat-Tits tree.  It is stored as one integer key, its residue
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .padics import PadicConfig, PadicNum, PrecisionError, val_int
+from .padics import PadicConfig, PrecisionError, val_fraction, val_int
 
 
 # ---------------------------------------------------------------------------
@@ -38,46 +39,57 @@ from .padics import PadicConfig, PadicNum, PrecisionError, val_int
 # ---------------------------------------------------------------------------
 
 
+def exact(x) -> Fraction:
+    """A Fraction as it is, or an int (not a bool) converted; all else is refused."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"{type(x).__name__} is not an exact rational")
+
+
+def _residue(x: Fraction, q: int) -> int:
+    """x mod q in 0..q-1, for x with a denominator prime to q."""
+    return x.numerator * pow(x.denominator, -1, q) % q
+
+
 class ProjPoint:
-    """Normalized homogeneous pair: min valuation 0, first unit coordinate = 1."""
+    """A point of P^1(Q), stored exactly as (z : 1), or as (1 : 0) for infinity."""
 
     __slots__ = ("cfg", "x", "y")
 
-    def __init__(self, cfg: PadicConfig, x: PadicNum, y: PadicNum):
-        if x.is_zero() and y.is_zero():
+    def __init__(self, cfg: PadicConfig, x, y):
+        x, y = exact(x), exact(y)
+        if not (x or y):
             raise ValueError("(0 : 0) is not a projective point")
-        m = min(x.valuation, y.valuation)
-        x, y = x.shift(-m), y.shift(-m)
-        pivot = x if x.valuation == 0 else y
         self.cfg = cfg
-        self.x = x / pivot
-        self.y = y / pivot
+        self.x, self.y = (x / y, Fraction(1)) if y else (Fraction(1), y)
 
     @classmethod
     def from_z(cls, cfg: PadicConfig, z) -> "ProjPoint":
-        return cls(cfg, cfg.number(z), cfg.one())
+        return cls(cfg, z, 1)
 
     @classmethod
     def infinity(cls, cfg: PadicConfig) -> "ProjPoint":
-        return cls(cfg, cfg.one(), cfg.zero())
+        return cls(cfg, 1, 0)
 
     def is_infinity(self) -> bool:
-        return self.y.is_zero()
+        return not self.y
 
-    def z_coord(self) -> PadicNum:
+    def z_coord(self) -> Fraction:
         if self.is_infinity():
             raise ZeroDivisionError("the point at infinity has no z-coordinate")
-        return self.x / self.y
+        return self.x
 
-    def u_coord(self) -> PadicNum:
+    def u_coord(self) -> Fraction:
         """The coordinate u = 1/z = y/x; defined away from z = 0."""
-        if self.x.is_zero():
+        if not self.x:
             raise ZeroDivisionError("u = 1/z is undefined at z = 0")
         return self.y / self.x
 
     def in_z_domain(self) -> bool:
         """True iff |z| <= 1 (the point lies in the closed unit disc)."""
-        return (not self.is_infinity()) and self.x.valuation >= self.y.valuation
+        return (not self.is_infinity()) and self.x.denominator % self.cfg.p != 0
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
@@ -89,7 +101,7 @@ class ProjPoint:
     def __repr__(self):
         if self.is_infinity():
             return "ProjPoint(inf)"
-        return f"ProjPoint(z={self.z_coord().serialize()})"
+        return f"ProjPoint(z={self.cfg.from_fraction(self.x).serialize()})"
 
 
 # ---------------------------------------------------------------------------
@@ -98,18 +110,15 @@ class ProjPoint:
 
 
 class GL2:
-    """An invertible 2x2 matrix acting on P^1 from the right."""
+    """An invertible 2x2 matrix of exact rationals acting on P^1 from the right."""
 
     __slots__ = ("cfg", "a", "b", "c", "d")
 
     def __init__(self, cfg: PadicConfig, a, b, c, d):
         self.cfg = cfg
-        self.a = cfg.number(a)
-        self.b = cfg.number(b)
-        self.c = cfg.number(c)
-        self.d = cfg.number(d)
-        if self.det().is_zero():
-            raise ValueError("matrix is singular at working precision")
+        self.a, self.b, self.c, self.d = a, b, c, d = exact(a), exact(b), exact(c), exact(d)
+        if a * d == b * c:
+            raise ValueError("matrix is singular")
 
     @classmethod
     def identity(cls, cfg: PadicConfig) -> "GL2":
@@ -122,15 +131,14 @@ class GL2:
 
     @classmethod
     def quotient(cls, cfg: PadicConfig, top, bottom) -> "GL2":
-        """top . bottom^-1 of exact rows (ints or Fractions), formed exactly
-        and converted to p-adic numbers once, so no digit is lost."""
+        """top . bottom^-1 of exact rows (ints or Fractions), in one construction."""
         (a, b), (c, d) = bottom
         det = Fraction(a * d - b * c)
         (e, f), (g, h) = top
         return cls(cfg, (e * d - f * c) / det, (f * a - e * b) / det,
                    (g * d - h * c) / det, (h * a - g * b) / det)
 
-    def det(self) -> PadicNum:
+    def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
 
     def entries(self):
@@ -150,12 +158,12 @@ class GL2:
     def __eq__(self, other):
         if not isinstance(other, GL2):
             return NotImplemented
-        return all(s == o for s, o in zip(self.entries(), other.entries()))
+        return self.entries() == other.entries()
 
     __hash__ = None
 
     def __repr__(self):
-        a, b, c, d = (e.serialize() for e in self.entries())
+        a, b, c, d = (self.cfg.from_fraction(e).serialize() for e in self.entries())
         return f"GL2[[{a}, {b}], [{c}, {d}]]"
 
 
@@ -225,11 +233,11 @@ class Ball:
         """(chart, center value in that chart's coordinate, radius exponent)."""
         return self._chart
 
-    def member_point(self, cfg: PadicConfig, pt: ProjPoint) -> bool:
+    def member_point(self, pt: ProjPoint) -> bool:
         complement, center, m = self._normal_form
         if pt.is_infinity():
             return complement
-        d = (pt.z_coord() - cfg.from_fraction(center)).valuation
+        d = val_fraction(pt.z_coord() - center, self.p)
         return (d <= m - 1) if complement else (d >= m)
 
     def __hash__(self):
@@ -308,38 +316,33 @@ def _inside(a: tuple, b: tuple) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _disc_image(cfg: PadicConfig, g: GL2, center: Fraction, m: int):
+def _disc_image(p: int, g: GL2, center: Fraction, m: int):
     """Image of the finite disc center + p^m Z_p under z.g; returns a normal form."""
-    c = cfg.from_fraction(center)
-    a, b, cg, d = g.entries()
-    if b.is_zero():
+    a, b, c, d = g.entries()
+    if not b:
         # affine map (az + c)/d
-        img = (a * c + cg) / d
-        return (False, img, m + a.valuation - d.valuation)
-    pole = -(d / b)
-    s = (c - pole).valuation
-    vB = g.det().valuation - 2 * b.valuation
+        return (False, (a * center + c) / d, m + val_fraction(a, p) - val_fraction(d, p))
+    s = val_fraction(center + d / b, p)  # the distance to the pole -d/b
+    vB = val_fraction(g.det(), p) - 2 * val_fraction(b, p)
     if s >= m:  # pole inside the disc: image is a complement ball
-        A = a / b
-        return (True, A, vB - m + 1)
-    img = (a * c + cg) / (b * c + d)
-    return (False, img, m + vB - 2 * s)
+        return (True, a / b, vB - m + 1)
+    return (False, (a * center + c) / (b * center + d), m + vB - 2 * s)
 
 
 def moebius_ball_image(g: GL2, ball: Ball) -> Ball:
-    """The exact image { x.g : x in ball }, its cell key read off the p-adic
-    center c and exponent m of the image's normal form."""
+    """The exact image { x.g : x in ball }, its cell key read off the center c
+    and exponent m of the image's normal form."""
     cfg = g.cfg
     p = cfg.p
     complement, center, m = ball._normal_form
-    comp, c, m = _disc_image(cfg, g, center, m)
+    comp, c, m = _disc_image(p, g, center, m)
     flip = comp != complement
     _check_exponent(cfg, m)
-    v = c.valuation
-    if c.is_zero() or v >= m:  # { val x >= m }: P^1 minus the w-cell 0 when m <= 0
+    v = val_fraction(c, p)
+    if v >= m:  # { val x >= m }: P^1 minus the w-cell 0 when m <= 0
         key = ("z", p**m, 0, flip) if m >= 1 else ("w", p ** (1 - m), 0, not flip)
     elif v >= 0:
-        key = ("z", p**m, c.unit_residue(m - v) * p**v, flip)
+        key = ("z", p**m, _residue(c, p**m), flip)
     else:  # val x = v on the disc, so val(1/x - 1/c) = val(x - c) - 2v
-        key = ("w", p ** (m - 2 * v), pow(c.unit_residue(m - v), -1, p ** (m - v)) * p**-v, flip)
+        key = ("w", p ** (m - 2 * v), _residue(1 / c, p ** (m - 2 * v)), flip)
     return Ball(cfg, key)

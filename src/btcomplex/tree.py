@@ -13,10 +13,11 @@ common digit prefix) and the classical ball parametrization of directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
-from .padics import INF, PadicConfig, val_int
-from .projline import GL2
+from .padics import PadicConfig, val_fraction, val_int
+from .projline import GL2, _residue, exact
 
 
 # ---------------------------------------------------------------------------
@@ -161,27 +162,19 @@ def neighbors(v: Vertex):
 
 
 def vertex_canonical(cfg: PadicConfig, matrix) -> Vertex:
-    """Vertex of the lattice spanned by the columns of a 2x2 matrix.
-
-    Entries may be ints, Fractions, or PadicNums; homothetic inputs give the
-    identical Vertex: scaled to be primitive, with determinant of content
-    p^n, the matrix mod p^n carries v0 to it through _act_coord.
-    """
+    """Vertex of the lattice spanned by the columns of a 2x2 matrix of ints or
+    Fractions: scaled by p^-e1 to be primitive, e1 the least entry valuation,
+    its determinant has content p^n, and the matrix mod p^n carries v0 to the
+    vertex through _act_coord, so homothetic inputs give the identical Vertex."""
     p = cfg.p
-    ent = [cfg.number(x) for row in matrix for x in row]
-    if all(e.is_zero() for e in ent):
-        raise ValueError("zero matrix spans no lattice")
-    det = ent[0] * ent[3] - ent[1] * ent[2]
-    if det.is_zero():
+    ent = [exact(x) for row in matrix for x in row]
+    if ent[0] * ent[3] == ent[1] * ent[2]:
         raise ValueError("singular matrix spans no lattice")
-    e1 = min(e.valuation for e in ent if not e.is_zero())
-    scaled = [e.shift(-e1) for e in ent]
-    n = (scaled[0] * scaled[3] - scaled[1] * scaled[2]).valuation
-    if n is INF or n < 0:
-        raise AssertionError("primitive lattice matrix has a non-integral determinant")
+    e1 = min(val_fraction(e, p) for e in ent if e)
+    n = val_fraction(ent[0] * ent[3] - ent[1] * ent[2], p) - 2 * e1
     if n == 0:
         return Vertex.root(p)
-    m11, m12, m21, m22 = (int(e.residue_class(n)) for e in scaled)
+    m11, m12, m21, m22 = (_residue(e / Fraction(p) ** e1, p**n) for e in ent)
     return Vertex.make(p, *_act_coord(p, ((m11, m12), (m21, m22)), n, 0, 1, 0))
 
 
@@ -364,8 +357,8 @@ def level_exponents(simplex, k: int):
 
 
 def _fits_level(std: GL2, simplex, k: int) -> bool:
-    one = std.cfg.one()
-    vals = ((std.a - one).valuation, std.b.valuation, std.c.valuation, (std.d - one).valuation)
+    p = std.cfg.p
+    vals = (val_fraction(e, p) for e in (std.a - 1, std.b, std.c, std.d - 1))
     return all(v >= e for v, e in zip(vals, level_exponents(simplex, k)))
 
 

@@ -65,10 +65,10 @@ class NormalForm:
 
     def image(self, g: GL2) -> "NormalForm":
         """The exact image { x.g : x in ball }."""
-        comp, center, m = _disc_image(g.cfg, g, self.center, self.m)
+        comp, center, m = _disc_image(self.p, g, self.center, self.m)
         if abs(m) > g.cfg.N - 2:
             raise PrecisionError(f"radius exponent {m} beyond working precision N={g.cfg.N}")
-        return NormalForm(self.p, comp != self.complement, center.residue_class(m), m)
+        return NormalForm(self.p, comp != self.complement, _reduce_fraction(self.p, center, m), m)
 
     @property
     def cell(self) -> tuple:
@@ -105,11 +105,8 @@ class NormalForm:
         d = val_fraction(Fraction(x) - self.center, self.p)
         return (d <= self.m - 1) if self.complement else (d >= self.m)
 
-    def member_point(self, cfg: PadicConfig, pt: ProjPoint) -> bool:
-        if pt.is_infinity():
-            return self.complement
-        d = (pt.z_coord() - cfg.from_fraction(self.center)).valuation
-        return (d <= self.m - 1) if self.complement else (d >= self.m)
+    def member_point(self, pt: ProjPoint) -> bool:
+        return self.member_value(None if pt.is_infinity() else pt.z_coord())
 
 
 def _level(q: int, p: int) -> int:
@@ -142,8 +139,9 @@ def disc(cfg: PadicConfig, center, m: int, complement: bool = False, chart: str 
 
 def scaled_integral(g: GL2) -> GL2:
     """Projectively equal matrix with min entry valuation 0."""
-    m = min(e.valuation for e in g.entries() if not e.is_zero())
-    return GL2(g.cfg, *(e.shift(-m) for e in g.entries()))
+    p = g.cfg.p
+    scale = Fraction(p) ** -min(val_fraction(e, p) for e in g.entries() if e)
+    return GL2(g.cfg, *(e * scale for e in g.entries()))
 
 
 def cell_ids(cfg: PadicConfig, M: int):
@@ -165,11 +163,8 @@ def cell_value(cid):
 def point_cell(cfg: PadicConfig, pt: ProjPoint, M: int):
     """The level-M cell containing a point."""
     if pt.is_infinity() or not pt.in_z_domain():
-        u = cfg.zero() if pt.is_infinity() else pt.u_coord()
-        r = 0 if u.is_zero() else int(u.residue_class(M))
-        return ("w", r)
-    z = pt.z_coord()
-    return ("z", 0 if z.is_zero() else int(z.residue_class(M)))
+        return ("w", int(_reduce_fraction(cfg.p, pt.u_coord(), M)))
+    return ("z", int(_reduce_fraction(cfg.p, pt.z_coord(), M)))
 
 
 def required_level(ball: Ball) -> int:
@@ -207,19 +202,10 @@ def bfs_orbit_cells(cfg: PadicConfig, simplex, k: int, z: ProjPoint, rng: random
     p = cfg.p
     M = (k + 3) if level is None else level
     gens = [scaled_integral(sample_group_element(cfg, simplex, k, rng)) for _ in range(generators)]
-    guard = min(
-        [cfg.N - 2]
-        + [e.prec for g in gens for e in g.entries() if not e.is_zero()]
-    )
+    guard = cfg.N - 2
     assert guard >= M + 6, "working precision too small for the closure oracle"
     work = p**guard
-    int_gens = [
-        tuple(
-            0 if e.is_zero() else (e.unit_residue(guard) * pow(p, e.valuation, work)) % work
-            for e in g.entries()
-        )
-        for g in gens
-    ]
+    int_gens = [tuple(e.numerator * pow(e.denominator, -1, work) % work for e in g.entries()) for g in gens]
 
     def cell_of_pair(x, y):
         assert x or y, "projective pair collapsed"

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from btcomplex.padics import INF, PadicConfig, PadicNum
 from btcomplex.projline import GL2, Ball, ProjPoint, moebius_apply
-from btcomplex.tree import Vertex, standard_orientation, standard_path
+from btcomplex.tree import Vertex, edges_upto, standard_orientation, standard_path, vertices_upto
 from btcomplex.orbits import OrbitRegistry, build_registry, enumerate_orbits, sample_group_element
 from btcomplex import chains
 from btcomplex.chains import (
@@ -87,7 +87,7 @@ def test_cocycle_law_and_factorization():
         g, gp = rand_g(), rand_g()
         z = ProjPoint.from_z(cfg, Fraction(rng.randrange(-20, 20), rng.choice([1, 3, 9])))
         xi = cocycle_xi(cfg, z, g)
-        assert xi.c.is_zero()
+        assert xi.c == 0
         assert cocycle_xi(cfg, z, g @ gp) == xi @ cocycle_xi(cfg, moebius_apply(g, z), gp)
     # g = xi(0, g) s(0.g)
     for _ in range(30):
@@ -252,12 +252,79 @@ def test_act_matches_pointwise_cocycle_definition():
                     t0 = cfg.from_int(t_int)
                     x = moebius_apply(Mb, ProjPoint.from_z(cfg, t_int))
                     xi = cocycle_xi(cfg, x, g)
-                    t_img = moebius_apply(Mb_inv, moebius_apply(g, x)).z_coord()
-                    truth = (xi.a * xi.d) ** chi.m1 * xi.d**chi.m2 * _eval_truncfun(f, t_img)
+                    t_img = cfg.from_fraction(moebius_apply(Mb_inv, moebius_apply(g, x)).z_coord())
+                    truth = cfg.from_fraction((xi.a * xi.d) ** chi.m1 * xi.d**chi.m2) * _eval_truncfun(f, t_img)
                     approx = _eval_truncfun(out, t0)
                     diff = truth - approx
                     assert diff.is_zero() or diff.valuation >= min(guard, cfg.N - 4), (
                         simplex, rec.ball, t_int, diff.valuation, guard)
+
+
+def _poly_mul(x, y):
+    out = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_divmod(num, den):
+    """Exact quotient and remainder of two polynomials of Fractions, lowest
+    coefficient first."""
+    while den[-1] == 0:
+        den = den[:-1]
+    num = list(num)
+    quot = [Fraction(0)] * (len(num) - len(den) + 1)
+    for i in range(len(num) - len(den), -1, -1):
+        quot[i] = num[i + len(den) - 1] / den[-1]
+        for j, c in enumerate(den):
+            num[i + j] -= quot[i] * c
+    return quot, num[: len(den) - 1]
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (3, 2), (5, 1)])
+def test_act_at_the_algebraic_weight_matches_the_exact_oracle(p, k):
+    # at m2 = d the action is det(g)^m1 lambda(t)^d f(tau(t)), tau = Mb g Mb^-1
+    # and lambda the cocycle factor: the second coordinate of (t, 1).Mb.g
+    # inside the unit disc, the first outside.  In exact rationals that is a
+    # polynomial of degree <= d, which the action keeps, discarding nothing
+    cfg = PadicConfig(p, 20)
+    rng = random.Random(10 * p + k)
+    d = 2
+    unit = disc(cfg, 0, 0)
+    branches = Counter()
+    for simplex in [*vertices_upto(p, 1), *edges_upto(p, 1)]:
+        for rec in enumerate_orbits(cfg, simplex, k):
+            g = sample_group_element(cfg, simplex, k, rng)
+            m1 = rng.randrange(-3, 4)
+            exact_f = [Fraction(rng.randrange(-p**3, p**3), rng.choice([1, 7])) for _ in range(d + 1)]
+            f = TruncFun(cfg, rec.ball, [cfg.from_fraction(c) for c in exact_f])
+            try:
+                out, guard = act_on_function(g, Character(m1, d), f)
+            except NotAnalyticError:
+                continue
+            Mb = GL2.from_rows(cfg, rec.ball.param())
+            Mg = Mb @ g
+            tau = Mg @ Mb.inverse()
+            inside = rec.ball.subset(unit)
+            lam = [Mg.d, Mg.b] if inside else [Mg.c, Mg.a]
+            num, den = [tau.c, tau.a], [tau.d, tau.b]  # tau(t) = num(t) / den(t)
+            top, bottom = [Fraction(0)] * (d + 1), [Fraction(1)]  # f(tau) = top / den^d
+            for j, c in enumerate(exact_f):
+                term = [c]
+                for factor in [num] * j + [den] * (d - j):
+                    term = _poly_mul(term, factor)
+                top = [x + y for x, y in zip(top, term)]
+            for _ in range(d):
+                top, bottom = _poly_mul(top, lam), _poly_mul(bottom, den)
+            quot, rem = _poly_divmod(top, bottom)
+            assert not any(rem), (simplex, rec.ball)
+            want = [g.det() ** m1 * c for c in quot]
+            assert not any(want[d + 1 :]), (simplex, rec.ball)
+            assert out.coeffs == tuple(cfg.from_fraction(c) for c in want[: d + 1]), (simplex, rec.ball)
+            assert guard is INF, (simplex, rec.ball)
+            branches[inside] += 1
+    assert branches[True] and branches[False], branches
 
 
 def test_edge_and_vertex_groups_act_alike_on_shared_orbit():
@@ -373,7 +440,7 @@ def _op_bits(op):
 
 def _exact_transition(cfg, src, dst):
     """dst.param() times the inverse of src.param(), multiplied out in exact
-    Fractions and converted to p-adic numbers once."""
+    Fractions."""
     (a, b), (c, d) = (map(Fraction, row) for row in src.param())
     det = a * d - b * c
     inv = ((d / det, -b / det), (-c / det, a / det))
@@ -406,13 +473,14 @@ def _geometric_mobius_series(g, D):
     """Oracle: t.g = (at + c)/(bt + d) to degree D, with 1/(bt + d) summed as
     the geometric series in -(b/d)t term by term."""
     cfg = g.cfg
-    dinv = g.d.inverse()
-    ratio = -(g.b * dinv)
+    a, b, c, d = (cfg.from_fraction(e) for e in g.entries())
+    dinv = d.inverse()
+    ratio = -(b * dinv)
     inv_den = [cfg.one()]
     for _ in range(D):
         inv_den.append(inv_den[-1] * ratio)
     inv_den = [dinv * x for x in inv_den]
-    return chains._series_mul([g.c, g.a], inv_den, D)
+    return chains._series_mul([c, a], inv_den, D)
 
 
 def _int_binom(m, i):
@@ -442,21 +510,20 @@ def test_mobius_series_matches_the_geometric_series_on_registry_steps(p, k, n, d
 def _integral_transitions(draw):
     """A degree D and a transition t -> (at + c)/(bt + d) with its pole off
     the unit disc (val b > val d) and a/d, c/d p-integral, whose nonzero
-    entries carry any stored precision."""
+    entries are exact integers p^v u, u a unit of up to N digits."""
     p = draw(st.sampled_from([2, 3, 5]))
     cfg = PadicConfig(p, draw(st.integers(3, 12)))
 
     def entry(v_min, v_max):
-        prec = draw(st.integers(1, cfg.N))
-        u = p * draw(st.integers(0, p ** (prec - 1) - 1)) + draw(st.integers(1, p - 1))
-        return PadicNum(cfg, draw(st.integers(v_min, v_max)), u, prec)
+        u = p * draw(st.integers(0, p ** (cfg.N - 1) - 1)) + draw(st.integers(1, p - 1))
+        return p ** draw(st.integers(v_min, v_max)) * u
 
     def maybe(v_min):
-        return cfg.zero() if draw(st.booleans()) else entry(v_min, v_min + 3)
+        return 0 if draw(st.booleans()) else entry(v_min, v_min + 3)
 
     vd = draw(st.integers(0, 2))
     a, b, c, d = maybe(vd), maybe(vd + 1), maybe(vd), entry(vd, vd)
-    hypothesis.assume(not (a * d - b * c).is_zero())
+    hypothesis.assume(a * d != b * c)
     return GL2(cfg, a, b, c, d), draw(st.integers(0, 6))
 
 

@@ -7,11 +7,16 @@ from itertools import combinations
 import pytest
 
 from btcomplex.padics import PadicConfig, PadicNum
-from btcomplex.projline import GL2, Ball, ProjPoint, moebius_ball_image
+from btcomplex.projline import GL2, Ball, ProjPoint, moebius_apply, moebius_ball_image
 from btcomplex.tree import (
     OrientedEdge,
     Vertex,
+    act_vertex,
     edges_upto,
+    factor_edge_group,
+    in_group,
+    map_path,
+    path,
     standard_orientation,
     standard_path,
     level_exponents,
@@ -118,7 +123,7 @@ def test_orbit_of_point_is_in_enumeration():
             rec = orbit_of_point(cfg, s, k, z)
             balls = {r.ball for r in enumerate_orbits(cfg, s, k)}
             assert rec.ball in balls
-            assert rec.ball.member_point(cfg, z)
+            assert rec.ball.member_point(z)
 
 
 # -- registries -----------------------------------------------------------------
@@ -541,6 +546,37 @@ def test_registry_build_does_no_padic_arithmetic(monkeypatch):
         disc(make_cfg(2, 1, 1), 2, 1, chart="w")
 
 
+def test_group_side_does_no_padic_arithmetic(monkeypatch):
+    # matrices and points hold exact rationals: with the p-adic arithmetic and
+    # the conversion into it disabled, the group acts on registry configs
+    def refuse(*args, **kwargs):
+        raise AssertionError("p-adic arithmetic on the group side")
+
+    for name in ("__add__", "__mul__", "inverse"):
+        monkeypatch.setattr(PadicNum, name, refuse)
+    monkeypatch.setattr(PadicConfig, "from_fraction", refuse)
+    for p, k, n in [(2, 2, 3), (3, 2, 2), (5, 1, 2)]:
+        cfg = make_cfg(p, k, n)
+        reg = build_registry(cfg, n, k)
+        rng = random.Random(p)
+        for v in reg.vertices():
+            g = map_path(cfg, standard_path(p, v.n), path(Vertex.root(p), v))
+            assert act_vertex(g, Vertex(p, v.n, (1, 0))) == v
+        for simplex in [*reg.vertices(), *reg.edges()]:
+            g = sample_group_element(cfg, simplex, k, rng)
+            assert in_group(g, simplex, k)
+            if isinstance(simplex, OrientedEdge):
+                factor_edge_group(g, simplex, k)
+            else:
+                assert act_vertex(g, simplex) == simplex
+            for z in (ProjPoint.infinity(cfg), ProjPoint.from_z(cfg, Fraction(rng.randrange(-50, 50), p**2))):
+                rec = orbit_of_point(cfg, simplex, k, z)
+                assert moebius_ball_image(g, rec.ball) == rec.ball
+                assert rec.ball.member_point(moebius_apply(g, z))
+    with pytest.raises(AssertionError, match="p-adic arithmetic"):
+        repr(GL2.identity(make_cfg(2, 1, 1)))  # a matrix's digits are written out
+
+
 # -- the antichain partition check against the pairwise oracle ------------------
 
 
@@ -619,15 +655,8 @@ def _standard_rows(cfg, simplex, k, rng):
     return ((1 + qa * a, qb * b), (qc * c, 1 + qd * d))
 
 
-def _conjugated_padic(cfg, simplex, k, rng):
-    """Oracle: h.std.h^-1 in PadicNum arithmetic, with the GL2 inverse of the transport."""
-    h = transport(cfg, simplex)
-    return h @ GL2.from_rows(cfg, _standard_rows(cfg, simplex, k, rng)) @ h.inverse()
-
-
 def _conjugated_exactly(cfg, simplex, k, rng):
-    """Oracle: h.std.h^-1 multiplied out in Fractions and converted to p-adic
-    numbers entry by entry."""
+    """Oracle: h.std.h^-1 multiplied out in Fractions on the integer rows."""
     std = _standard_rows(cfg, simplex, k, rng)
     (h11, h12), (h21, h22) = h = transport_rows(simplex)
     det = Fraction(h11 * h22 - h12 * h21)
@@ -636,27 +665,50 @@ def _conjugated_exactly(cfg, simplex, k, rng):
     def mul(x, y):
         return [[sum(s * t for s, t in zip(row, col)) for col in zip(*y)] for row in x]
 
-    return [cfg.from_fraction(Fraction(e)) for row in mul(mul(h, std), inv) for e in row]
+    return tuple(Fraction(e) for row in mul(mul(h, std), inv) for e in row)
 
 
-def _bits(entries):
-    return [(e.v, e.u, e.prec) for e in entries]
-
-
-@pytest.mark.parametrize("p,k,n,short", [(2, 2, 3, 78), (3, 2, 2, 72), (5, 1, 2, 118)])
-def test_sampled_group_elements_keep_every_digit(p, k, n, short):
-    # the conjugation is formed exactly from the integer transport rows; the
-    # PadicNum product with the transport's inverse agrees in value but drops
-    # digits on cancellation, here on `short` of the samples
+@pytest.mark.parametrize("p,k,n", [(2, 2, 3), (3, 2, 2), (5, 1, 2)])
+def test_sampled_group_elements_keep_every_digit(p, k, n):
+    # the conjugation is exact: every entry equals the integer-row product
     cfg = PadicConfig(p, k + 2 * n + 9)
-    simplices = [*vertices_upto(p, n), *edges_upto(p, n)]
-    lost = 0
-    for simplex in simplices:
+    for simplex in [*vertices_upto(p, n), *edges_upto(p, n)]:
         for seed in range(3):
             g = sample_group_element(cfg, simplex, k, random.Random(seed))
-            exact = _conjugated_exactly(cfg, simplex, k, random.Random(seed))
-            assert _bits(g.entries()) == _bits(exact)
-            old = _conjugated_padic(cfg, simplex, k, random.Random(seed))
-            assert old == g
-            lost += any(not e.is_zero() and e.prec < cfg.N for e in old.entries())
-    assert (lost, 3 * len(simplices)) == (short, {2: 129, 3: 99, 5: 219}[p])
+            assert g.entries() == _conjugated_exactly(cfg, simplex, k, random.Random(seed))
+
+
+# the samples (3 * simplex index + seed) whose element also lies in the level-k
+# group of the next simplex in the list; pinned from the p-adic conjugation the
+# exact one replaced, which gave the same answers
+NEXT_GROUP_MEMBERS = {
+    (2, 2, 3): [0, 4, 7, 10, 13, 16, 19, 22, 25, 55, 58, 61, 64, 66, 69, 87],
+    (3, 2, 2): [0, 1, 3, 4, 6, 7, 42, 43, 45, 46, 51, 52, 54, 55, 57, 58, 61, 72, 75, 78, 90, 91, 93, 94],
+    (5, 1, 2): [2, 16, 109, 113, 116, 119, 122, 125, 206, 209, 212, 215],
+}
+
+
+@pytest.mark.parametrize("p,k,n", sorted(NEXT_GROUP_MEMBERS))
+def test_group_membership_conjugates_exactly(p, k, n):
+    # in_group and factor_edge_group conjugate into the standard frame exactly:
+    # h^-1.g.h is the drawn standard-frame element, and an edge element splits
+    # into vertex-group factors whose product is g itself
+    cfg = PadicConfig(p, k + 2 * n + 9)
+    simplices = [*vertices_upto(p, n), *edges_upto(p, n)]
+    also = []
+    for i, simplex in enumerate(simplices):
+        h = transport(cfg, simplex)
+        for seed in range(3):
+            g = sample_group_element(cfg, simplex, k, random.Random(seed))
+            std = GL2.from_rows(cfg, _standard_rows(cfg, simplex, k, random.Random(seed)))
+            assert h.inverse() @ g @ h == std
+            assert in_group(g, simplex, k)
+            if in_group(g, simplices[(i + 1) % len(simplices)], k):
+                also.append(3 * i + seed)
+            if isinstance(simplex, OrientedEdge):
+                parent, child = simplex.src, simplex.dst
+                for e in (simplex, OrientedEdge(child, parent)):
+                    g1, g2 = factor_edge_group(g, e, k)
+                    assert g1 @ g2 == g
+                    assert in_group(g1, child, k) and in_group(g2, parent, k)
+    assert also == NEXT_GROUP_MEMBERS[p, k, n]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from btcomplex.padics import PadicConfig, PrecisionError, val_fraction
 from btcomplex.projline import GL2, Ball, ProjPoint, moebius_apply, moebius_ball_image
+from btcomplex.tree import vertex_canonical
 from residue_cells import (
     NormalForm,
     ball_cells,
@@ -64,9 +65,28 @@ def test_action_composition_law(cfg):
         assert moebius_apply(gp, moebius_apply(g, z)) == moebius_apply(g @ gp, z)
 
 
+ENTRY_OF = {
+    "GL2": lambda cfg, x: GL2(cfg, x, 0, 0, 1),
+    "ProjPoint": lambda cfg, x: ProjPoint(cfg, x, 1),
+    "vertex_canonical": lambda cfg, x: vertex_canonical(cfg, ((x, 0), (0, 1))),
+}
+
+
+@pytest.mark.parametrize("refused", ["1/3", 0.5, True, "PadicNum"], ids=["str", "float", "bool", "PadicNum"])
+@pytest.mark.parametrize("build", sorted(ENTRY_OF))
+def test_entries_are_exact_rationals_only(cfg, build, refused):
+    # Fraction() parses "1/3" and takes floats; the one guard takes ints and
+    # Fractions only, so digit strings are output and every entry is exact
+    ENTRY_OF[build](cfg, Fraction(1, 3))
+    ENTRY_OF[build](cfg, 3)
+    x = cfg.from_int(1) if refused == "PadicNum" else refused
+    with pytest.raises(TypeError, match="not an exact rational"):
+        ENTRY_OF[build](cfg, x)
+
+
 def test_point_normalization_canonical(cfg):
-    a = ProjPoint(cfg, cfg.from_int(6), cfg.from_int(15))
-    b = ProjPoint(cfg, cfg.from_int(2), cfg.from_int(5))
+    a = ProjPoint(cfg, 6, 15)
+    b = ProjPoint(cfg, 2, 5)
     assert a == b
     assert a.x == b.x and a.y == b.y
 
@@ -118,10 +138,10 @@ def test_membership_and_subset_examples(cfg):
     assert w2.subset(w1) and not w1.subset(w2)
     assert not w1.subset(disc(cfg, 0, 0))  # the two charts are disjoint
     assert w1.disjoint(disc(cfg, 0, 0))
-    assert z1.member_point(cfg, ProjPoint.from_z(cfg, p * 7))
-    assert not z1.member_point(cfg, ProjPoint.from_z(cfg, 1))
-    assert w1.member_point(cfg, ProjPoint.infinity(cfg))
-    assert w1.member_point(cfg, ProjPoint.from_z(cfg, Fraction(1, p)))
+    assert z1.member_point(ProjPoint.from_z(cfg, p * 7))
+    assert not z1.member_point(ProjPoint.from_z(cfg, 1))
+    assert w1.member_point(ProjPoint.infinity(cfg))
+    assert w1.member_point(ProjPoint.from_z(cfg, Fraction(1, p)))
 
 
 def test_subset_partial_order_sampled(cfg):
@@ -321,7 +341,7 @@ def _ball_param_oracle(cfg, ball):
 def _u_disc_oracle(cfg, u_center, m):
     """The normal form of the u-disc by hand inversion of its center, with no
     exponent check on the result."""
-    cu = NormalForm.z_disc(cfg, cfg.number(u_center), m).center
+    cu = NormalForm.z_disc(cfg, u_center, m).center
     if cu == 0:
         # contains u = 0, i.e. the point at infinity: complement of a z-disc
         return NormalForm(cfg.p, True, Fraction(0), 1 - m)
@@ -331,10 +351,6 @@ def _u_disc_oracle(cfg, u_center, m):
     return NormalForm.z_disc(cfg, 1 / cu, m - 2 * s)
 
 
-def _digits(x):
-    return (x.valuation, x.u, x.prec)
-
-
 @PROPERTY
 @given(balls_on_one_line(1))
 def test_param_maps_the_unit_disc_onto_the_ball_property(drawn):
@@ -342,7 +358,7 @@ def test_param_maps_the_unit_disc_onto_the_ball_property(drawn):
     M = GL2.from_rows(cfg, ball.param())
     assert moebius_ball_image(M, disc(cfg, 0, 0)) == ball
     oracle = _ball_param_oracle(cfg, ball)
-    assert [_digits(e) for e in M.entries()] == [_digits(e) for e in oracle.entries()]
+    assert M.entries() == oracle.entries()
 
 
 @st.composite
@@ -391,13 +407,13 @@ def _assert_presentations_match_the_normal_form(cfg, ball, rng):
     assert ball.to_json(cfg) == {"chart": chart, "center": cfg.from_fraction(center).serialize(), "m": m}
     assert ball.id_str() == f"{chart}({center};{m})"
     param = GL2.from_rows(cfg, ball.param())
-    assert [_digits(e) for e in param.entries()] == [_digits(e) for e in _ball_param_oracle(cfg, ball).entries()]
+    assert param.entries() == _ball_param_oracle(cfg, ball).entries()
     p, level = cfg.p, required_level(ball)
     points = [ProjPoint.infinity(cfg), ProjPoint.from_z(cfg, nf.center)]
     points += [ProjPoint.from_z(cfg, nf.center + Fraction(rng.randrange(-p**level, p**level), p ** rng.randrange(level)))
                for _ in range(6)]
     for pt in points:
-        assert ball.member_point(cfg, pt) == nf.member_point(cfg, pt), pt
+        assert ball.member_point(pt) == nf.member_point(pt), pt
     for _ in range(3):
         g = random_gl2(cfg, rng)
         assert _cell_or_precision_error(moebius_ball_image, g, ball) == _cell_or_precision_error(nf.image, g)
@@ -487,12 +503,12 @@ def test_ball_image_round_trip_and_membership(cfg):
         # forward: representatives of the source land inside the image
         for cid in ball_cells(cfg, ball, required_level(ball) + 1):
             pt = ProjPoint.from_z(cfg, cell_value(cid)) if cell_value(cid) is not None else ProjPoint.infinity(cfg)
-            assert img.member_point(cfg, moebius_apply(g, pt))
+            assert img.member_point(moebius_apply(g, pt))
         # backward: representatives of the image pull back into the source
         for cid in ball_cells(cfg, img, required_level(img)):
             v = cell_value(cid)
             pt = ProjPoint.infinity(cfg) if v is None else ProjPoint.from_z(cfg, v)
-            assert ball.member_point(cfg, moebius_apply(g.inverse(), pt))
+            assert ball.member_point(moebius_apply(g.inverse(), pt))
 
 
 def test_ball_image_pointwise_biconditional(cfg):
@@ -518,4 +534,4 @@ def test_ball_image_pointwise_biconditional(cfg):
             continue
         ginv = g.inverse()
         for pt in reps:
-            assert img.member_point(cfg, pt) == ball.member_point(cfg, moebius_apply(ginv, pt))
+            assert img.member_point(pt) == ball.member_point(moebius_apply(ginv, pt))
