@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
 from .padics import INF, PadicConfig, PadicNum
-from .projline import Ball, GL2, ProjPoint, moebius_apply, moebius_ball_image
+from .projline import Ball, Frozen, GL2, ProjPoint, moebius_apply, moebius_ball_image
 from .tree import OrientedEdge, Vertex
 from .orbits import OrbitRegistry, nonminimal_count_formula, verify_counts
 
@@ -52,14 +51,22 @@ class NotAnalyticError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Frozen):
     """Integer-weight character of the Borel, read off its diagonal:
     [[a, b], [0, d]] -> (ad)^m1 d^m2.  It is its two weights; callers raise
     the entries to them."""
 
-    m1: int
-    m2: int
+    __slots__ = ("m1", "m2")
+
+    def __init__(self, m1: int, m2: int):
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "m2", m2)
+
+    def _fields(self) -> tuple:
+        return (self.m1, self.m2)
+
+    def __repr__(self):
+        return f"Character(m1={self.m1!r}, m2={self.m2!r})"
 
 
 class TruncFun:
@@ -129,7 +136,8 @@ def _series_mul(a, b, D):
 
 def mobius_series(g: GL2, D: int):
     """Coefficients of t |-> t.g = (at + c)/(bt + d) on Z_p, to degree D: the
-    numerator (c + at)/d times the binomial series of (1 + (b/d)t)^-1.
+    numerator c + at times the binomial series of (d + bt)^-1 =
+    d^-1 (1 + (b/d)t)^-1.
 
     Requires the pole outside the unit disc (val b > val d), which holds
     exactly when the map carries Z_p into Z_p.
@@ -139,22 +147,25 @@ def mobius_series(g: GL2, D: int):
     if d.is_zero() or (not b.is_zero() and b.valuation <= d.valuation):
         raise NotAnalyticError("pole of the transition meets the unit disc")
     dinv = d.inverse()
-    return _series_mul([c * dinv, a * dinv], _binomial_series(cfg, cfg.one(), b * dinv, -1, D), D)
+    return _series_mul([c, a], _binomial_series(cfg, dinv, b * dinv, -1, D), D)
 
 
-def _binomial_series(cfg: PadicConfig, a0: PadicNum, a1: PadicNum, e: int, D: int):
-    """(a0 + a1 t)^e to degree D; needs val(a0)=0 and val(a1)>=1 to converge.
-    For e < 0, binom(e, i) = (-1)^i binom(i - e - 1, i)."""
-    if a0.valuation != 0 or (not a1.is_zero() and a1.valuation < 1):
-        raise NotAnalyticError("character factor is not analytic on this disc")
-    ratio = a1 / a0
-    lead = a0**e
+def _binomial_series(cfg: PadicConfig, lead: PadicNum, ratio: PadicNum, e: int, D: int):
+    """lead (1 + ratio t)^e to degree D, term i binom(e, i) lead ratio^i; the
+    callers ensure val(ratio) >= 1, so that it converges on Z_p.  For e < 0,
+    binom(e, i) = (-1)^i binom(i - e - 1, i); a coefficient of +-1, every one
+    at e = -1, enters as a sign, without a multiplication."""
+    term = lead  # lead ratio^i
     out = []
-    power = cfg.one()
     for i in range(D + 1):
         b = comb(e, i) if e >= 0 else (-1) ** i * comb(i - e - 1, i)
-        out.append(lead * cfg.from_int(b) * power if b else cfg.zero())
-        power = power * ratio
+        if b == 1:
+            out.append(term)
+        elif b == -1:
+            out.append(-term)
+        else:
+            out.append(term * cfg.from_int(b) if b else cfg.zero())
+        term = term * ratio
     return out
 
 
@@ -296,7 +307,10 @@ def act_on_function(g: GL2, chi: Character, f: TruncFun):
     a0, a1 = (Mg.d, Mg.b) if inside else (Mg.c, Mg.a)
     d = f.degree_bound
     D = d + GUARD_DEGREES
-    twist = _binomial_series(cfg, cfg.from_fraction(a0), cfg.from_fraction(a1), chi.m2, D)
+    a0, a1 = cfg.from_fraction(a0), cfg.from_fraction(a1)
+    if a0.valuation != 0 or (not a1.is_zero() and a1.valuation < 1):
+        raise NotAnalyticError("character factor is not analytic on this disc")
+    twist = _binomial_series(cfg, a0**chi.m2, a1 / a0, chi.m2, D)  # (a0 + a1 t)^m2
     const = cfg.from_fraction(g.det() ** chi.m1)
     pulled = _apply(_operator(Mg @ Mb.inverse(), D, d + 1), f.coeffs)
     full = _series_mul(pulled, twist, D)
@@ -421,16 +435,16 @@ def kernel_lift(nonmin: Chain, reg: OrbitRegistry) -> Chain:
 # -- the projected boundary matrix ---------------------------------------------
 
 
-@dataclass
 class BoundaryMatrix:
     """Square block matrix of the projected boundary map over the ordered
     non-minimal records; entries are 0, +-identity, or +-restriction."""
 
-    reg: OrbitRegistry
-    d: int
-    order: list  # row -> non-minimal vertex record index, superset-first
-    blocks: list  # (row, col, kind, sign) with kind in {"id", "res"}
-    columns: list  # col -> edge record index
+    def __init__(self, reg: OrbitRegistry, d: int, order: list, blocks: list, columns: list):
+        self.reg = reg
+        self.d = d
+        self.order = order  # row -> non-minimal vertex record index, superset-first
+        self.blocks = blocks  # (row, col, kind, sign) with kind in {"id", "res"}
+        self.columns = columns  # col -> edge record index
 
     @property
     def size(self) -> int:

@@ -3,6 +3,9 @@
 Commands: tree, orbits, minimal, counts, matrix, verify, example.
 Exit codes: 0 all requested checks pass, 1 a verification failed, 2 usage or I/O.
 Output is deterministic for a fixed configuration (seed included).
+The chain complex (chains) and the packaged reference data are imported only
+by the commands that use them, matrix, verify and example, so a process that
+runs tree, orbits, minimal or counts never loads them.
 """
 
 from __future__ import annotations
@@ -10,12 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 
 from .padics import PadicConfig, is_prime
 from .tree import dot_tree, edges_upto, vertices_upto
 from .orbits import OrbitRegistry, build_registry, check_partition, minimal_orbits, verify_counts
-from .chains import assemble_dbar1, verify_exactness
 
 
 def auto_precision(k: int, n: int, d: int) -> int:
@@ -66,12 +67,16 @@ def registry_json(reg: OrbitRegistry) -> dict:
 
 
 def reference_matrix_structure() -> dict:
+    from importlib import resources
+
     with resources.files("btcomplex.data").joinpath("boundary_matrix_p2_k1_n1.json").open() as fh:
         return json.load(fh)
 
 
 def compare_to_reference(cfg: PadicConfig) -> dict:
     """Structural comparison of the assembled 6x6 block layout at p=2, k=1, n=1."""
+    from .chains import assemble_dbar1
+
     golden = reference_matrix_structure()
     reg = build_registry(cfg, 1, 1)
     mat = assemble_dbar1(reg, d=1)
@@ -132,11 +137,15 @@ def run(args: argparse.Namespace) -> int:
         return 0 if report["pass"] else 1
 
     if args.command == "matrix":
+        from .chains import assemble_dbar1
+
         mat = assemble_dbar1(build_registry(cfg, args.n, args.k), args.d)
         _emit(args, _dump(mat.to_json()))
         return 0
 
     if args.command == "verify":
+        from .chains import verify_exactness
+
         reg = build_registry(cfg, args.n, args.k)
         report = verify_exactness(reg, args.d, seed=args.seed)
         report["counts"] = verify_counts(reg)

@@ -26,11 +26,10 @@ test on the cell keys.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 from .padics import PadicConfig
-from .projline import Ball, GL2, ProjPoint, _inside
+from .projline import Ball, Frozen, GL2, ProjPoint, _inside
 from .tree import (
     OrientedEdge,
     Vertex,
@@ -50,12 +49,17 @@ from .tree import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(Frozen):
     """One orbit of the level-k group of a simplex (k is its registry's), stored as its disc."""
 
-    simplex: object  # Vertex or OrientedEdge
-    ball: Ball
+    __slots__ = ("simplex", "ball")
+
+    def __init__(self, simplex, ball: Ball):
+        object.__setattr__(self, "simplex", simplex)  # Vertex or OrientedEdge
+        object.__setattr__(self, "ball", ball)
+
+    def _fields(self) -> tuple:
+        return (self.simplex, self.ball)
 
     def id_str(self) -> str:
         return f"{self.simplex.id_str()}|{self.ball.id_str()}"
@@ -130,11 +134,11 @@ def orbit_of_point(cfg: PadicConfig, simplex, k: int, z: ProjPoint) -> OrbitReco
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class OrbitRegistry:
     """The level-k orbit records of every simplex within distance n of the root.
 
-    build_registry fills it; afterwards only the tables built on first use
+    OrbitRegistry(cfg, n, k) starts with empty tables (see __init__) and
+    build_registry fills them; afterwards only the tables built on first use
     (below) fill in, and nothing changes what is there.  Each record
     has a dense integer index: vertex records come first, then edge records,
     both in the iteration order of ``vertex_records`` / ``edge_records``;
@@ -165,16 +169,17 @@ class OrbitRegistry:
     -> ((ball, operator), ...) along ``ball_chain``.
     """
 
-    cfg: PadicConfig
-    n: int
-    k: int
-    vertex_records: dict = field(default_factory=dict)  # Vertex -> [OrbitRecord]
-    edge_records: dict = field(default_factory=dict)  # OrientedEdge -> [OrbitRecord]
-    records: list = field(default_factory=list)  # index -> OrbitRecord
-    minimal: list = field(default_factory=list)  # vertex record index -> bool
-    owner: dict = field(default_factory=dict)  # edge record index -> vertex record index
-    nonmin_order: list = field(default_factory=list)  # non-minimal vertex record indices, ordered
-    routes: dict = field(default_factory=dict, repr=False, compare=False)  # (a, b, d) -> route
+    def __init__(self, cfg: PadicConfig, n: int, k: int):
+        self.cfg = cfg
+        self.n = n
+        self.k = k
+        self.vertex_records = {}  # Vertex -> [OrbitRecord]
+        self.edge_records = {}  # OrientedEdge -> [OrbitRecord]
+        self.records = []  # index -> OrbitRecord
+        self.minimal = []  # vertex record index -> bool
+        self.owner = {}  # edge record index -> vertex record index
+        self.nonmin_order = []  # non-minimal vertex record indices, ordered
+        self.routes = {}  # (a, b, d) -> route
 
     @property
     def p(self) -> int:
@@ -428,16 +433,36 @@ def verify_counts(reg: OrbitRegistry) -> dict:
         row("non-minimal record count", r_formula, len(reg.nonminimal_records()))
         row("edge record count", r_formula, sum(len(v) for v in reg.edge_records.values()))
 
-        # the set identity: edge records biject onto non-minimal vertex records
-        owner_map = {}
+        # the set identity: edge records biject onto non-minimal vertex records.
+        # A record is keyed by (its vertex's position, its disc's cell key),
+        # and each edge orbit's owner is the endpoint holding its cell, found
+        # without reg.owner
+        vertices = list(reg.vertex_records)
+        at = {v: i for i, v in enumerate(vertices)}
+        cells = [{r.ball.cell for r in recs} for recs in reg.vertex_records.values()]
+        owned = {}  # (owner position, cell key) -> its disc
         collisions = []
+        edge = None
         for rec in reg.all_edge_records():
-            key = OrbitRecord(edge_orbit_owner(reg, rec), rec.ball)
-            if key in owner_map:
+            if rec.simplex is not edge:  # an edge's records are consecutive
+                edge = rec.simplex
+                ends = [at[v] for v in edge.endpoints() if v in at]
+            cell = rec.ball.cell
+            hits = [i for i in ends if cell in cells[i]]
+            if len(hits) != 1:
+                raise AssertionError(
+                    f"edge orbit {rec.id_str()} owned by {len(hits)} endpoints; expected exactly one"
+                )
+            if (hits[0], cell) in owned:
                 collisions.append(rec.id_str())
-            owner_map[key] = rec
+            owned[hits[0], cell] = rec.ball
         row("edge->vertex record map injective", [], collisions)
-        diff = sorted(r.id_str() for r in set(owner_map) ^ set(reg.nonminimal_records()))
+        pos = [i for i, recs in enumerate(reg.vertex_records.values()) for _ in recs]
+        nonmin = {(pos[j], r.ball.cell): r.ball
+                  for j, r in enumerate(reg.all_vertex_records()) if not reg.minimal[j]}
+        discs = {**nonmin, **owned}
+        diff = sorted(OrbitRecord(vertices[i], discs[i, cell]).id_str()
+                      for i, cell in owned.keys() ^ nonmin.keys())
         row("edge records = non-minimal vertex records (as owner/ball sets)", [], diff)
 
     return {

@@ -27,11 +27,40 @@ the sort key read it.  Display and JSON use the chart vocabulary:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .padics import PadicConfig, PrecisionError, val_fraction, val_int
+
+
+# ---------------------------------------------------------------------------
+# immutable values
+# ---------------------------------------------------------------------------
+
+
+class Frozen:
+    """Base of the package's immutable values (Ball, the tree's Vertex and
+    OrientedEdge, OrbitRecord, Character).  A subclass lists its fields in
+    __slots__, sets each once in __init__ through object.__setattr__, and
+    returns them from _fields.  An instance equals only an instance of its
+    own class with equal fields, hashes as the tuple of its fields, and
+    refuses assignment."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name} to {value!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name}: {type(self).__name__} is immutable")
 
 
 # ---------------------------------------------------------------------------
@@ -181,24 +210,26 @@ def moebius_apply(g: GL2, pt: ProjPoint) -> ProjPoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
-class Ball:
+class Ball(Frozen):
     """Closed ball of P^1(Q_p), identified by its cell key (chart, q, r, flip):
     the points whose coordinate z (chart "z") or 1/z (chart "w") is r mod q,
     q = p^d with d >= 1 and 0 <= r < q, or, when flip, every other point.
     Two Balls are set-equal iff their keys are equal.
 
-    Ball(cfg, key) is the one constructor.  It derives the normal form and
-    raises PrecisionError when its radius exponent m has |m| > N - 2; the
-    chart data is derived on first use.  Both are kept on the Ball."""
+    Ball(cfg, key) is the one constructor; its fields are p and cell.  It
+    reads the radius exponent m off the key (_radius_exponent) and raises
+    PrecisionError when |m| > N - 2.  The normal form and the chart data are
+    derived on first use and kept in the Ball's __dict__."""
 
-    p: int
-    cell: tuple
+    __slots__ = ("p", "cell", "__dict__")
 
     def __init__(self, cfg: PadicConfig, key: tuple):
         object.__setattr__(self, "p", cfg.p)
         object.__setattr__(self, "cell", key)
-        _check_exponent(cfg, self._normal_form[2])
+        _check_exponent(cfg, _radius_exponent(cfg.p, key))
+
+    def _fields(self) -> tuple:
+        return (self.p, self.cell)
 
     @cached_property
     def _normal_form(self) -> tuple:
@@ -209,13 +240,13 @@ class Ball:
         exponent d - 2j around 1/r, since val x = -j on it."""
         p = self.p
         chart, q, r, flip = self.cell
-        d = val_int(q, p)
+        m = _radius_exponent(p, self.cell)
         if chart == "z":
-            return flip, Fraction(r), d
+            return flip, Fraction(r), m
         if r == 0:
-            return not flip, Fraction(0), 1 - d
-        j = val_int(r, p)
-        return flip, Fraction(pow(r // p**j, -1, p ** (d - j)), p**j), d - 2 * j
+            return not flip, Fraction(0), m
+        j = val_int(r, p)  # 1/r is known mod p^(d - j) = p^(m + j)
+        return flip, Fraction(pow(r // p**j, -1, p ** (m + j)), p**j), m
 
     @cached_property
     def _chart(self) -> tuple:
@@ -299,6 +330,17 @@ class Ball:
 
     def __repr__(self):
         return f"Ball[{self.id_str()} @ p={self.p}]"
+
+
+def _radius_exponent(p: int, cell: tuple) -> int:
+    """The radius exponent m of a cell key's normal form (Ball._normal_form),
+    in integers: d for a z-cell of level d, 1 - d for the w-cell 0, and
+    d - 2 val(r) for any other w-cell r."""
+    chart, q, r, _ = cell
+    d = val_int(q, p)
+    if chart == "z":
+        return d
+    return 1 - d if r == 0 else d - 2 * val_int(r, p)
 
 
 def _check_exponent(cfg: PadicConfig, m: int):

@@ -12,12 +12,11 @@ common digit prefix) and the classical ball parametrization of directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .padics import PadicConfig, val_fraction, val_int
-from .projline import GL2, _residue, exact
+from .projline import GL2, Frozen, _residue, exact
 
 
 # ---------------------------------------------------------------------------
@@ -37,13 +36,18 @@ def _canonical_coord(p: int, n: int, a: int, b: int):
     return (a * pow(b, -1, mod) % mod, 1)
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(Frozen):
     """Lattice class at depth n, coordinate a canonical point of P^1(Z/p^n)."""
 
-    p: int
-    n: int
-    coord: tuple
+    __slots__ = ("p", "n", "coord")
+
+    def __init__(self, p: int, n: int, coord: tuple):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coord", coord)
+
+    def _fields(self) -> tuple:
+        return (self.p, self.n, self.coord)
 
     @staticmethod
     def root(p: int) -> "Vertex":
@@ -94,16 +98,19 @@ class Vertex:
         return self.id_str()
 
 
-@dataclass(frozen=True)
-class OrientedEdge:
+class OrientedEdge(Frozen):
     """Ordered pair of adjacent vertices."""
 
-    src: Vertex
-    dst: Vertex
+    __slots__ = ("src", "dst")
 
-    def __post_init__(self):
-        if distance(self.src, self.dst) != 1:
+    def __init__(self, src: Vertex, dst: Vertex):
+        if distance(src, dst) != 1:
             raise AssertionError("endpoints are not adjacent")
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+
+    def _fields(self) -> tuple:
+        return (self.src, self.dst)
 
     def endpoints(self):
         return (self.src, self.dst)

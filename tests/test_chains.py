@@ -7,6 +7,7 @@ from collections import Counter
 from contextlib import nullcontext
 from fractions import Fraction
 from importlib import resources
+from math import comb
 
 import hypothesis
 import pytest
@@ -532,6 +533,41 @@ def _integral_transitions(draw):
 def test_mobius_series_matches_the_geometric_series_property(drawn):
     trans, D = drawn
     assert _bits(mobius_series(trans, D)) == _bits(_geometric_mobius_series(trans, D))
+
+
+def _binomial_mobius_series(g, D):
+    """Oracle: mobius_series as the numerator (c + at)/d times (1 + (b/d)t)^-1,
+    each term of the series lead * binom(-1, i) * power, lead = 1^-1, the
+    coefficient converted by from_int and power the i-th power of b/d over 1
+    (the body mobius_series and _binomial_series had before a coefficient of
+    +-1 entered as a sign)."""
+    cfg = g.cfg
+    a, b, c, d = (cfg.from_fraction(e) for e in g.entries())
+    dinv = d.inverse()
+    a0, a1, e = cfg.one(), b * dinv, -1
+    ratio = a1 / a0
+    lead = a0**e
+    series = []
+    power = cfg.one()
+    for i in range(D + 1):
+        coeff = (-1) ** i * comb(i - e - 1, i)
+        series.append(lead * cfg.from_int(coeff) * power)
+        power = power * ratio
+    return chains._series_mul([c * dinv, a * dinv], series, D)
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2, 1), (2, 1, 2)])
+def test_step_operators_match_the_binomial_oracle_on_the_grid(p, k, n, monkeypatch):
+    # every one-step operator of the benchmark grid's registries, at its
+    # precision and degrees, is bit for bit the one the oracle series builds
+    reg = build_registry(PadicConfig(p, k + 2 * n + 12), n, k)
+    steps = [(a, b) for b in range(len(reg.balls)) for a in reg.over[b] if reg.ball_chain(a, b) == [a, b]]
+    transitions = [chains._transition(reg.cfg, reg.balls[a], reg.balls[b]) for a, b in steps]
+    ops = {D: [_op_bits(chains._operator(t, D)) for t in transitions] for D in range(3)}
+    monkeypatch.setattr(chains, "mobius_series", _binomial_mobius_series)
+    assert transitions
+    for D in range(3):
+        assert ops[D] == [_op_bits(chains._operator(t, D)) for t in transitions], D
 
 
 def test_binomial_series_coefficients_match_the_falling_factorial():

@@ -261,3 +261,65 @@ def test_benchmark_tracer_reads_only_names_the_package_defines():
     assert read["layer_self_s"] <= set(tracer.LAYERS)
     # projline.ball_cells left the package; the benchmark still reads it
     assert (read["calls"] | read["inclusive_s"]) - spans == {"projline.ball_cells"}
+
+
+def imported_modules(source: str):
+    """The top-level name of every module a source imports, at any depth of
+    its body; relative imports count by their package-local name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_import_scan_sees_nested_and_relative_imports():
+    source = "\n".join([
+        "import os.path",
+        "from dataclasses import dataclass",
+        "def f():",
+        "    from .chains import restrict",
+        "    import json",
+    ])
+    assert imported_modules(source) == {"os", "dataclasses", "chains", "json"}
+
+
+def test_no_package_module_imports_dataclasses():
+    # dataclasses, with the inspect, ast and dis it loads, cost a fresh CLI
+    # process more than the rest of its imports together
+    assert [str(path.relative_to(ROOT)) for path in PACKAGE
+            if "dataclasses" in imported_modules(path.read_text())] == []
+
+
+def test_cli_import_adds_neither_dataclasses_nor_chains():
+    script = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "import btcomplex.cli",
+        "print(' '.join(sorted(set(sys.modules) - before)))",
+    ])
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=ENV)
+    assert r.returncode == 0, r.stderr
+    added = set(r.stdout.split())
+    assert "btcomplex.orbits" in added
+    assert not added & {"dataclasses", "btcomplex.chains"}
+
+
+def test_only_the_chain_commands_load_chains():
+    # tree, orbits, minimal and counts run without the chain complex; matrix
+    # loads it on demand
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from btcomplex.cli import main",
+        "for command in ('tree', 'orbits', 'minimal', 'counts', 'matrix'):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        rc = main([command, '--p', '3', '--n', '1', '--d', '0'])",
+        "    print(command, rc, 'btcomplex.chains' in sys.modules)",
+    ])
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=ENV)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == [
+        "tree 0 False", "orbits 0 False", "minimal 0 False", "counts 0 False", "matrix 0 True",
+    ]

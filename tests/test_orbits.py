@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from btcomplex.chains import Character
 from btcomplex.padics import PadicConfig, PadicNum
 from btcomplex.projline import GL2, Ball, ProjPoint, moebius_apply, moebius_ball_image
 from btcomplex.tree import (
@@ -234,6 +236,74 @@ def test_verify_counts_examples():
         assert len(reg.nonminimal_records()) == both
         assert sum(len(v) for v in reg.edge_records.values()) == both
 
+
+
+def _bijection_rows_oracle(reg):
+    """The two bijection rows' actual values as verify_counts read them off
+    whole records: each edge record's owner by edge_orbit_owner (reg.index),
+    then sets of OrbitRecords; or the owner check's error."""
+    try:
+        owner_map = {}
+        collisions = []
+        for rec in reg.all_edge_records():
+            key = OrbitRecord(edge_orbit_owner(reg, rec), rec.ball)
+            if key in owner_map:
+                collisions.append(rec.id_str())
+            owner_map[key] = rec
+    except AssertionError as exc:
+        return str(exc)
+    return collisions, sorted(r.id_str() for r in set(owner_map) ^ set(reg.nonminimal_records()))
+
+
+def _bijection_rows(reg):
+    try:
+        rows = {row["name"]: row["actual"] for row in verify_counts(reg)["rows"]}
+    except AssertionError as exc:
+        return str(exc)
+    return (rows["edge->vertex record map injective"],
+            rows["edge records = non-minimal vertex records (as owner/ball sets)"])
+
+
+def _tampered(reg, kind, rng):
+    """The registry with one defect: an edge or a vertex record moved onto
+    another record's disc, a minimal flag flipped, or an edge record copied
+    onto another edge."""
+    nv = len(reg.minimal)
+    if kind == 2:
+        i = rng.randrange(nv)
+        reg.minimal[i] = not reg.minimal[i]
+        return reg
+    i = rng.randrange(nv) if kind == 1 else rng.randrange(nv, len(reg.records))
+    rec = reg.records[i]
+    if kind == 3:
+        e = rng.choice(reg.edges())
+        reg.records.append(OrbitRecord(e, rec.ball))
+        reg.edge_records[e].append(reg.records[-1])
+        return reg
+    moved = OrbitRecord(rec.simplex, rng.choice(reg.records).ball)
+    table = reg.vertex_records if kind == 1 else reg.edge_records
+    recs = table[rec.simplex]
+    reg.records[i] = recs[recs.index(rec)] = moved
+    return reg
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 1), (5, 1, 1)])
+def test_counts_bijection_rows_match_the_record_oracle(p, k, n):
+    # the bijection is checked on (vertex position, cell key) pairs; on sound
+    # and on damaged registries its rows, counterexamples and errors are the
+    # ones whole records gave, and it never reads reg.owner
+    cfg = make_cfg(p, k, n)
+    reg = build_registry(cfg, n, k)
+    reg.owner = {i: 0 for i in reg.owner}
+    assert verify_counts(reg)["pass"]
+    rng = random.Random(p * 100 + k * 10 + n)
+    seen = set()
+    for trial in range(48):
+        reg = _tampered(build_registry(cfg, n, k), trial % 4, rng)
+        want = _bijection_rows_oracle(reg)
+        assert _bijection_rows(reg) == want, trial
+        seen.add(want != ([], []))
+    assert seen == {True, False}
 
 def test_edge_orbit_owner_standard_cases():
     cfg = make_cfg(3, 2, 1)
@@ -712,3 +782,76 @@ def test_group_membership_conjugates_exactly(p, k, n):
                     assert g1 @ g2 == g
                     assert in_group(g1, child, k) and in_group(g2, parent, k)
     assert also == NEXT_GROUP_MEMBERS[p, k, n]
+
+
+# -- value semantics of the immutable records ------------------------------------
+
+VALUE_CONFIGS = [(2, 2, 3), (3, 1, 3), (5, 1, 2)]
+# sha256 of every sampled object's class, repr and id_str (value_lines), as
+# the frozen dataclasses these classes replaced printed them
+VALUE_LINES_SHA256 = "96615d764594abc69996673ea0bf49b9a73a9c8e0764603d6f4a63b6ec4f6517"
+CHARACTERS = [Character(m1, m2) for m1 in range(-2, 3) for m2 in range(-2, 3)]
+
+
+def _value_objects(p, k, n):
+    reg = build_registry(make_cfg(p, k, n, 1), n, k)
+    balls = list(dict.fromkeys(r.ball for r in reg.records))
+    return reg.cfg, [*reg.vertices(), *reg.edges(), *reg.records, *balls]
+
+
+def _fields(x):
+    """The field tuple of each immutable class, read attribute by attribute."""
+    if isinstance(x, Vertex):
+        return (x.p, x.n, x.coord)
+    if isinstance(x, OrientedEdge):
+        return (x.src, x.dst)
+    if isinstance(x, OrbitRecord):
+        return (x.simplex, x.ball)
+    if isinstance(x, Ball):
+        return (x.p, x.cell)
+    return (x.m1, x.m2)
+
+
+def _rebuilt(cfg, x):
+    """A second instance with the same fields."""
+    if isinstance(x, Ball):
+        return Ball(cfg, x.cell)
+    return type(x)(*_fields(x))
+
+
+def test_immutable_records_print_as_before():
+    lines = []
+    for p, k, n in VALUE_CONFIGS:
+        lines += [f"{type(x).__name__}\t{x!r}\t{x.id_str()}" for x in _value_objects(p, k, n)[1]]
+    lines += [repr(chi) for chi in CHARACTERS]
+    assert repr(CHARACTERS[0]) == "Character(m1=-2, m2=-2)"
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == VALUE_LINES_SHA256
+
+
+@pytest.mark.parametrize("p,k,n", VALUE_CONFIGS)
+def test_immutable_records_have_value_semantics(p, k, n):
+    cfg, objects = _value_objects(p, k, n)
+    objects += CHARACTERS
+    for i, x in enumerate(objects):
+        fields = _fields(x)
+        twin = _rebuilt(cfg, x)
+        assert twin is not x and twin == x and not (twin != x) and hash(twin) == hash(x)
+        # equal only to its own class: never to its field tuple or another class
+        assert x != fields and fields != x and x != list(fields)
+        other = objects[i - 1]
+        assert (x == other) == (type(x) is type(other) and _fields(x) == _fields(other))
+        # the hash of the field tuple, as a frozen dataclass computes it; a
+        # Ball hashes its key with the chart as a flag
+        if isinstance(x, Ball):
+            chart, q, r, flip = x.cell
+            assert hash(x) == hash((chart == "z", q, r, flip))
+        else:
+            assert hash(x) == hash(fields)
+        name = {Vertex: "n", OrientedEdge: "src", OrbitRecord: "ball", Ball: "cell", Character: "m1"}[type(x)]
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(x, name))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        assert _fields(x) == fields

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from btcomplex.padics import PadicConfig, PrecisionError, val_fraction
-from btcomplex.projline import GL2, Ball, ProjPoint, moebius_apply, moebius_ball_image
+from btcomplex.projline import GL2, Ball, ProjPoint, _radius_exponent, moebius_apply, moebius_ball_image
 from btcomplex.tree import vertex_canonical
 from residue_cells import (
     NormalForm,
@@ -450,6 +450,25 @@ def test_precision_error_at_the_normal_form_exponent_property(p, N, m, a, j, com
         with pytest.raises(PrecisionError):
             Ball(cfg, key)
 
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 2, 3), (3, 1, 3), (5, 1, 2)])
+def test_radius_exponent_read_off_the_key_on_registry_balls(p, k, n):
+    # the constructor checks the exponent it reads off the integer key; it is
+    # the normal form's, and PrecisionError fires exactly when |m| > N - 2,
+    # with m taken from the oracle's normal form
+    _, balls = _registry_balls(p, k, n)
+    exponents = [normal_form(b).m for b in balls]
+    for ball, m in zip(balls, exponents):
+        assert _radius_exponent(p, ball.cell) == ball._normal_form[2] == m, ball
+    for N in range(1, max(map(abs, exponents)) + 4):
+        cfg = PadicConfig(p, N)
+        for ball, m in zip(balls, exponents):
+            if abs(m) > N - 2:
+                with pytest.raises(PrecisionError):
+                    Ball(cfg, ball.cell)
+            else:
+                assert Ball(cfg, ball.cell) == ball
 
 # -- disc transport ------------------------------------------------------------
 
