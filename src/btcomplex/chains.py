@@ -16,9 +16,12 @@ by construction, so the telescoping identities of the complex cancel exactly.
 Restriction and the group action are one pull-back, f |-> f o sigma for
 sigma the series of a Moebius transition, and one kernel computes it:
 _operator turns a transition matrix into the truncated linear map of
-coefficient vectors (column j the truncated sigma^j), and _apply runs it.  A
-restriction step's transition is read off the two discs' Ball.param matrices
-(_transition); the action's is the disc chart composed with g.  The complex
+coefficient vectors (column j the truncated sigma^j), and _apply runs it.
+The matrix-vector product runs on the integers (v, u, prec) of the
+PadicNums, bit-identical to PadicNum arithmetic in Horner order, and builds
+one PadicNum per nonzero output coefficient.  A restriction step's
+transition is read off the two discs' Ball.param matrices (_transition);
+the action's is the disc chart composed with g.  The complex
 maps walk the registry's ``routes`` table, (source disc, target disc, d) ->
 ((disc, operator), ...), filled once from ball_chain: the route of two
 adjacent discs is its one step, whose operator is built there, and a longer
@@ -36,7 +39,7 @@ import warnings
 from functools import cached_property
 from math import comb
 
-from .padics import INF, PadicConfig, PadicNum
+from .padics import INF, PadicConfig, PadicNum, _unit, val_int
 from .projline import Ball, Frozen, GL2, ProjPoint, moebius_apply, moebius_ball_image
 from .tree import OrientedEdge, Vertex
 from .orbits import OrbitRegistry, nonminimal_count_formula, verify_counts
@@ -86,10 +89,17 @@ class TruncFun:
         return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        for c in self.coeffs:
+            if c.v is not INF:
+                return False
+        return True
+
+    # the registry shares one Ball per disc, so the ball checks below try
+    # identity before equality
 
     def __add__(self, other: "TruncFun") -> "TruncFun":
-        if self.ball != other.ball or len(self.coeffs) != len(other.coeffs):
+        same_ball = self.ball is other.ball or self.ball == other.ball
+        if not same_ball or len(self.coeffs) != len(other.coeffs):
             raise AssertionError("added functions differ in disc or degree")
         return TruncFun(self.cfg, self.ball, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
@@ -99,7 +109,8 @@ class TruncFun:
     def __eq__(self, other):
         if not isinstance(other, TruncFun):
             return NotImplemented
-        return self.ball == other.ball and len(self.coeffs) == len(other.coeffs) and all(
+        same_ball = self.ball is other.ball or self.ball == other.ball
+        return same_ball and len(self.coeffs) == len(other.coeffs) and all(
             a == b for a, b in zip(self.coeffs, other.coeffs)
         )
 
@@ -205,7 +216,8 @@ def _operator(trans: GL2, D: int, width: int | None = None):
     Z_p into Z_p and is refused.  Stored by rows, each row the (j, entry)
     pairs of its nonzero entries, highest j first, the order in which
     Horner's rule adds the terms: truncated sums are exact in value but not
-    associative in their stored precision."""
+    associative in their stored precision.  _apply sums each row in this
+    order on integers, bit-identical to PadicNum arithmetic."""
     sigma = mobius_series(trans, D)
     if not all(c.is_zero() or c.valuation >= 0 for c in sigma):
         raise ValueError("transition series is not p-integral: the map does not carry Z_p into Z_p")
@@ -219,16 +231,46 @@ def _operator(trans: GL2, D: int, width: int | None = None):
 
 
 def _apply(op, coeffs):
-    """The operator op applied to a coefficient vector."""
-    zero = coeffs[0].cfg.zero()
+    """The operator op applied to a coefficient vector, run on the integers
+    (v, u, prec) of its entries and coefficients.  Each row is summed in
+    Horner order, acc + entry * c, exactly as PadicNum.__mul__ and __add__
+    would: the product keeps the lesser precision, the sum swaps its
+    operands when acc has the larger valuation, keeps the digits both know
+    and turns exact zero when it cancels them all.  So every output is bit
+    for bit the PadicNum sum, and one PadicNum is built per nonzero output
+    coefficient.  The entries are nonzero, as _operator stores them."""
+    cfg = coeffs[0].cfg
+    p = cfg.p
+    zero = cfg.zero()
     out = []
     for row in op:
-        acc = zero
+        av = INF  # acc = p^av * au with au known mod p^ap; INF while acc is exact zero
         for j, entry in row:
             c = coeffs[j]
-            if c.v is not INF:
-                acc = acc + entry * c
-        out.append(acc)
+            cv = c.v
+            if cv is INF:
+                continue
+            # the term entry * c; its unit is reduced mod p^bp where it is kept
+            bv = entry.v + cv
+            bp = entry.prec if entry.prec < c.prec else c.prec
+            bu = entry.u * c.u
+            if av is INF:
+                av, au, ap = bv, bu, bp
+                continue
+            if av > bv:
+                av, au, ap, bv, bu, bp = bv, bu, bp, av, au, ap
+            digits = bv + bp - av
+            if digits > ap:
+                digits = ap
+            r = (au + bu * p ** (bv - av)) % p**digits
+            if r == 0:
+                av = INF
+            elif r % p:
+                au, ap = r, digits
+            else:
+                k = val_int(r, p)
+                av, au, ap = av + k, r // p**k, digits - k
+        out.append(zero if av is INF else _unit(cfg, av, au % p**ap, ap))
     return out
 
 
@@ -355,18 +397,21 @@ class Chain:
             self.set_part(i, fun)
 
     def set_part(self, i: int, fun: TruncFun):
-        if fun.degree_bound != self.d:
-            raise AssertionError(f"part of degree {fun.degree_bound} in a degree-{self.d} chain")
-        if fun.is_zero():
-            self.parts.pop(i, None)
-        else:
-            self.parts[i] = fun
+        """Part i becomes fun, or is dropped when fun is zero.  The degree and
+        zero tests are TruncFun's, inlined: this runs once per restriction
+        the complex maps add up."""
+        coeffs = fun.coeffs
+        if len(coeffs) != self.d + 1:
+            raise AssertionError(f"part of degree {len(coeffs) - 1} in a degree-{self.d} chain")
+        for c in coeffs:
+            if c.v is not INF:
+                self.parts[i] = fun
+                return
+        self.parts.pop(i, None)
 
     def add_part(self, i: int, fun: TruncFun):
-        if i in self.parts:
-            self.set_part(i, self.parts[i] + fun)
-        else:
-            self.set_part(i, fun)
+        old = self.parts.get(i)
+        self.set_part(i, fun if old is None else old + fun)
 
     def is_zero(self) -> bool:
         return not self.parts

@@ -91,11 +91,12 @@ class PadicConfig:
         return PadicNum(self, 0, 1, self.N)
 
     def from_int(self, n: int) -> "PadicNum":
+        """n to full precision N, built by _unit: once the factors p are
+        divided out, n is prime to p, so its residue mod p^N is a unit."""
         if n == 0:
             return self.zero()
         v = val_int(n, self.p)
-        u = (n // self.p**v) % self.p**self.N
-        return PadicNum(self, v, u, self.N)
+        return _unit(self, v, (n // self.p**v) % self.p**self.N, self.N)
 
     def from_fraction(self, x: Fraction) -> "PadicNum":
         if x == 0:
@@ -216,6 +217,8 @@ class PadicNum:
     # -- comparison & display -------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, PadicNum):
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -250,8 +253,9 @@ _new = object.__new__
 
 def _unit(cfg: PadicConfig, v: int, u: int, prec: int) -> PadicNum:
     """p^v * u for a u already known to be a unit reduced mod p^prec, with
-    1 <= prec <= N: the arithmetic's results, built without PadicNum.__init__'s
-    re-check."""
+    1 <= prec <= N: the results of the arithmetic, of from_int and of the
+    integer matrix-vector product (chains._apply), built without
+    PadicNum.__init__'s re-check."""
     x = _new(PadicNum)
     x.cfg = cfg
     x.v = v

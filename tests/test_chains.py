@@ -45,6 +45,7 @@ from btcomplex.chains import (
 from residue_cells import disc
 from test_acceptance import _single_branch
 from test_cli import ENV
+from test_padics import _valid
 
 
 def make_cfg(p, k, n, d=1):
@@ -591,6 +592,153 @@ def test_operator_columns_are_a_prefix_of_the_full_operator():
             assert _op_bits(cut) == _op_bits(tuple(tuple(e for e in row if e[0] < width) for row in full))
 
 
+# _apply runs the matrix-vector product on integers; the PadicNum arithmetic
+# it replaces is the oracle, bit for bit.
+
+
+def _object_apply(op, coeffs):
+    """Oracle: op applied in PadicNum arithmetic, acc + entry * c in each
+    row's Horner order (the body _apply had before it ran on integers)."""
+    zero = coeffs[0].cfg.zero()
+    out = []
+    for row in op:
+        acc = zero
+        for j, entry in row:
+            c = coeffs[j]
+            if c.v is not INF:
+                acc = acc + entry * c
+        out.append(acc)
+    return out
+
+
+def _assert_apply_matches_the_oracle(op, coeffs):
+    got = chains._apply(op, coeffs)
+    assert _bits(got) == _bits(_object_apply(op, coeffs))
+    assert all(_valid(c) for c in got)
+
+
+def _random_number(cfg, rng):
+    """Exact zero one time in five, else p^v u with v in -3..3 and u a unit
+    stored to 1..N digits."""
+    if rng.randrange(5) == 0:
+        return cfg.zero()
+    prec = rng.randint(1, cfg.N)
+    u = cfg.p * rng.randrange(cfg.p ** (prec - 1)) + rng.randrange(1, cfg.p)
+    return PadicNum(cfg, rng.randint(-3, 3), u, prec)
+
+
+@pytest.mark.parametrize("p,k,n,d", [(3, 2, 2, 2), (2, 1, 3, 1), (5, 1, 2, 1), (2, 2, 3, 3)])
+def test_apply_matches_the_object_oracle_on_step_operators(p, k, n, d):
+    # every step operator, to degree d and to the action's d + 4, on every
+    # monomial and on random vectors with zero, negative-valuation and
+    # short-precision coefficients
+    reg = make_reg(p, k, n, d)
+    cfg = reg.cfg
+    rng = random.Random(1000 * p + 100 * k + 10 * n + d)
+    steps = [(a, b) for b in range(len(reg.balls)) for a in reg.over[b] if reg.ball_chain(a, b) == [a, b]]
+    assert steps
+    for D in (d, d + chains.GUARD_DEGREES):
+        for a, b in steps:
+            op = chains._operator(chains._transition(cfg, reg.balls[a], reg.balls[b]), D)
+            for j in range(D + 1):
+                _assert_apply_matches_the_oracle(op, monomial(cfg, reg.balls[b], j, D).coeffs)
+            for _ in range(2):
+                _assert_apply_matches_the_oracle(op, [_random_number(cfg, rng) for _ in range(D + 1)])
+
+
+@st.composite
+def _apply_draws(draw):
+    """An operator and a vector to apply it to.  The operator is the action's
+    width-limited kind (the first width columns of an integral transition's
+    operator) or rows of entries drawn from a pool of two nonzero numbers, so
+    that equal entries meet.  Each coefficient has valuation -3..3 and
+    precision 1..N, and is independent, exact zero, the exact negative of an
+    earlier one (full cancellation where equal entries meet them) or agrees
+    with that negative in its leading digits (partial cancellation)."""
+    if draw(st.booleans()):
+        trans, D = draw(_integral_transitions())
+        cfg = trans.cfg
+        width = draw(st.integers(1, D + 1))
+        op = chains._operator(trans, D, width)
+    else:
+        cfg = PadicConfig(draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 8)))
+        width = draw(st.integers(1, 4))
+        op = None
+    p = cfg.p
+
+    def number(v_lo):
+        prec = draw(st.integers(1, cfg.N))
+        u = p * draw(st.integers(0, p ** (prec - 1) - 1)) + draw(st.integers(1, p - 1))
+        return PadicNum(cfg, draw(st.integers(v_lo, v_lo + 6)), u, prec)
+
+    if op is None:
+        pool = [number(0), number(0)]
+        op = tuple(tuple((j, draw(st.sampled_from(pool)))
+                         for j in sorted(draw(st.sets(st.integers(0, width - 1), min_size=1)), reverse=True))
+                   for _ in range(draw(st.integers(1, 4))))
+    coeffs = []
+    for _ in range(width):
+        kind = draw(st.sampled_from(["independent", "zero", "negative", "near"]))
+        earlier = draw(st.sampled_from(coeffs)) if coeffs else cfg.zero()
+        if kind == "zero":
+            coeffs.append(cfg.zero())
+        elif kind == "independent" or earlier.is_zero():
+            coeffs.append(number(-3))
+        elif kind == "negative":
+            coeffs.append(-earlier)
+        else:
+            coeffs.append(-earlier + number(earlier.v))
+    return op, coeffs
+
+
+def _cancelling_draw(partial):
+    """x and -x (or -x + 9, agreeing with -x in two digits) under one entry."""
+    cfg = PadicConfig(3, 6)
+    x = PadicNum(cfg, -2, 1 + 2 * 3 + 9 * 5, 6)
+    y = -x + cfg.from_int(9) if partial else -x
+    one = cfg.one()
+    return ((((1, one), (0, one)),), [x, y])
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@example(_cancelling_draw(partial=False))
+@example(_cancelling_draw(partial=True))
+@given(_apply_draws())
+def test_apply_matches_the_object_oracle_property(drawn):
+    _assert_apply_matches_the_oracle(*drawn)
+
+
+def test_apply_makes_no_padic_arithmetic_call(monkeypatch):
+    # the product runs on integers: no PadicNum.__add__ or __mul__ call, and
+    # one _unit per nonzero output coefficient
+    reg = make_reg(3, 2, 2, 2)
+    cfg = reg.cfg
+    rng = random.Random(5)
+    steps = [(a, b) for b in range(len(reg.balls)) for a in reg.over[b] if reg.ball_chain(a, b) == [a, b]]
+    cases = []
+    for a, b in steps[::3]:
+        op = chains._operator(chains._transition(cfg, reg.balls[a], reg.balls[b]), 2)
+        cases.append((op, [_random_number(cfg, rng) for _ in range(3)]))
+        cases.append((op, monomial(cfg, reg.balls[b], 2, 2).coeffs))
+    cases.append(_cancelling_draw(partial=False))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(PadicNum, "__add__", counted("add", PadicNum.__add__))
+    monkeypatch.setattr(PadicNum, "__mul__", counted("mul", PadicNum.__mul__))
+    monkeypatch.setattr(chains, "_unit", counted("unit", chains._unit))
+    nonzero = 0
+    for op, coeffs in cases:
+        nonzero += sum(not c.is_zero() for c in chains._apply(op, coeffs))
+    assert (calls["add"], calls["mul"]) == (0, 0)
+    assert calls["unit"] == nonzero > 0
+
+
 def _steps(reg):
     """(a, b, d) -> the stored operator, for each one-step route in the table."""
     return {key: route[0][1] for key, route in reg.routes.items() if len(route) == 1}
@@ -972,6 +1120,56 @@ def test_chain_guards_survive_python_O():
         "record 19 of the target is not minimal",
         "piece 4 of the target lives on another disc",
         "map_path does not carry path_p onto path_q vertexwise",
+    ]
+
+
+def test_chain_add_part_drops_a_cancelled_part_and_keeps_a_partial_one():
+    cfg = PadicConfig(3, 6)
+    ball = Ball(cfg, ("z", 3, 1, False))
+    x = PadicNum(cfg, -1, 1 + 2 * 3 + 9 * 5, 6)
+    y = PadicNum(cfg, -1, -(1 + 2 * 3 + 9 * 7) % 3**6, 6)  # agrees with -x in two digits
+    f = TruncFun(cfg, ball, [x, cfg.from_int(2)])
+    g = TruncFun(cfg, ball, [y, cfg.from_int(-2)])
+    chain = Chain(1, {7: f})
+    chain.add_part(4, f)
+    chain.add_part(4, -f)
+    assert set(chain.parts) == {7}
+    chain.add_part(4, TruncFun(cfg, ball, [cfg.zero(), cfg.zero()]))
+    assert set(chain.parts) == {7}
+    chain.add_part(4, f)
+    chain.add_part(4, g)
+    kept = chain.parts[4]
+    # x + y = -18 = 3^1 * (-2): two digits cancel, four are left
+    assert _bits(kept.coeffs) == _bits([x + y, cfg.zero()]) == [(1, 3**4 - 2, 4), (INF, 0, 6)]
+    chain.set_part(7, f + -f)
+    assert set(chain.parts) == {4}
+
+
+def test_chain_degree_guard_survives_python_O():
+    # a part of the wrong degree is refused by set_part and add_part alike,
+    # even with asserts stripped
+    script = "\n".join([
+        "from btcomplex.chains import Chain, monomial",
+        "from btcomplex.padics import PadicConfig",
+        "from btcomplex.projline import Ball",
+        "cfg = PadicConfig(3, 6)",
+        "ball = Ball(cfg, ('z', 3, 1, False))",
+        "fun = lambda d: monomial(cfg, ball, 0, d)",
+        "attempts = [lambda: Chain(0).set_part(2, fun(1)),",
+        "            lambda: Chain(1).add_part(2, fun(0)),",
+        "            lambda: Chain(0, {2: fun(0)}).add_part(2, fun(1))]",
+        "for attempt in attempts:",
+        "    try:",
+        "        attempt()",
+        "    except AssertionError as exc:",
+        "        print(exc)",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=ENV)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == [
+        "part of degree 1 in a degree-0 chain",
+        "part of degree 0 in a degree-1 chain",
+        "added functions differ in disc or degree",
     ]
 
 

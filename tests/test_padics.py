@@ -232,6 +232,23 @@ def test_unchecked_kernels_match_the_checked_path_property(pair):
         assert _bits(got) == _bits(want)
 
 
+@pytest.mark.parametrize("p,N", [(2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3)])
+def test_from_int_matches_the_checked_constructor(p, N):
+    # from_int builds its result unchecked; it is the number the checked
+    # constructor builds, for every n in [-p^(N+2), p^(N+2)] (the multiples
+    # of p^N among them) and for a few far outside
+    cfg = PadicConfig(p, N)
+    bound = p ** (N + 2)
+    for n in (*range(-bound, bound + 1), 10**30 + 1, -(10**30) - 1, 7 * p**40, -(p**41)):
+        x = cfg.from_int(n)
+        if n == 0:
+            assert x is cfg.zero()
+            continue
+        v = val_int(n, p)
+        assert _valid(x)
+        assert _bits(x) == _bits(PadicNum(cfg, v, (n // p**v) % p**N, N)), n
+
+
 def test_full_cancellation_is_exact_zero_at_each_prime():
     for p in (2, 3, 5):
         cfg = PadicConfig(p, 5)
