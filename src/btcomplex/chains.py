@@ -17,13 +17,14 @@ Restriction and the group action are one pull-back, f |-> f o sigma for
 sigma the series of a Moebius transition, and one kernel computes it:
 _operator turns a transition matrix into the truncated linear map of
 coefficient vectors (column j the truncated sigma^j), and _apply runs it.
-The matrix-vector product runs on the integers (v, u, prec) of the
-PadicNums, bit-identical to PadicNum arithmetic in Horner order, and builds
-one PadicNum per nonzero output coefficient.  A restriction step's
-transition is read off the two discs' Ball.param matrices (_transition);
-the action's is the disc chart composed with g.  The complex
-maps walk the registry's ``routes`` table, (source disc, target disc, d) ->
-((disc, operator), ...), filled once from ball_chain: the route of two
+sigma and the action's twist are closed forms in the exact matrix entries,
+each coefficient converted once.  The matrix-vector product runs on the
+integers (v, u, prec) of the PadicNums, bit-identical to PadicNum arithmetic
+in Horner order, and builds one PadicNum per nonzero output coefficient.
+A restriction step's transition is read off the two discs' Ball.param
+matrices (_transition); the action's is the disc chart composed with g.  The
+complex maps walk the registry's ``routes`` table, (source disc, target
+disc, d) -> ((disc, operator), ...), filled once from ball_chain: the route of two
 adjacent discs is its one step, whose operator is built there, and a longer
 route shares its steps' entries, so each operator is built once per
 (registry, step, d) and lives and dies with the registry.
@@ -39,7 +40,7 @@ import warnings
 from functools import cached_property
 from math import comb
 
-from .padics import INF, PadicConfig, PadicNum, _unit, val_int
+from .padics import INF, PadicConfig, _unit, val_fraction, val_int
 from .projline import Ball, Frozen, GL2, ProjPoint, moebius_apply, moebius_ball_image
 from .tree import OrientedEdge, Vertex
 from .orbits import OrbitRegistry, nonminimal_count_formula, verify_counts
@@ -146,38 +147,28 @@ def _series_mul(a, b, D):
 
 
 def mobius_series(g: GL2, D: int):
-    """Coefficients of t |-> t.g = (at + c)/(bt + d) on Z_p, to degree D: the
-    numerator c + at times the binomial series of (d + bt)^-1 =
-    d^-1 (1 + (b/d)t)^-1.
-
-    Requires the pole outside the unit disc (val b > val d), which holds
-    exactly when the map carries Z_p into Z_p.
-    """
+    """Coefficients of t |-> t.g = (at + c)/(bt + d) on Z_p to degree D, from
+    c/d + det(g) t / (d (d + bt)): c/d, then det(g) (-b)^(i-1) / d^(i+1), each
+    exact and converted once, so none loses a digit to a cancelling sum.
+    Requires the pole off the unit disc (val b > val d), for the series to
+    converge on Z_p; that it carries Z_p into Z_p, val(c/d) >= 0 and
+    val(det/d^2) >= 0, is _operator's check."""
     cfg = g.cfg
-    a, b, c, d = (cfg.from_fraction(e) for e in g.entries())
-    if d.is_zero() or (not b.is_zero() and b.valuation <= d.valuation):
+    _, b, c, d = g.entries()
+    if d == 0 or (b != 0 and val_fraction(b, cfg.p) <= val_fraction(d, cfg.p)):
         raise NotAnalyticError("pole of the transition meets the unit disc")
-    dinv = d.inverse()
-    return _series_mul([c, a], _binomial_series(cfg, dinv, b * dinv, -1, D), D)
+    series = [c / d]
+    if D:
+        series.append(g.det() / (d * d))
+        ratio = -b / d
+        for _ in range(D - 1):
+            series.append(series[-1] * ratio)
+    return [cfg.from_fraction(x) for x in series]
 
 
-def _binomial_series(cfg: PadicConfig, lead: PadicNum, ratio: PadicNum, e: int, D: int):
-    """lead (1 + ratio t)^e to degree D, term i binom(e, i) lead ratio^i; the
-    callers ensure val(ratio) >= 1, so that it converges on Z_p.  For e < 0,
-    binom(e, i) = (-1)^i binom(i - e - 1, i); a coefficient of +-1, every one
-    at e = -1, enters as a sign, without a multiplication."""
-    term = lead  # lead ratio^i
-    out = []
-    for i in range(D + 1):
-        b = comb(e, i) if e >= 0 else (-1) ** i * comb(i - e - 1, i)
-        if b == 1:
-            out.append(term)
-        elif b == -1:
-            out.append(-term)
-        else:
-            out.append(term * cfg.from_int(b) if b else cfg.zero())
-        term = term * ratio
-    return out
+def _binom(e: int, i: int) -> int:
+    """binom(e, i) for any integer e: (-1)^i binom(i - e - 1, i) when e < 0."""
+    return comb(e, i) if e >= 0 else (-1) ** i * comb(i - e - 1, i)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +204,9 @@ def _operator(trans: GL2, D: int, width: int | None = None):
     the first width columns are built (all D + 1 by default): the action
     expands a degree-d function to degree D > d, and its coefficients past d
     are zero.  A transition whose series is not p-integral does not carry
-    Z_p into Z_p and is refused.  Stored by rows, each row the (j, entry)
-    pairs of its nonzero entries, highest j first, the order in which
-    Horner's rule adds the terms: truncated sums are exact in value but not
+    Z_p into Z_p and is refused.  Its powers are truncated PadicNum sums.
+    Stored by rows, each row the (j, entry) pairs of its nonzero entries,
+    highest j first, the order in which Horner's rule adds the terms: truncated sums are exact in value but not
     associative in their stored precision.  _apply sums each row in this
     order on integers, bit-identical to PadicNum arithmetic."""
     sigma = mobius_series(trans, D)
@@ -323,7 +314,9 @@ def act_on_function(g: GL2, chi: Character, f: TruncFun):
     guard coefficients).  f(x.g) is the pull-back along the transition of g
     in the disc coordinate, by the operator restriction uses (_operator) to
     degree d + 4, of which only the d + 1 columns that meet f's coefficients
-    are built.  When
+    are built, and multiplied by the twist det(g)^m1 (a0 + a1 t)^m2, whose
+    coefficient det(g)^m1 binom(m2, i) a0^(m2-i) a1^i is exact and converted
+    once.  When
     chi.m2 == d the degree-<=d space is the algebraic representation
     Sym^d (x) det^m1, the composite is a polynomial of degree <= d and the
     guard is INF.  For any other m2 the space is not action-stable and the
@@ -347,16 +340,14 @@ def act_on_function(g: GL2, chi: Character, f: TruncFun):
     # m2-th power of the second entry inside, and of the first outside, where
     # the section flips
     a0, a1 = (Mg.d, Mg.b) if inside else (Mg.c, Mg.a)
+    if val_fraction(a0, cfg.p) != 0 or (a1 and val_fraction(a1, cfg.p) < 1):
+        raise NotAnalyticError("character factor is not analytic on this disc")
     d = f.degree_bound
     D = d + GUARD_DEGREES
-    a0, a1 = cfg.from_fraction(a0), cfg.from_fraction(a1)
-    if a0.valuation != 0 or (not a1.is_zero() and a1.valuation < 1):
-        raise NotAnalyticError("character factor is not analytic on this disc")
-    twist = _binomial_series(cfg, a0**chi.m2, a1 / a0, chi.m2, D)  # (a0 + a1 t)^m2
-    const = cfg.from_fraction(g.det() ** chi.m1)
+    const = g.det() ** chi.m1
+    twist = [cfg.from_fraction(const * _binom(chi.m2, i) * a0 ** (chi.m2 - i) * a1**i) for i in range(D + 1)]
     pulled = _apply(_operator(Mg @ Mb.inverse(), D, d + 1), f.coeffs)
     full = _series_mul(pulled, twist, D)
-    full = [const * c for c in full]
     guard_val = min((c.valuation for c in full[d + 1 :]), default=INF)
     return TruncFun(cfg, ball, full[: d + 1]), guard_val
 

@@ -1,6 +1,7 @@
 """Exact truncated arithmetic over Q_p, for the function spaces alone (the
-coefficients, operators and series of chains) and the digits written out;
-points and matrices are exact rationals (projline), converted where needed.
+coefficients and operators of chains, whose series are exact closed forms
+converted once) and the digits written out; points and matrices are exact
+rationals (projline), converted where needed.
 
 A nonzero scalar is a valuation together with a unit residue: x = p^v * u,
 where u is stored modulo p^prec and is invertible mod p.  Zero is a
@@ -201,18 +202,6 @@ class PadicNum:
             raise ZeroDivisionError("division by exact p-adic zero")
         mod = self.cfg.p**self.prec
         return PadicNum(self.cfg, -self.v, pow(self.u, -1, mod), self.prec)
-
-    def __truediv__(self, other: "PadicNum") -> "PadicNum":
-        return self * other.inverse()
-
-    def __pow__(self, e: int) -> "PadicNum":
-        if e == 0:
-            return PadicNum(self.cfg, 0, 1, self.prec if not self.is_zero() else self.cfg.N)
-        base = self if e > 0 else self.inverse()
-        out = base
-        for _ in range(abs(e) - 1):
-            out = out * base
-        return out
 
     # -- comparison & display -------------------------------------------------
 

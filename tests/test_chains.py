@@ -13,8 +13,8 @@ import hypothesis
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from btcomplex.padics import INF, PadicConfig, PadicNum
-from btcomplex.projline import GL2, Ball, ProjPoint, moebius_apply
+from btcomplex.padics import INF, PadicConfig, PadicNum, val_fraction
+from btcomplex.projline import GL2, Ball, ProjPoint, moebius_apply, moebius_ball_image
 from btcomplex.tree import Vertex, edges_upto, standard_orientation, standard_path, vertices_upto
 from btcomplex.orbits import OrbitRegistry, build_registry, enumerate_orbits, sample_group_element
 from btcomplex import chains
@@ -127,9 +127,9 @@ def test_act_diagonal_on_monomial():
     ball = disc(cfg, 0, 0)  # t = z
     f = monomial(cfg, ball, 1, 1)
     out, _ = act_on_function(g, chi, f)
-    expected = cfg.from_int(a * d) ** chi.m1 * cfg.from_int(d) ** chi.m2 * (
-        cfg.from_int(a) / cfg.from_int(d)
-    )
+    # det^2 d^-1 (a/d), chi = (2, -1), in repeated products and inverses
+    det, dinv = cfg.from_int(a * d), cfg.from_int(d).inverse()
+    expected = det * det * dinv * (cfg.from_int(a) * dinv)
     assert out.coeffs[0].is_zero() and out.coeffs[1] == expected
 
 
@@ -329,6 +329,102 @@ def test_act_at_the_algebraic_weight_matches_the_exact_oracle(p, k):
     assert branches[True] and branches[False], branches
 
 
+def _binomial_series(cfg, lead, ratio, e, D):
+    """Oracle: lead (1 + ratio t)^e to degree D in PadicNum products, term i
+    binom(e, i) lead ratio^i, a coefficient of +-1 entering as a sign (the
+    kernel the action's twist had before its closed form)."""
+    term = lead  # lead ratio^i
+    out = []
+    for i in range(D + 1):
+        b = comb(e, i) if e >= 0 else (-1) ** i * comb(i - e - 1, i)
+        if b == 1:
+            out.append(term)
+        elif b == -1:
+            out.append(-term)
+        else:
+            out.append(term * cfg.from_int(b) if b else cfg.zero())
+        term = term * ratio
+    return out
+
+
+def _padic_power(x, e):
+    """x^e for a nonzero x by an inverse and repeated products, one factor at
+    a time; x^0 is one to x's precision."""
+    if e == 0:
+        return PadicNum(x.cfg, 0, 1, x.prec)
+    base = x if e > 0 else x.inverse()
+    out = base
+    for _ in range(abs(e) - 1):
+        out = out * base
+    return out
+
+
+def _summed_twist_act(g, chi, f):
+    """Oracle: act_on_function with its twist summed by _binomial_series from
+    the converted a0 and a1, and the expansion then multiplied by det(g)^m1
+    (the body act_on_function had before its twist was in closed form)."""
+    cfg = f.cfg
+    ball = f.ball
+    if moebius_ball_image(g, ball) != ball:
+        raise ValueError("matrix does not preserve this disc")
+    unit = Ball(cfg, ("w", cfg.p, 0, True))
+    inside = ball.subset(unit)
+    if not (inside or ball.disjoint(unit)):
+        raise NotAnalyticError("disc crosses the unit-circle section boundary")
+    Mb = GL2.from_rows(cfg, ball.param())
+    Mg = Mb @ g
+    a0, a1 = (Mg.d, Mg.b) if inside else (Mg.c, Mg.a)
+    d = f.degree_bound
+    D = d + chains.GUARD_DEGREES
+    a0, a1 = cfg.from_fraction(a0), cfg.from_fraction(a1)
+    if a0.valuation != 0 or (not a1.is_zero() and a1.valuation < 1):
+        raise NotAnalyticError("character factor is not analytic on this disc")
+    twist = _binomial_series(cfg, _padic_power(a0, chi.m2), a1 * a0.inverse(), chi.m2, D)
+    const = cfg.from_fraction(g.det() ** chi.m1)
+    pulled = chains._apply(chains._operator(Mg @ Mb.inverse(), D, d + 1), f.coeffs)
+    full = chains._series_mul(pulled, twist, D)
+    full = [const * c for c in full]
+    guard_val = min((c.valuation for c in full[d + 1 :]), default=INF)
+    return TruncFun(cfg, ball, full[: d + 1]), guard_val
+
+
+def _act_outcome(act, g, chi, f):
+    """(coefficient bits, guard) of an action, or the refusal it raises."""
+    try:
+        out, guard = act(g, chi, f)
+    except ValueError as exc:  # NotAnalyticError included
+        return type(exc), str(exc)
+    assert out.ball is f.ball
+    return _bits(out.coeffs), guard
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 2, 2), (3, 1, 2), (5, 1, 1), (7, 1, 1)])
+def test_act_matches_the_summed_twist_oracle(p, k, n):
+    # bit for bit in every coefficient and the guard, and the same refusals,
+    # on the records' discs under elements of their own group (which keep
+    # them) and of another record's group (which may move them), for degrees
+    # 0..3 and weights of either sign
+    reg = make_reg(p, k, n, 3)
+    cfg = reg.cfg
+    rng = random.Random(100 * p + 10 * k + n)
+    outcomes = Counter()
+    for d in range(4):
+        for rec in rng.sample(reg.records, min(24, len(reg.records))):
+            simplex = rec.simplex if rng.randrange(4) else rng.choice(reg.records).simplex
+            g = sample_group_element(cfg, simplex, k, rng)
+            if rng.randrange(2):
+                f = random_truncfun(cfg, rec.ball, d, rng)
+            else:
+                f = TruncFun(cfg, rec.ball, [_random_number(cfg, rng) for _ in range(d + 1)])
+            for m1 in (-1, 0, 2):
+                for m2 in sorted({-2, 0, 1, d, d + 1, 3}):
+                    chi = Character(m1, m2)
+                    want = _act_outcome(_summed_twist_act, g, chi, f)
+                    assert _act_outcome(act_on_function, g, chi, f) == want, (rec, d, chi)
+                    outcomes[want[0] if isinstance(want[0], type) else "acted"] += 1
+    assert outcomes["acted"] and outcomes[NotAnalyticError] and outcomes[ValueError], outcomes
+
+
 def test_edge_and_vertex_groups_act_alike_on_shared_orbit():
     # on an orbit shared by the edge and its owner vertex, elements of either
     # group are defined and stay in the truncated space
@@ -467,8 +563,24 @@ def test_step_transitions_keep_every_digit():
     steps = [(a, b) for b in range(len(reg.balls)) for a in reg.over[b] if reg.ball_chain(a, b) == [a, b]]
     assert (10, 22) in steps
     for a, b in steps:
-        sigma = mobius_series(chains._transition(cfg, reg.balls[a], reg.balls[b]), 3)
-        assert all(c.is_zero() or c.prec == cfg.N for c in sigma), (a, b)
+        assert _keeps_every_digit(mobius_series(chains._transition(cfg, reg.balls[a], reg.balls[b]), 3)), (a, b)
+
+
+def _keeps_every_digit(sigma):
+    """Every coefficient is exact zero or stored to all N digits; drawn
+    transitions are checked too, in the closed-form property test below."""
+    return all(c.is_zero() or c.prec == c.cfg.N for c in sigma)
+
+
+def _exact_mobius_series(g, D):
+    """Oracle: the coefficients of (at + c)/(bt + d) to degree D in exact
+    Fractions, by long division: d e_0 = c, d e_1 + b e_0 = a and
+    d e_i + b e_(i-1) = 0 beyond."""
+    a, b, c, d = g.entries()
+    out = [c / d]
+    for i in range(1, D + 1):
+        out.append(((a if i == 1 else 0) - b * out[-1]) / d)
+    return out
 
 
 def _geometric_mobius_series(g, D):
@@ -529,11 +641,46 @@ def _integral_transitions(draw):
     return GL2(cfg, a, b, c, d), draw(st.integers(0, 6))
 
 
+def _geometric_precision(g, D):
+    """The absolute precision p^K to which _geometric_mobius_series knows each
+    coefficient: every term c d^-1 r^i and a d^-1 r^(i-1), r = -b/d, is a
+    product of N-digit numbers, so their sum is known to N digits past the
+    least valuation among them (INF when both are zero)."""
+    a, b, c, d = g.entries()
+    p, N = g.cfg.p, g.cfg.N
+    out = []
+    for i in range(D + 1):
+        terms = [c * (-b) ** i / d ** (i + 1)] + ([a * (-b) ** (i - 1) / d**i] if i else [])
+        out.append(N + min(val_fraction(t, p) for t in terms))
+    return out
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@example((GL2(PadicConfig(2, 3), 2, 2, 1, 3), 1))
 @given(_integral_transitions())
 def test_mobius_series_matches_the_geometric_series_property(drawn):
+    # bit for bit the exact closed form converted once, with every digit; the
+    # term-by-term geometric sum agrees with it in value to the precision that
+    # sum keeps, and never keeps more digits
     trans, D = drawn
-    assert _bits(mobius_series(trans, D)) == _bits(_geometric_mobius_series(trans, D))
+    cfg = trans.cfg
+    got = mobius_series(trans, D)
+    assert _bits(got) == _bits([cfg.from_fraction(x) for x in _exact_mobius_series(trans, D)])
+    assert _keeps_every_digit(got)
+    for m, g, K in zip(got, _geometric_mobius_series(trans, D), _geometric_precision(trans, D)):
+        if K is INF:
+            assert m.is_zero() and g.is_zero()
+            continue
+        assert g.is_zero() or (g.v + g.prec == K and g.prec <= m.prec)
+        assert m.residue_class(K) == g.residue_class(K)
+
+
+def test_mobius_series_keeps_the_digit_the_summed_series_lost():
+    # (2t + 1)/(2t + 3) at p = 2, N = 3: coefficient 1 is det/d^2 = 4/9, whose
+    # two summed terms 2/3 and -2/9 share their leading digit
+    g = GL2(PadicConfig(2, 3), 2, 2, 1, 3)
+    assert _bits(mobius_series(g, 1)) == [(0, 3, 3), (2, 1, 3)]
+    assert _bits(_geometric_mobius_series(g, 1)) == [(0, 3, 3), (2, 1, 2)]
 
 
 def _binomial_mobius_series(g, D):
@@ -546,8 +693,8 @@ def _binomial_mobius_series(g, D):
     a, b, c, d = (cfg.from_fraction(e) for e in g.entries())
     dinv = d.inverse()
     a0, a1, e = cfg.one(), b * dinv, -1
-    ratio = a1 / a0
-    lead = a0**e
+    ratio = a1 * a0.inverse()
+    lead = a0.inverse()  # a0^e
     series = []
     power = cfg.one()
     for i in range(D + 1):
@@ -571,13 +718,10 @@ def test_step_operators_match_the_binomial_oracle_on_the_grid(p, k, n, monkeypat
         assert ops[D] == [_op_bits(chains._operator(t, D)) for t in transitions], D
 
 
-def test_binomial_series_coefficients_match_the_falling_factorial():
-    # (1 + 2t)^m has coefficients binom(m, i) 2^i, for m of either sign; at
-    # 2^200 every one of them is stored whole
-    cfg = PadicConfig(2, 200)
-    for m in range(-40, 41):
-        series = chains._binomial_series(cfg, cfg.one(), cfg.from_int(2), m, 24)
-        assert _bits(series) == _bits([cfg.from_int(_int_binom(m, i) * 2**i) for i in range(25)]), m
+def test_binom_matches_the_falling_factorial():
+    # the signed binomial coefficient the action's twist is built from
+    for e in range(-40, 41):
+        assert [chains._binom(e, i) for i in range(25)] == [_int_binom(e, i) for i in range(25)], e
 
 
 def test_operator_columns_are_a_prefix_of_the_full_operator():
@@ -722,21 +866,48 @@ def test_apply_makes_no_padic_arithmetic_call(monkeypatch):
         cases.append((op, monomial(cfg, reg.balls[b], 2, 2).coeffs))
     cases.append(_cancelling_draw(partial=False))
     calls = Counter()
-
-    def counted(name, fn):
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapped
-
-    monkeypatch.setattr(PadicNum, "__add__", counted("add", PadicNum.__add__))
-    monkeypatch.setattr(PadicNum, "__mul__", counted("mul", PadicNum.__mul__))
-    monkeypatch.setattr(chains, "_unit", counted("unit", chains._unit))
+    monkeypatch.setattr(PadicNum, "__add__", _counted(calls, "add", PadicNum.__add__))
+    monkeypatch.setattr(PadicNum, "__mul__", _counted(calls, "mul", PadicNum.__mul__))
+    monkeypatch.setattr(chains, "_unit", _counted(calls, "unit", chains._unit))
     nonzero = 0
     for op, coeffs in cases:
         nonzero += sum(not c.is_zero() for c in chains._apply(op, coeffs))
     assert (calls["add"], calls["mul"]) == (0, 0)
     assert calls["unit"] == nonzero > 0
+
+
+def _counted(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+    def wrapped(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapped
+
+
+def test_closed_forms_make_no_padic_arithmetic_call(monkeypatch):
+    # mobius_series converts exact coefficients: no PadicNum sum, product or
+    # inverse; act_on_function's twist is exact too, so it inverts nothing
+    reg = make_reg(3, 2, 2, 2)
+    cfg = reg.cfg
+    steps = [(a, b) for b in range(len(reg.balls)) for a in reg.over[b] if reg.ball_chain(a, b) == [a, b]]
+    transitions = [chains._transition(cfg, reg.balls[a], reg.balls[b]) for a, b in steps]
+    rng = random.Random(6)
+    actions = []
+    for rec in reg.records:
+        if _acts_analytically(cfg, rec.ball):
+            g = sample_group_element(cfg, rec.simplex, reg.k, rng)
+            actions.append((g, Character(-1, -2), random_truncfun(cfg, rec.ball, 2, rng, nonzero=True)))
+    assert transitions and actions
+    calls = Counter()
+    for name in ("__add__", "__mul__", "inverse"):
+        monkeypatch.setattr(PadicNum, name, _counted(calls, name, getattr(PadicNum, name)))
+    for trans in transitions:
+        mobius_series(trans, 6)
+    mobius_series(GL2(PadicConfig(2, 3), 2, 2, 1, 3), 6)
+    assert not calls, calls
+    for g, chi, f in actions:
+        act_on_function(g, chi, f)
+    assert calls["inverse"] == 0 and calls["__mul__"] > 0, calls
 
 
 def _steps(reg):

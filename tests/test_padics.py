@@ -1,3 +1,4 @@
+import operator
 import random
 import subprocess
 import sys
@@ -37,14 +38,15 @@ def test_arith_dispatch(cfg):
     assert a + b == cfg.from_int(14)
     assert a - b == cfg.from_int(6)
     assert a * b == cfg.from_int(40)
-    assert a / b == cfg.from_fraction(Fraction(10, 4))
-    with pytest.raises(TypeError):
-        a % b  # no operation beyond the four field operations
+    assert a * b.inverse() == cfg.from_fraction(Fraction(10, 4))
+    for op in (operator.truediv, operator.pow, operator.mod):  # sums, products and the inverse only
+        with pytest.raises(TypeError):
+            op(a, b)
 
 
 def test_division_by_zero(cfg):
     with pytest.raises(ZeroDivisionError):
-        cfg.one() / cfg.zero()
+        cfg.zero().inverse()
 
 
 def test_exact_zero_is_distinguished(cfg):
@@ -80,11 +82,10 @@ def test_ring_laws_on_residues():
             assert x * (y + z) == x * y + x * z
 
 
-def test_pow_and_inverse(cfg):
+def test_inverse(cfg):
     x = cfg.from_fraction(Fraction(7, cfg.p))
-    assert x**0 == cfg.one()
-    assert x**3 == x * x * x
-    assert x**-2 == (x * x).inverse()
+    assert x.inverse() == cfg.from_fraction(Fraction(cfg.p, 7))
+    assert (x * x).inverse() == x.inverse() * x.inverse()
     assert x * x.inverse() == cfg.one()
 
 
