@@ -16,13 +16,13 @@ by construction, so the telescoping identities of the complex cancel exactly.
 Restriction and the group action are one pull-back, f |-> f o sigma for
 sigma the series of a Moebius transition, and one kernel computes it:
 _operator turns a transition matrix into the truncated linear map of
-coefficient vectors (column j the truncated sigma^j), and _apply runs it.
-sigma and the action's twist are closed forms in the exact matrix entries,
-each coefficient converted once.  The matrix-vector product runs on the
-integers (v, u, prec) of the PadicNums, bit-identical to PadicNum arithmetic
-in Horner order, and builds one PadicNum per nonzero output coefficient.
-A restriction step's transition is read off the two discs' Ball.param
-matrices (_transition); the action's is the disc chart composed with g.  The
+coefficient vectors (column j the truncated sigma^j), and _apply runs it,
+the action with its twist multiplied into the rows.  sigma and the twist are
+closed forms in the exact matrix entries, each coefficient converted once.
+_apply sums each row exactly, on the integers (v, u, prec) of the PadicNums,
+and truncates once, to the digits every term knows.  A restriction step's
+transition is read off the two discs' Ball.param matrices (_transition); the
+action's is the quotient of the disc chart composed with g by the chart.  The
 complex maps walk the registry's ``routes`` table, (source disc, target
 disc, d) -> ((disc, operator), ...), filled once from ball_chain: the route of two
 adjacent discs is its one step, whose operator is built there, and a longer
@@ -205,10 +205,7 @@ def _operator(trans: GL2, D: int, width: int | None = None):
     expands a degree-d function to degree D > d, and its coefficients past d
     are zero.  A transition whose series is not p-integral does not carry
     Z_p into Z_p and is refused.  Its powers are truncated PadicNum sums.
-    Stored by rows, each row the (j, entry) pairs of its nonzero entries,
-    highest j first, the order in which Horner's rule adds the terms: truncated sums are exact in value but not
-    associative in their stored precision.  _apply sums each row in this
-    order on integers, bit-identical to PadicNum arithmetic."""
+    Stored by rows, each the (j, entry) pairs of its nonzero entries."""
     sigma = mobius_series(trans, D)
     if not all(c.is_zero() or c.valuation >= 0 for c in sigma):
         raise ValueError("transition series is not p-integral: the map does not carry Z_p into Z_p")
@@ -222,46 +219,44 @@ def _operator(trans: GL2, D: int, width: int | None = None):
 
 
 def _apply(op, coeffs):
-    """The operator op applied to a coefficient vector, run on the integers
-    (v, u, prec) of its entries and coefficients.  Each row is summed in
-    Horner order, acc + entry * c, exactly as PadicNum.__mul__ and __add__
-    would: the product keeps the lesser precision, the sum swaps its
-    operands when acc has the larger valuation, keeps the digits both know
-    and turns exact zero when it cancels them all.  So every output is bit
-    for bit the PadicNum sum, and one PadicNum is built per nonzero output
-    coefficient.  The entries are nonzero, as _operator stores them."""
+    """The operator op applied to a coefficient vector: row i sums the terms
+    entry * coeffs[j] of its (j, entry) pairs.  A term p^v u with u known mod
+    p^prec is known mod p^(v + prec), so the sum is known mod p^K, K the
+    least v + prec of its terms.  The terms are summed exactly on the
+    integers (v, u, prec), at their least valuation, and the sum is reduced
+    once, mod p^K: exact zero when no digit is left, else one PadicNum.  The
+    entries are nonzero, as _operator stores them."""
     cfg = coeffs[0].cfg
     p = cfg.p
     zero = cfg.zero()
     out = []
     for row in op:
-        av = INF  # acc = p^av * au with au known mod p^ap; INF while acc is exact zero
+        av = INF  # the sum is p^av * acc; INF while no term has been seen
         for j, entry in row:
             c = coeffs[j]
             cv = c.v
             if cv is INF:
                 continue
-            # the term entry * c; its unit is reduced mod p^bp where it is kept
             bv = entry.v + cv
-            bp = entry.prec if entry.prec < c.prec else c.prec
+            bk = bv + (entry.prec if entry.prec < c.prec else c.prec)
             bu = entry.u * c.u
             if av is INF:
-                av, au, ap = bv, bu, bp
+                av, acc, K = bv, bu, bk
                 continue
-            if av > bv:
-                av, au, ap, bv, bu, bp = bv, bu, bp, av, au, ap
-            digits = bv + bp - av
-            if digits > ap:
-                digits = ap
-            r = (au + bu * p ** (bv - av)) % p**digits
-            if r == 0:
-                av = INF
-            elif r % p:
-                au, ap = r, digits
+            if bk < K:
+                K = bk
+            if bv < av:
+                acc, av = acc * p ** (av - bv) + bu, bv
             else:
-                k = val_int(r, p)
-                av, au, ap = av + k, r // p**k, digits - k
-        out.append(zero if av is INF else _unit(cfg, av, au % p**ap, ap))
+                acc += bu * p ** (bv - av)
+        r = 0 if av is INF else acc % p ** (K - av)
+        if r == 0:
+            out.append(zero)
+        elif r % p:
+            out.append(_unit(cfg, av, r, K - av))
+        else:
+            k = val_int(r, p)
+            out.append(_unit(cfg, av + k, r // p**k, K - av - k))
     return out
 
 
@@ -311,19 +306,21 @@ def act_on_function(g: GL2, chi: Character, f: TruncFun):
 
     Expands det(g)^m1 * cocycle^m2 * f(x.g) in the disc coordinate to
     degree d + 4 and returns (degree-<=d part, min valuation of the discarded
-    guard coefficients).  f(x.g) is the pull-back along the transition of g
-    in the disc coordinate, by the operator restriction uses (_operator) to
-    degree d + 4, of which only the d + 1 columns that meet f's coefficients
-    are built, and multiplied by the twist det(g)^m1 (a0 + a1 t)^m2, whose
-    coefficient det(g)^m1 binom(m2, i) a0^(m2-i) a1^i is exact and converted
-    once.  When
+    guard coefficients).  f(x.g) is the pull-back along the transition
+    tau = Mb.g.Mb^-1 of g in the disc coordinate, by the operator restriction
+    uses (_operator) to degree d + 4, of which only the d + 1 columns that
+    meet f's coefficients are built.  The twist det(g)^m1 (a0 + a1 t)^m2,
+    coefficient i det(g)^m1 binom(m2, i) a0^(m2-i) a1^i exact and converted
+    once, multiplies the operator: row i holds the terms twist[i - k] *
+    sigma^j[k] of column j, and one _apply sums each output exactly and
+    truncates it once, so no pulled-back coefficient is truncated.  When
     chi.m2 == d the degree-<=d space is the algebraic representation
     Sym^d (x) det^m1, the composite is a polynomial of degree <= d and the
     guard is INF.  For any other m2 the space is not action-stable and the
-    guard is the measured valuation of the tail; no bound on it is
-    promised.  Defined on discs lying inside a single section
-    branch (the closed unit disc, or its complement); elsewhere the cocycle
-    twist is only piecewise analytic and NotAnalyticError is raised.
+    guard is the measured valuation of the tail; no bound on it is promised.
+    Defined on discs lying inside a single section branch (the closed unit
+    disc, or its complement); elsewhere the cocycle twist is only piecewise
+    analytic and NotAnalyticError is raised.
     """
     cfg = f.cfg
     ball = f.ball
@@ -333,8 +330,7 @@ def act_on_function(g: GL2, chi: Character, f: TruncFun):
     inside = ball.subset(unit)
     if not (inside or ball.disjoint(unit)):
         raise NotAnalyticError("disc crosses the unit-circle section boundary")
-    Mb = GL2.from_rows(cfg, ball.param())
-    Mg = Mb @ g
+    Mg = GL2.from_rows(cfg, ball.param()) @ g  # Mb.g, Mb the disc's chart matrix
     # (t, 1).Mb.g is (x, 1).g = (ax + c, bx + d) inside the closed unit disc
     # and (1, u).g = (a + cu, b + du) outside it; the cocycle factor is the
     # m2-th power of the second entry inside, and of the first outside, where
@@ -346,8 +342,11 @@ def act_on_function(g: GL2, chi: Character, f: TruncFun):
     D = d + GUARD_DEGREES
     const = g.det() ** chi.m1
     twist = [cfg.from_fraction(const * _binom(chi.m2, i) * a0 ** (chi.m2 - i) * a1**i) for i in range(D + 1)]
-    pulled = _apply(_operator(Mg @ Mb.inverse(), D, d + 1), f.coeffs)
-    full = _series_mul(pulled, twist, D)
+    tau = GL2.quotient(cfg, ((Mg.a, Mg.b), (Mg.c, Mg.d)), ball.param())
+    op = _operator(tau, D, d + 1)
+    rows = [tuple((j, twist[i - k] * e) for k in range(i + 1) if not twist[i - k].is_zero() for j, e in op[k])
+            for i in range(D + 1)]
+    full = _apply(rows, f.coeffs)
     guard_val = min((c.valuation for c in full[d + 1 :]), default=INF)
     return TruncFun(cfg, ball, full[: d + 1]), guard_val
 

@@ -9,11 +9,10 @@ distinguished value (valuation +infinity), never an underflowed unit.
 Additions that cancel all stored digits return exact zero: every quantity
 in this package is only ever interrogated far above the precision floor,
 and the driver picks the working precision with guard digits to keep it
-that way.  So two
-evaluation orders of one sum agree only modulo the precision of its inputs:
-at p = 2, t^2 known mod 2 pulled back along 1 + 2t has degree-1 coefficient
-4 mod 8 summed term by term, and exact zero by Horner's rule, where 2c + 2c
-cancels.
+that way.  So two evaluation orders of one sum agree only modulo the
+precision of its inputs.  Order matters where PadicNums are summed term by
+term: chains._series_mul's powers sigma^j and chain sums of more than two
+terms.  chains._apply sums each row exactly and truncates once.
 """
 
 from __future__ import annotations

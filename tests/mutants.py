@@ -1,0 +1,112 @@
+"""Mutants of the package, kept with the tests that must kill them.
+
+Each entry changes one exact text of a source file and names the tests that
+must fail on the changed copy.  Run them with
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named mutants
+
+from the repository root.  Each mutant is applied to a copy of src/, tests/
+and demos/ under a temporary directory, never in place, and only its listed
+tests run there.  A mutant is killed when every listed test fails; the last
+line is the kill score.  tests/test_hygiene.py checks that each old text
+occurs exactly once in its file, so that the table cannot rot unseen.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CHAINS = "src/btcomplex/chains.py"
+
+APPLY_PROPERTY = "tests/test_chains.py::test_apply_matches_the_object_oracle_property"
+APPLY_PIN = "tests/test_chains.py::test_apply_truncates_once_where_a_cancelled_partial_sum_overclaims"
+ACT_EXACT = "tests/test_chains.py::test_act_claims_only_digits_of_the_exact_action[2-2-2]"
+ACT_PIN = "tests/test_chains.py::test_act_at_the_algebraic_weight_keeps_no_tail_of_a_short_input"
+ACT_NO_TAIL = "tests/test_chains.py::test_act_reports_no_tail_at_the_algebraic_weight_on_reduced_precision_inputs"
+ACT_ONCE = "tests/test_chains.py::test_act_sums_once_and_multiplies_series_only_in_the_operator"
+
+# (name, file, old text, new text, test ids that must fail)
+MUTANTS = [
+    ("apply-truncates-at-the-largest-precision", CHAINS,
+     "            if bk < K:\n                K = bk\n",
+     "            if bk > K:\n                K = bk\n",
+     [APPLY_PROPERTY, APPLY_PIN]),
+    ("apply-skips-the-final-reduction", CHAINS,
+     "        r = 0 if av is INF else acc % p ** (K - av)\n",
+     "        r = 0 if av is INF else acc\n",
+     [APPLY_PROPERTY, APPLY_PIN]),
+    ("apply-does-not-rescale-at-a-lower-valuation", CHAINS,
+     "                acc, av = acc * p ** (av - bv) + bu, bv\n",
+     "                acc, av = acc + bu, bv\n",
+     [APPLY_PROPERTY]),
+    ("act-shifts-the-twist-rows-by-one", CHAINS,
+     "twist[i - k] * e",
+     "twist[i - k - 1] * e",
+     ["tests/test_chains.py::test_act_at_the_algebraic_weight_matches_the_exact_oracle[3-1]",
+      "tests/test_chains.py::test_act_claims_only_digits_of_the_exact_action[3-1-2]"]),
+    ("act-multiplies-the-twist-by-series-mul", CHAINS,
+     "    rows = [tuple((j, twist[i - k] * e) for k in range(i + 1) if not twist[i - k].is_zero() for j, e in op[k])\n"
+     "            for i in range(D + 1)]\n"
+     "    full = _apply(rows, f.coeffs)\n",
+     "    full = _series_mul(_apply(op, f.coeffs), twist, D)\n",
+     [ACT_EXACT, ACT_PIN, ACT_NO_TAIL, ACT_ONCE]),
+    ("act-truncates-the-pull-back-before-the-twist", CHAINS,
+     "    rows = [tuple((j, twist[i - k] * e) for k in range(i + 1) if not twist[i - k].is_zero() for j, e in op[k])\n"
+     "            for i in range(D + 1)]\n"
+     "    full = _apply(rows, f.coeffs)\n",
+     "    rows = [tuple((j, twist[i - j]) for j in range(i + 1) if not twist[i - j].is_zero()) for i in range(D + 1)]\n"
+     "    full = _apply(rows, _apply(op, f.coeffs))\n",
+     [ACT_EXACT, ACT_NO_TAIL, ACT_ONCE]),
+    ("act-inverts-tau", CHAINS,
+     "    tau = GL2.quotient(cfg, ((Mg.a, Mg.b), (Mg.c, Mg.d)), ball.param())\n",
+     "    tau = GL2.quotient(cfg, ball.param(), ((Mg.a, Mg.b), (Mg.c, Mg.d)))\n",
+     ["tests/test_chains.py::test_act_translation_recenters",
+      "tests/test_chains.py::test_act_at_the_algebraic_weight_matches_the_exact_oracle[3-1]"]),
+]
+
+
+def failed_tests(output: str) -> set:
+    """The node ids pytest's -rf summary reports as failed."""
+    return {line.split()[1] for line in output.splitlines() if line.startswith("FAILED ")}
+
+
+def run(mutant) -> tuple:
+    """(killed, the listed tests that did not fail) for one mutant, run on a
+    copy of the repository under a temporary directory."""
+    name, path, old, new, tests = mutant
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        for folder in ("src", "tests", "demos"):
+            shutil.copytree(ROOT / folder, copy / folder, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        target = copy / path
+        text = target.read_text()
+        if text.count(old) != 1:
+            raise SystemExit(f"{name}: the old text does not occur exactly once in {path}")
+        target.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        r = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests],
+                           cwd=copy, env=env, capture_output=True, text=True)
+    survivors = [t for t in tests if t not in failed_tests(r.stdout)]
+    return not survivors, survivors
+
+
+def main(names) -> int:
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    killed = 0
+    for mutant in chosen:
+        ok, survivors = run(mutant)
+        killed += ok
+        status = "killed  " if ok else "SURVIVED"
+        print(f"{status} {mutant[0]}" + (f"  (passed: {', '.join(survivors)})" if survivors else ""), flush=True)
+    print(f"kill score: {killed}/{len(chosen)}")
+    return 0 if killed == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -7,7 +7,7 @@ from collections import Counter
 from contextlib import nullcontext
 from fractions import Fraction
 from importlib import resources
-from math import comb
+from math import comb, floor
 
 import hypothesis
 import pytest
@@ -361,8 +361,9 @@ def _padic_power(x, e):
 
 def _summed_twist_act(g, chi, f):
     """Oracle: act_on_function with its twist summed by _binomial_series from
-    the converted a0 and a1, and the expansion then multiplied by det(g)^m1
-    (the body act_on_function had before its twist was in closed form)."""
+    the converted a0 and a1, the pull-back and the twisted product in PadicNum
+    arithmetic, and the expansion then multiplied by det(g)^m1 (the body
+    act_on_function had before its twist was in closed form)."""
     cfg = f.cfg
     ball = f.ball
     if moebius_ball_image(g, ball) != ball:
@@ -381,7 +382,7 @@ def _summed_twist_act(g, chi, f):
         raise NotAnalyticError("character factor is not analytic on this disc")
     twist = _binomial_series(cfg, _padic_power(a0, chi.m2), a1 * a0.inverse(), chi.m2, D)
     const = cfg.from_fraction(g.det() ** chi.m1)
-    pulled = chains._apply(chains._operator(Mg @ Mb.inverse(), D, d + 1), f.coeffs)
+    pulled = _object_apply(chains._operator(Mg @ Mb.inverse(), D, d + 1), f.coeffs)
     full = chains._series_mul(pulled, twist, D)
     full = [const * c for c in full]
     guard_val = min((c.valuation for c in full[d + 1 :]), default=INF)
@@ -389,40 +390,176 @@ def _summed_twist_act(g, chi, f):
 
 
 def _act_outcome(act, g, chi, f):
-    """(coefficient bits, guard) of an action, or the refusal it raises."""
+    """(coefficients, guard) of an action, or the refusal it raises."""
     try:
         out, guard = act(g, chi, f)
     except ValueError as exc:  # NotAnalyticError included
         return type(exc), str(exc)
     assert out.ball is f.ball
-    return _bits(out.coeffs), guard
+    return out.coeffs, guard
 
 
-@pytest.mark.parametrize("p,k,n", [(2, 2, 2), (3, 1, 2), (5, 1, 1), (7, 1, 1)])
-def test_act_matches_the_summed_twist_oracle(p, k, n):
-    # bit for bit in every coefficient and the guard, and the same refusals,
-    # on the records' discs under elements of their own group (which keep
-    # them) and of another record's group (which may move them), for degrees
-    # 0..3 and weights of either sign
+def _act_draws(p, k, n):
+    """The action sampler at (p, k, n): for d = 0..3, up to 24 records, an
+    element of the record's own group (which keeps its disc) three times in
+    four, else of another record's (which may move it), and a function on the
+    disc, with full-precision coefficients or, the flag reduced, coefficients
+    of valuation -3..3 stored to 1..N digits, some of them zero."""
     reg = make_reg(p, k, n, 3)
     cfg = reg.cfg
     rng = random.Random(100 * p + 10 * k + n)
-    outcomes = Counter()
     for d in range(4):
         for rec in rng.sample(reg.records, min(24, len(reg.records))):
             simplex = rec.simplex if rng.randrange(4) else rng.choice(reg.records).simplex
             g = sample_group_element(cfg, simplex, k, rng)
-            if rng.randrange(2):
-                f = random_truncfun(cfg, rec.ball, d, rng)
-            else:
+            reduced = not rng.randrange(2)
+            if reduced:
                 f = TruncFun(cfg, rec.ball, [_random_number(cfg, rng) for _ in range(d + 1)])
-            for m1 in (-1, 0, 2):
-                for m2 in sorted({-2, 0, 1, d, d + 1, 3}):
-                    chi = Character(m1, m2)
-                    want = _act_outcome(_summed_twist_act, g, chi, f)
-                    assert _act_outcome(act_on_function, g, chi, f) == want, (rec, d, chi)
-                    outcomes[want[0] if isinstance(want[0], type) else "acted"] += 1
+            else:
+                f = random_truncfun(cfg, rec.ball, d, rng)
+            yield d, g, f, reduced
+
+
+def _within_its_precision(new, old):
+    """A nonzero new coefficient never knows more than old and agrees with it
+    to what it knows.  Exact zero claims no digit: old may keep the digits of
+    a sum that cancelled, which the exact action checks instead."""
+    if new.is_zero():
+        return True
+    K = _absolute_precision(new)
+    return K <= _absolute_precision(old) and new.residue_class(K) == old.residue_class(K)
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 2, 2), (3, 1, 2), (5, 1, 1), (7, 1, 1)])
+def test_act_matches_the_summed_twist_oracle(p, k, n):
+    # the same refusals; where both act, every kept coefficient agrees with
+    # the oracle's to its own precision and never claims more digits, and the
+    # guard is never lower; degrees 0..3 and weights of either sign
+    outcomes = Counter()
+    for d, g, f, _ in _act_draws(p, k, n):
+        for m1 in (-1, 0, 2):
+            for m2 in sorted({-2, 0, 1, d, d + 1, 3}):
+                chi = Character(m1, m2)
+                want = _act_outcome(_summed_twist_act, g, chi, f)
+                got = _act_outcome(act_on_function, g, chi, f)
+                if isinstance(want[0], type) or isinstance(got[0], type):
+                    assert got == want, (f, chi)
+                    outcomes[want[0]] += 1
+                    continue
+                (coeffs, guard), (old, old_guard) = got, want
+                assert all(map(_within_its_precision, coeffs, old)), (f, chi)
+                assert guard >= old_guard, (f, chi)
+                outcomes["acted"] += 1
     assert outcomes["acted"] and outcomes[NotAnalyticError] and outcomes[ValueError], outcomes
+
+
+def _exact_act(g, chi, f):
+    """Oracle: det(g)^m1 lambda(t)^m2 f(tau(t)) to degree d + 4 in exact
+    Fractions, from f's stored values, tau = Mb g Mb^-1 and its series by long
+    division, lambda(t) = a0 + a1 t the cocycle factor."""
+    ball = f.ball
+    Mb = GL2.from_rows(f.cfg, ball.param())
+    Mg = Mb @ g
+    a0, a1 = (Mg.d, Mg.b) if ball.subset(disc(f.cfg, 0, 0)) else (Mg.c, Mg.a)
+    D = f.degree_bound + chains.GUARD_DEGREES
+    sigma = _exact_mobius_series(Mg @ Mb.inverse(), D)
+    pulled, power = [Fraction(0)] * (D + 1), [Fraction(1)] + [Fraction(0)] * D
+    for c in f.coeffs:
+        pulled = [x + _value(c) * y for x, y in zip(pulled, power)]
+        power = _poly_mul(power, sigma)[: D + 1]
+    twist = [g.det() ** chi.m1 * chains._binom(chi.m2, i) * a0 ** (chi.m2 - i) * a1**i for i in range(D + 1)]
+    return _poly_mul(twist, pulled)[: D + 1]
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 2, 2), (3, 1, 2), (5, 1, 1), (2, 2, 3)])
+def test_act_claims_only_digits_of_the_exact_action(p, k, n):
+    # every nonzero kept coefficient is the exact action of f's stored values
+    # to the precision it claims, and m2 = d leaves no tail; with the
+    # pull-back truncated first and the twisted product summed term by term,
+    # cancelled sums kept wrong digits (at (2,2,2), d = 2, 8 mod 16 where the
+    # exact value is 0 mod 16)
+    checked = 0
+    for d, g, f, _ in _act_draws(p, k, n):
+        for m1, m2 in [(-1, -2), (0, d), (2, d + 1)]:
+            chi = Character(m1, m2)
+            try:
+                out, guard = act_on_function(g, chi, f)
+            except ValueError:  # NotAnalyticError included
+                continue
+            exact = _exact_act(g, chi, f)
+            for c, x in zip(out.coeffs, exact):
+                if not c.is_zero():
+                    diff = _value(c) - x
+                    assert diff == 0 or val_fraction(diff, p) >= _absolute_precision(c), (f, chi, c)
+                    checked += 1
+            assert m2 != d or guard is INF, (f, chi, guard)
+    assert checked, checked
+
+
+def test_act_sums_once_and_multiplies_series_only_in_the_operator(monkeypatch):
+    # one _apply per action, over the twisted operator; _series_mul only for
+    # the powers sigma^j inside _operator, d of them for the d + 1 columns
+    operator, series_mul = chains._operator, chains._series_mul
+    depth = [0]
+    calls = Counter()
+
+    def counted_operator(*args):
+        depth[0] += 1
+        try:
+            return operator(*args)
+        finally:
+            depth[0] -= 1
+
+    def counted_series_mul(*args):
+        calls["inside" if depth[0] else "outside"] += 1
+        return series_mul(*args)
+
+    monkeypatch.setattr(chains, "_operator", counted_operator)
+    monkeypatch.setattr(chains, "_series_mul", counted_series_mul)
+    monkeypatch.setattr(chains, "_apply", _counted(calls, "apply", chains._apply))
+    degrees = Counter()
+    for d, g, f, _ in _act_draws(3, 1, 2):
+        calls.clear()
+        try:
+            act_on_function(g, Character(1, d), f)
+        except ValueError:  # NotAnalyticError included
+            continue
+        assert calls == Counter(apply=1, inside=d), (d, calls)
+        degrees[d] += 1
+    assert sorted(degrees) == [0, 1, 2, 3], degrees
+
+
+def test_act_at_the_algebraic_weight_keeps_no_tail_of_a_short_input():
+    # a coefficient known to one digit; with the pull-back truncated first
+    # and the twisted product summed term by term, the guard was 10 < N = 17
+    cfg = PadicConfig(2, 17)
+    ball = Ball(cfg, ("z", 8, 4, False))
+    g = GL2(cfg, 109, 69, 984, 349)
+    f = TruncFun(cfg, ball, [cfg.zero(), PadicNum(cfg, 2, 15, 5), PadicNum(cfg, -1, 1, 1)])
+    for m1 in (-1, 0, 2):
+        out, guard = act_on_function(g, Character(m1, 2), f)
+        assert guard is INF, (m1, guard)
+        assert _bits(out.coeffs) == [(-1, 1, 1), (0, 1, 1), (-1, 1, 1)]
+
+
+def test_act_reports_no_tail_at_the_algebraic_weight_on_reduced_precision_inputs():
+    # at m2 = d the twisted pull-back is a polynomial of degree <= d, so the
+    # guard is INF, or at least N where the inputs' truncation shows; with
+    # the pull-back truncated first and the twisted product summed term by
+    # term, 18 of these 690 actions reported tails of valuation 4 to 15 < N
+    acted = 0
+    for p, k, n in [(2, 2, 2), (3, 1, 2), (5, 1, 1), (7, 1, 1), (2, 1, 2), (3, 2, 2), (2, 2, 3)]:
+        for d, g, f, reduced in _act_draws(p, k, n):
+            for m1 in (-1, 0, 2):
+                if not reduced:
+                    continue
+                try:
+                    _, guard = act_on_function(g, Character(m1, d), f)
+                except ValueError:  # NotAnalyticError included
+                    continue
+                assert guard is INF or guard >= f.cfg.N, (p, k, n, f, m1, guard)
+                acted += 1
+    assert acted > 600, acted
 
 
 def test_edge_and_vertex_groups_act_alike_on_shared_orbit():
@@ -736,13 +873,14 @@ def test_operator_columns_are_a_prefix_of_the_full_operator():
             assert _op_bits(cut) == _op_bits(tuple(tuple(e for e in row if e[0] < width) for row in full))
 
 
-# _apply runs the matrix-vector product on integers; the PadicNum arithmetic
-# it replaces is the oracle, bit for bit.
+# _apply sums each row exactly and truncates once.  Its oracles: the exact sum
+# in Fractions reduced mod p^K, bit for bit, and the PadicNum arithmetic it
+# replaced, which it agrees with to that arithmetic's own precision.
 
 
 def _object_apply(op, coeffs):
     """Oracle: op applied in PadicNum arithmetic, acc + entry * c in each
-    row's Horner order (the body _apply had before it ran on integers)."""
+    row's order (the body _apply had before it ran on integers)."""
     zero = coeffs[0].cfg.zero()
     out = []
     for row in op:
@@ -755,10 +893,55 @@ def _object_apply(op, coeffs):
     return out
 
 
+def _value(x):
+    """The stored value p^v u of a PadicNum, as an exact Fraction."""
+    return Fraction(0) if x.is_zero() else x.u * Fraction(x.cfg.p) ** x.v
+
+
+def _exact_row(row, coeffs):
+    """(S, K): the exact sum S of the stored values entry * c of a row's terms,
+    and the absolute precision p^K to which it is known, K the least
+    v + prec over the terms (INF when every term is zero)."""
+    terms = [(entry, coeffs[j]) for j, entry in row if not coeffs[j].is_zero()]
+    S = sum((_value(e) * _value(c) for e, c in terms), Fraction(0))
+    K = min((e.v + c.v + min(e.prec, c.prec) for e, c in terms), default=INF)
+    return S, K
+
+
+def _truncated(cfg, S, K):
+    """S mod p^K as a PadicNum: exact zero when p^K divides S, else p^v u with
+    u the unit of the canonical residue in [0, p^K), known to K - v digits."""
+    if K is INF:
+        return cfg.zero()
+    mod = Fraction(cfg.p) ** K
+    r = S - mod * floor(S / mod)
+    if r == 0:
+        return cfg.zero()
+    v = val_fraction(r, cfg.p)
+    u = r / Fraction(cfg.p) ** v
+    assert u.denominator == 1
+    return PadicNum(cfg, v, int(u), K - v)
+
+
+def _absolute_precision(x):
+    """v + prec, the power of p to which x is known; INF for exact zero."""
+    return INF if x.is_zero() else x.v + x.prec
+
+
 def _assert_apply_matches_the_oracle(op, coeffs):
+    """_apply is bit for bit the exact oracle; the PadicNum oracle knows each
+    row to no fewer digits than its K, and agrees with _apply to them."""
+    cfg = coeffs[0].cfg
     got = chains._apply(op, coeffs)
-    assert _bits(got) == _bits(_object_apply(op, coeffs))
-    assert all(_valid(c) for c in got)
+    old = _object_apply(op, coeffs)
+    assert len(got) == len(old) == len(op)
+    for row, new, was in zip(op, got, old):
+        S, K = _exact_row(row, coeffs)
+        assert _bits([new]) == _bits([_truncated(cfg, S, K)]), row
+        assert _valid(new)
+        assert K <= _absolute_precision(was)
+        if K is not INF:
+            assert new.residue_class(K) == was.residue_class(K), row
 
 
 def _random_number(cfg, rng):
@@ -850,6 +1033,20 @@ def _cancelling_draw(partial):
 @given(_apply_draws())
 def test_apply_matches_the_object_oracle_property(drawn):
     _assert_apply_matches_the_oracle(*drawn)
+
+
+def test_apply_truncates_once_where_a_cancelled_partial_sum_overclaims():
+    # x known to 3 digits, then -x, then y: the PadicNum sum cancels x - x to
+    # exact zero and keeps every digit of y, which the row knows only mod 3^3
+    cfg = PadicConfig(3, 6)
+    one = cfg.one()
+    x = PadicNum(cfg, 0, 1 + 2 * 3 + 9 * 2, 3)
+    row = ((2, one), (1, one), (0, one))
+    for y, want in [(cfg.from_int(9), (2, 1, 1)), (cfg.from_int(3**4), (INF, 0, 6))]:
+        coeffs = [y, -x, x]
+        assert _bits(_object_apply((row,), coeffs)) == [(y.v, 1, 6)]
+        assert _bits(chains._apply((row,), coeffs)) == [want]
+        _assert_apply_matches_the_oracle((row,), coeffs)
 
 
 def test_apply_makes_no_padic_arithmetic_call(monkeypatch):

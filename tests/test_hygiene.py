@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, the package
 defines no private function that nothing calls, no parameter that its
-function never reads and no bare assert, and the benchmark tracer reads only
-names the package defines."""
+function never reads and no bare assert, the benchmark tracer reads only
+names the package defines, and each old text of the mutant table occurs
+once."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import mutants
 from test_cli import ENV
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -323,3 +325,13 @@ def test_only_the_chain_commands_load_chains():
     assert r.stdout.splitlines() == [
         "tree 0 False", "orbits 0 False", "minimal 0 False", "counts 0 False", "matrix 0 True",
     ]
+
+
+def test_each_mutant_changes_one_exact_text():
+    # the mutant table (tests/mutants.py) stays applicable: each old text
+    # occurs exactly once in its file.  Running the mutants is a separate
+    # command, python tests/mutants.py
+    assert mutants.MUTANTS
+    for name, path, old, new, tests in mutants.MUTANTS:
+        assert old != new and tests, name
+        assert (ROOT / path).read_text().count(old) == 1, name
