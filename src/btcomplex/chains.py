@@ -25,9 +25,17 @@ transition is read off the two discs' Ball.param matrices (_transition); the
 action's is the quotient of the disc chart composed with g by the chart.  The
 complex maps walk the registry's ``routes`` table, (source disc, target
 disc, d) -> ((disc, operator), ...), filled once from ball_chain: the route of two
-adjacent discs is its one step, whose operator is built there, and a longer
-route shares its steps' entries, so each operator is built once per
-(registry, step, d) and lives and dies with the registry.
+adjacent discs is its one step, whose operator is built there from the step's
+entry in the registry's ``transitions`` table, (source disc, target disc) ->
+transition, and a longer route shares its steps' entries.  So each transition
+is built once per (registry, step) and each operator once per (registry,
+step, d), and both live and die with the registry.
+
+Restriction commutes with negation bit for bit: negating every input
+coefficient negates each row's exact sum in _apply and keeps its valuation
+and precision, so the restriction of -f is the PadicNum negation of the
+restriction of f.  The complex maps therefore negate an input part once and
+restrict the negation, rather than negate each of its restrictions.
 
 The group action enters only through act_on_function and the cocycle; the
 boundary maps never see the character.
@@ -271,15 +279,21 @@ def _route(reg: OrbitRegistry, src: int, dst: int, D: int):
     """((target ball, operator), ...) along the chain of registry balls from
     ball src down to ball dst, to degree D, read off ball_chain once and kept
     in the registry's route table.  The route of two adjacent balls is its
-    one step, whose operator is built here; a longer route joins its steps'
-    routes and shares their entries, so each operator is built once per
-    (registry, step, D).  The route from a ball to itself is empty."""
+    one step, whose operator is built here from the step's transition, read
+    from the registry's transition table and built on its first use at any
+    degree; a longer route joins its steps' routes and shares their entries.
+    So each transition is built once per (registry, step) and each operator
+    once per (registry, step, D).  The route from a ball to itself is empty."""
     key = (src, dst, D)
     route = reg.routes.get(key)
     if route is None:
         chain = reg.ball_chain(src, dst)
         if len(chain) == 2:
-            route = ((reg.balls[dst], _operator(_transition(reg.cfg, reg.balls[src], reg.balls[dst]), D)),)
+            step = (src, dst)
+            trans = reg.transitions.get(step)
+            if trans is None:
+                trans = reg.transitions[step] = _transition(reg.cfg, reg.balls[src], reg.balls[dst])
+            route = ((reg.balls[dst], _operator(trans, D)),)
         else:
             route = tuple(step for a, b in zip(chain, chain[1:]) for step in _route(reg, a, b, D))
         reg.routes[key] = route
@@ -411,7 +425,8 @@ class Chain:
             return NotImplemented
         if set(self.parts) != set(other.parts):
             return False
-        return all(self.parts[i] == other.parts[i] for i in self.parts)
+        theirs = other.parts
+        return all(f is theirs[i] or f == theirs[i] for i, f in self.parts.items())
 
     __hash__ = None
 
@@ -426,25 +441,31 @@ def _edge_sign(e: OrientedEdge, v: Vertex) -> int:
 def partial1(c1: Chain, reg: OrbitRegistry) -> Chain:
     """f on an oriented edge goes to +f at the source and -f at the target,
     written out per orbit: identity into the endpoint owning the orbit, exact
-    restrictions into the q sub-orbits at the other endpoint."""
+    restrictions into the q sub-orbits at the other endpoint.  The sign is
+    taken before restricting: f is negated once, not each of its q
+    restrictions, with the same bits (see the module docstring)."""
     out = Chain(c1.d)
     for i, f in c1.parts.items():
         owner = reg.owner[i]
         s = _edge_sign(reg.records[i].simplex, reg.records[owner].simplex)
         out.add_part(owner, f if s == 1 else -f)
+        g = -f if s == 1 else f
         for q in reg.edge_subs[i]:
-            rf = registry_restrict(reg, f, i, q)
-            out.add_part(q, -rf if s == 1 else rf)
+            out.add_part(q, registry_restrict(reg, g, i, q))
     return out
 
 
 def partial0(c0: Chain, reg: OrbitRegistry) -> Chain:
     """Sum of the components inside the space of piecewise functions, written
-    on the common refinement by minimal-orbit discs."""
+    on the common refinement by minimal-orbit discs.  A minimal record on
+    record i's own disc takes f itself, which is what the empty route would
+    return."""
     out = Chain(c0.d)
+    ball_of = reg.ball_of
     for i, f in c0.parts.items():
+        b = ball_of[i]
         for m in reg.min_cover[i]:
-            out.add_part(m, registry_restrict(reg, f, i, m))
+            out.add_part(m, f if ball_of[m] == b else registry_restrict(reg, f, i, m))
     return out
 
 
@@ -458,12 +479,15 @@ def kernel_project(c0: Chain, reg: OrbitRegistry) -> Chain:
 def kernel_lift(nonmin: Chain, reg: OrbitRegistry) -> Chain:
     """Reconstruct the unique kernel element with the given non-minimal part:
     each minimal component is minus the sum of the restrictions of the
-    strictly larger components, so the lift is nonmin - partial0(nonmin)."""
+    strictly larger components, so the lift is nonmin + partial0(-nonmin).
+    Each part is negated once before it is restricted, not each minimal
+    part after, with the same bits (see the module docstring)."""
     if any(reg.minimal[i] for i in nonmin.parts):
         raise AssertionError("lift input must be supported off the minimal records")
     out = Chain(nonmin.d, nonmin.parts)
-    for m, f in partial0(nonmin, reg).parts.items():
-        out.set_part(m, -f)
+    negated = Chain(nonmin.d, {i: -f for i, f in nonmin.parts.items()})
+    for m, f in partial0(negated, reg).parts.items():
+        out.set_part(m, f)
     return out
 
 
@@ -515,12 +539,16 @@ class BoundaryMatrix:
         return out
 
     def apply(self, c1: Chain) -> Chain:
-        """Matrix action: columns are the edge records under the owner bijection."""
+        """Matrix action: columns are the edge records under the owner
+        bijection.  Each part is negated once and a block of sign -1 takes
+        or restricts the negation, with the same bits as negating each
+        restriction (see the module docstring)."""
         out = Chain(self.d)
         for i, f in c1.parts.items():
+            neg = -f
             for t, kind, sign in self._edge_blocks[i]:
-                g = f if kind == "id" else registry_restrict(self.reg, f, i, t)
-                out.add_part(t, g if sign == 1 else -g)
+                g = f if sign == 1 else neg
+                out.add_part(t, g if kind == "id" else registry_restrict(self.reg, g, i, t))
         return out
 
     def to_json(self) -> dict:
@@ -606,7 +634,7 @@ def random_localfun(reg: OrbitRegistry, d: int, rng: random.Random) -> Chain:
 def random_chain1(reg: OrbitRegistry, d: int, rng: random.Random) -> Chain:
     """A random degree-one chain: nonzero functions on 3 distinct edge records
     (all of them when the registry has fewer)."""
-    ids = list(reg.edge_ids())
+    ids = reg.edge_ids()
     out = Chain(d)
     for i in rng.sample(ids, min(3, len(ids))):
         out.set_part(i, random_truncfun(reg.cfg, reg.records[i].ball, d, rng, nonzero=True))
@@ -620,7 +648,8 @@ def surjectivity_lift(target: Chain, reg: OrbitRegistry) -> Chain:
     for i, f in target.parts.items():
         if not reg.minimal[i]:
             raise AssertionError(f"record {i} of the target is not minimal")
-        if reg.records[i].ball != f.ball:
+        ball = reg.records[i].ball
+        if f.ball is not ball and f.ball != ball:
             raise AssertionError(f"piece {i} of the target lives on another disc")
         out.set_part(i, f)
     return out

@@ -164,9 +164,11 @@ class OrbitRegistry:
     build on first use, so counting-only callers never pay for the quadratic
     relation.
 
-    The chains layer's route table fills on first use and belongs to this
-    registry alone: ``routes``, (source ball id, target ball id, degree bound)
-    -> ((ball, operator), ...) along ``ball_chain``.
+    The chains layer's step tables fill on first use and belong to this
+    registry alone: ``transitions``, (source ball id, target ball id) -> the
+    transition of one step of ``ball_chain``, shared by every degree; and
+    ``routes``, (source ball id, target ball id, degree bound) -> ((ball,
+    operator), ...) along ``ball_chain``.
     """
 
     def __init__(self, cfg: PadicConfig, n: int, k: int):
@@ -179,6 +181,7 @@ class OrbitRegistry:
         self.minimal = []  # vertex record index -> bool
         self.owner = {}  # edge record index -> vertex record index
         self.nonmin_order = []  # non-minimal vertex record indices, ordered
+        self.transitions = {}  # (a, b) -> one step's transition, for every d
         self.routes = {}  # (a, b, d) -> route
 
     @property

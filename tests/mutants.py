@@ -29,6 +29,7 @@ ACT_EXACT = "tests/test_chains.py::test_act_claims_only_digits_of_the_exact_acti
 ACT_PIN = "tests/test_chains.py::test_act_at_the_algebraic_weight_keeps_no_tail_of_a_short_input"
 ACT_NO_TAIL = "tests/test_chains.py::test_act_reports_no_tail_at_the_algebraic_weight_on_reduced_precision_inputs"
 ACT_ONCE = "tests/test_chains.py::test_act_sums_once_and_multiplies_series_only_in_the_operator"
+SIGN_FORMS = "tests/test_chains.py::test_complex_maps_match_their_sign_after_restrict_forms"
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -67,6 +68,32 @@ MUTANTS = [
      "    tau = GL2.quotient(cfg, ball.param(), ((Mg.a, Mg.b), (Mg.c, Mg.d)))\n",
      ["tests/test_chains.py::test_act_translation_recenters",
       "tests/test_chains.py::test_act_at_the_algebraic_weight_matches_the_exact_oracle[3-1]"]),
+    ("partial1-restricts-f-not-its-negation", CHAINS,
+     "        g = -f if s == 1 else f\n",
+     "        g = f if s == 1 else f\n",
+     [f"{SIGN_FORMS}[3-1-1-2]",
+      "tests/test_chains.py::test_partial0_after_partial1_vanishes"]),
+    ("kernel-lift-restricts-the-input-not-its-negation", CHAINS,
+     "partial0(negated, reg)",
+     "partial0(nonmin, reg)",
+     [f"{SIGN_FORMS}[2-2-1-1]",
+      "tests/test_chains.py::test_kernel_lift_random_nonminimal_assignment"]),
+    ("matrix-apply-negates-the-plus-blocks", CHAINS,
+     "g = f if sign == 1 else neg",
+     "g = neg if sign == 1 else f",
+     [f"{SIGN_FORMS}[3-2-1-1]",
+      "tests/test_chains.py::test_matrix_apply_matches_projected_boundary"]),
+    ("transition-table-keyed-target-first", CHAINS,
+     "            step = (src, dst)\n",
+     "            step = (dst, src)\n",
+     ["tests/test_chains.py::test_step_table_belongs_to_one_registry",
+      "tests/test_chains.py::test_transition_table_builds_each_step_once_for_every_degree"]),
+    ("partial0-shortcut-inverted", CHAINS,
+     "f if ball_of[m] == b else",
+     "f if ball_of[m] != b else",
+     [f"{SIGN_FORMS}[5-1-1-1]",
+      "tests/test_chains.py::test_partial0_passes_a_part_on_its_own_disc_through_unrouted",
+      "tests/test_chains.py::test_partial0_after_partial1_vanishes"]),
 ]
 
 

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import random
 import subprocess
@@ -1183,11 +1184,45 @@ def test_step_table_belongs_to_one_registry():
     q = one.edge_subs[i][0]
     f = random_truncfun(one.cfg, one.records[i].ball, 1, random.Random(15))
     registry_restrict(one, f, i, q)
-    assert len(_steps(one)) == len(one.routes) == 1 and two.routes == {}
+    assert len(_steps(one)) == len(one.routes) == len(one.transitions) == 1
+    assert two.routes == {} and two.transitions == {}
     registry_restrict(two, f, i, q)
     assert set(two.routes) == set(one.routes)
     assert all(two.routes[key] is not one.routes[key] for key in one.routes)
     assert all(_steps(two)[key] is not _steps(one)[key] for key in _steps(one))
+    # the transition table is keyed (source ball, target ball), per registry
+    assert set(two.transitions) == set(one.transitions) == {key[:2] for key in one.routes}
+    assert all(two.transitions[key] is not one.transitions[key] for key in one.transitions)
+
+
+def test_transition_table_builds_each_step_once_for_every_degree(monkeypatch):
+    # the benchmark grid's sharing: d = 0, 1, 2 on one registry build each
+    # step's transition once and each step's operator once per degree
+    reg = make_reg(3, 2, 2, d=2)
+    transition, operator = chains._transition, chains._operator
+    calls = Counter()
+
+    def counted_transition(cfg, src, dst):
+        calls["transition"] += 1
+        return transition(cfg, src, dst)
+
+    def counted_operator(trans, D):
+        calls[D] += 1
+        return operator(trans, D)
+
+    monkeypatch.setattr(chains, "_transition", counted_transition)
+    monkeypatch.setattr(chains, "_operator", counted_operator)
+    for d in (0, 1, 2):
+        assert verify_exactness(reg, d, seed=0)["verdict"] == "exact"
+        assert calls["transition"] == 168 and calls[d] == 168, (d, calls)
+    assert calls == {"transition": 168, 0: 168, 1: 168, 2: 168}
+    monkeypatch.undo()
+    assert set(reg.transitions) == {key[:2] for key in _steps(reg)}
+    # each entry is its own step's transition, exact
+    for (a, b), trans in reg.transitions.items():
+        assert reg.ball_chain(a, b) == [a, b]
+        assert trans.entries() == _exact_transition(reg.cfg, reg.balls[a], reg.balls[b]).entries()
+    assert _stale_steps(reg) == []
 
 
 def test_step_table_checks_catch_a_wrong_step(monkeypatch):
@@ -1581,6 +1616,151 @@ def test_partial1_nonzero_on_random_chains():
             assert not partial1(c1, reg).is_zero()
 
 
+# The complex maps take each sign before restricting, and partial0 hands a
+# part to a minimal record on the part's own disc unrouted.  The tests below
+# hold them to the forms that negate each restriction and route every part.
+
+
+def _chain_bits(c):
+    return sorted((i, f.ball.id_str(), _bits(f.coeffs)) for i, f in c.parts.items())
+
+
+def _negated_chain(c):
+    return Chain(c.d, {i: -f for i, f in c.parts.items()})
+
+
+def _random_parts(reg, ids, d, rng, size):
+    """A degree-d chain on size of the records ids, coefficients drawn by
+    _random_number: exact zeros, reduced precisions, valuations -3..3."""
+    return Chain(d, {i: TruncFun(reg.cfg, reg.records[i].ball, [_random_number(reg.cfg, rng) for _ in range(d + 1)])
+                     for i in rng.sample(ids, min(size, len(ids)))})
+
+
+def _partial1_oracle(c1, reg):
+    """partial1 with the sign taken after restricting: each of the q
+    restrictions negated."""
+    out = Chain(c1.d)
+    for i, f in c1.parts.items():
+        owner = reg.owner[i]
+        s = chains._edge_sign(reg.records[i].simplex, reg.records[owner].simplex)
+        out.add_part(owner, f if s == 1 else -f)
+        for q in reg.edge_subs[i]:
+            rf = registry_restrict(reg, f, i, q)
+            out.add_part(q, -rf if s == 1 else rf)
+    return out
+
+
+def _partial0_oracle(c0, reg):
+    """partial0 with every part routed, a minimal record on its own disc too."""
+    out = Chain(c0.d)
+    for i, f in c0.parts.items():
+        for m in reg.min_cover[i]:
+            out.add_part(m, registry_restrict(reg, f, i, m))
+    return out
+
+
+def _kernel_lift_oracle(nonmin, reg):
+    """kernel_lift with each minimal part negated after the sum."""
+    out = Chain(nonmin.d, nonmin.parts)
+    for m, f in _partial0_oracle(nonmin, reg).parts.items():
+        out.set_part(m, -f)
+    return out
+
+
+def _matrix_apply_oracle(mat, c1):
+    """BoundaryMatrix.apply with each block's sign taken after restricting."""
+    out = Chain(mat.d)
+    for i, f in c1.parts.items():
+        for t, kind, sign in mat._edge_blocks[i]:
+            g = f if kind == "id" else registry_restrict(mat.reg, f, i, t)
+            out.add_part(t, g if sign == 1 else -g)
+    return out
+
+
+@pytest.mark.parametrize("p,k,n,d", [(3, 2, 2, 2), (2, 2, 3, 1)])
+def test_restriction_commutes_with_negation_bit_for_bit(p, k, n, d):
+    reg = make_reg(p, k, n, d)
+    cfg = reg.cfg
+    rng = random.Random(18)
+
+    def assert_negation_commutes(f, i, j):
+        got = registry_restrict(reg, -f, i, j)
+        want = -registry_restrict(reg, f, i, j)
+        assert got.ball is want.ball and _bits(got.coeffs) == _bits(want.coeffs), (i, j)
+
+    zeroed = 0
+    for i, j in _routed_pairs(reg):
+        ball = reg.records[i].ball
+        f = random_truncfun(cfg, ball, d, rng, nonzero=True)
+        assert_negation_commutes(f, i, j)
+        assert_negation_commutes(TruncFun(cfg, ball, [_random_number(cfg, rng) for _ in range(d + 1)]), i, j)
+        route = chains._route(reg, reg.ball_of[i], reg.ball_of[j], d)
+        if len(route) > 1:
+            # shift the constant so that the first step's constant cancels to
+            # exact zero, and the later steps restrict that zero
+            mid_ball, op = route[0]
+            shifted = TruncFun(cfg, ball, [f.coeffs[0] - restrict(f, mid_ball, op=op).coeffs[0], *f.coeffs[1:]])
+            mid = restrict(shifted, mid_ball, op=op)
+            assert mid.coeffs[0].v is INF, (i, j)
+            assert_negation_commutes(shifted, i, j)
+            zeroed += 1
+    assert zeroed
+
+
+@pytest.mark.parametrize("p,k,n,d", [(3, 1, 2, 1), (2, 2, 2, 2), (3, 2, 1, 2)])
+def test_partial0_commutes_with_negation_bit_for_bit(p, k, n, d):
+    reg = make_reg(p, k, n, d)
+    rng = random.Random(19)
+    vertex_ids = range(len(reg.minimal))
+    for _ in range(20):
+        c0 = _random_parts(reg, vertex_ids, d, rng, 12)
+        # a part on the largest disc gives some minimal record two terms or more
+        top = reg.nonmin_order[0]
+        c0.set_part(top, random_truncfun(reg.cfg, reg.records[top].ball, d, rng, nonzero=True))
+        terms = Counter(m for i in c0.parts for m in reg.min_cover[i])
+        assert max(terms.values()) >= 2
+        assert _chain_bits(partial0(_negated_chain(c0), reg)) == _chain_bits(_negated_chain(partial0(c0, reg)))
+
+
+@pytest.mark.parametrize("p,k,n,d", [(3, 1, 1, 2), (2, 2, 1, 1), (3, 2, 1, 1), (2, 2, 2, 2), (5, 1, 1, 1)])
+def test_complex_maps_match_their_sign_after_restrict_forms(p, k, n, d):
+    reg = make_reg(p, k, n, d)
+    mat = assemble_dbar1(reg, d)
+    rng = random.Random(20)
+    edge_ids = reg.edge_ids()
+    nonmin_ids = list(reg.nonmin_order)
+    minimal_ids = [i for i, m in enumerate(reg.minimal) if m]
+    for _ in range(15):
+        c1 = _random_parts(reg, edge_ids, d, rng, 6)
+        assert _chain_bits(partial1(c1, reg)) == _chain_bits(_partial1_oracle(c1, reg))
+        assert _chain_bits(mat.apply(c1)) == _chain_bits(_matrix_apply_oracle(mat, c1))
+        nonmin = _random_parts(reg, nonmin_ids, d, rng, 6)
+        assert _chain_bits(kernel_lift(nonmin, reg)) == _chain_bits(_kernel_lift_oracle(nonmin, reg))
+        c0 = _random_parts(reg, nonmin_ids + minimal_ids, d, rng, 10)
+        assert _chain_bits(partial0(c0, reg)) == _chain_bits(_partial0_oracle(c0, reg))
+    # on every basis element, as verify_exactness applies them
+    for i in edge_ids:
+        for j in range(d + 1):
+            c1 = Chain(d, {i: monomial(reg.cfg, reg.records[i].ball, j, d)})
+            assert _chain_bits(partial1(c1, reg)) == _chain_bits(_partial1_oracle(c1, reg))
+            assert _chain_bits(mat.apply(c1)) == _chain_bits(_matrix_apply_oracle(mat, c1))
+    for i in nonmin_ids:
+        basis = Chain(d, {i: monomial(reg.cfg, reg.records[i].ball, d, d)})
+        assert _chain_bits(kernel_lift(basis, reg)) == _chain_bits(_kernel_lift_oracle(basis, reg))
+
+
+def test_partial0_passes_a_part_on_its_own_disc_through_unrouted(monkeypatch):
+    # the surjectivity check's pieces sit on minimal records and come back
+    # as the same objects, without a route
+    reg = make_reg(3, 1, 2, d=1)
+    target = random_localfun(reg, 1, random.Random(21))
+    routed = []
+    monkeypatch.setattr(chains, "registry_restrict", lambda reg, f, i, j: routed.append((i, j)))
+    image = partial0(surjectivity_lift(target, reg), reg)
+    assert routed == []
+    assert all(image.parts[m] is f for m, f in target.parts.items()) and image == target
+
+
 def test_deepest_edge_support_shows_up_at_deep_vertex():
     reg = make_reg(3, 1, 2)
     cfg = reg.cfg
@@ -1724,6 +1904,27 @@ def test_verify_exactness_catches_a_minimal_record_left_out_of_its_cover():
     checks = {c["name"]: c for c in rep["checks"]}
     assert not checks["augmentation faithful on minimal records"]["pass"]
     assert rep["verdict"] == "failed"
+
+
+def _draw_digest(reg, d, seed):
+    """sha256 of the record ids and coefficient bits that verify_exactness's
+    sampled checks draw from Random(seed): 50 targets, then 100 degree-one
+    chains."""
+    rng = random.Random(seed)
+    draws = [random_localfun(reg, d, rng) for _ in range(50)] + [random_chain1(reg, d, rng) for _ in range(100)]
+    h = hashlib.sha256()
+    for chain in draws:
+        h.update(repr([(i, _bits(f.coeffs)) for i, f in chain.parts.items()]).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("p,k,n,d,digest", [
+    (3, 1, 1, 2, "1c86894ac8e2b3994d1c6c7743c8fc18c220ccaa5fd6db75c0f36f38c7a9633d"),
+    (2, 2, 2, 1, "6ca0ac51614446dc8cdc0d57e9fc4b045d71b512e3b8217692a1b1d238444829"),
+])
+def test_sampled_checks_draw_the_pinned_records_and_coefficients(p, k, n, d, digest):
+    # the report shows only pass or fail, so this pins what the samples are
+    assert _draw_digest(make_reg(p, k, n, d), d, 0) == digest
 
 
 def test_surjectivity_lift_exact():
