@@ -708,17 +708,22 @@ def verify_exactness(reg: OrbitRegistry, d: int, seed: int = 0) -> dict:
     check("degree-one kernel trivial", consistent and all(s in (1, -1) for s in signs),
           "triangular with unit diagonal and equal to the projected boundary")
 
-    # kernel of the augmentation: lift is a section of the projection
+    # kernel of the augmentation: lift is a section of the projection, and
+    # every part of the lift lies on its own record's disc (misplaced parts
+    # can cancel in partial0, so the two equalities alone would not see them)
     lift_ok = True
     witness = ""
+    records = reg.records
     for i, is_min in enumerate(reg.minimal):
         if is_min:
             continue
-        rec = reg.records[i]
+        rec = records[i]
         for j in range(d + 1):
             basis = Chain(d, {i: monomial(cfg, rec.ball, j, d)})
             lifted = kernel_lift(basis, reg)
-            if not partial0(lifted, reg).is_zero() or kernel_project(lifted, reg) != basis:
+            on_disc = all(f.ball is records[t].ball or f.ball == records[t].ball
+                          for t, f in lifted.parts.items())
+            if not on_disc or not partial0(lifted, reg).is_zero() or kernel_project(lifted, reg) != basis:
                 lift_ok = False
                 witness = f"{rec.id_str()} degree {j}"
     check("kernel lift section", lift_ok, witness)

@@ -10,10 +10,12 @@ Each orbit disc is the set of ends beyond one oriented edge x -> y of the
 tree: D(y) when y is x's child, P^1 minus D(x) when y is x's parent, where
 D(u) is the residue cell read off u's coordinate.  So the transport is done
 on the tree, in integers: the simplex's integer transport carries the
-standard orbits' edges onto its own, and each disc is built once from its
-cell key.  The Moebius image of the standard disc under the transport, an
-exact GL2, gives the same ball; that matrix acts only where the group does,
-in tree.in_group, factor_edge_group and sampled group elements.
+standard orbits' edges onto its own through the one lattice kernel
+(projline._act_coord, _point_cell), and each disc is built once from its
+cell key.  The group side moves vertices, discs and points through the same
+kernel: projline.moebius_ball_image carries a disc's edge by adj(g), and
+tree.act_vertex a vertex by g.  The exact GL2 transport acts only where the
+group does, in tree.in_group, factor_edge_group and sampled group elements.
 
 The registry collects all orbit records over a ball of simplices, flags the
 minimal ones (the smallest discs: the level-(n+k) residue cells, p^k at each
@@ -29,12 +31,10 @@ import random
 from functools import cache, cached_property
 
 from .padics import PadicConfig
-from .projline import Ball, Frozen, GL2, ProjPoint, _inside
+from .projline import Ball, Frozen, GL2, ProjPoint, _act_coord, _inside, _point_cell
 from .tree import (
     OrientedEdge,
     Vertex,
-    _act_coord,
-    _point_cell,
     _simplex_path,
     edges_upto,
     level_exponents,

@@ -11,13 +11,20 @@ P^1: the points whose coordinate z lies in Z_p with z = r mod q (chart "z"),
 and the points whose coordinate 1/z lies in pZ_p with 1/z = r mod q (chart
 "w").  They are the depth-d vertices of the tree, so two cells nest or miss,
 and every ball is one cell or, when flip, the complement of one.  Equality,
-containment and mass are decided on the keys.  Every Moebius image of a ball
-is again a ball, so disc transport is closed and exact.
+containment and mass are decided on the keys.
+
+One integer lattice kernel moves vertices, discs and points: _act_coord
+applies an integer matrix to a vertex code, and _point_cell reads the cell
+of ends beyond a vertex, or holding a point, off a unimodular pair.  A ball's
+Moebius image is the image of its oriented edge under adj(g), and membership
+compares the point's cell with the key; the tree's vertex action uses the
+same kernel.  Every Moebius image of a ball is again a ball, so disc
+transport is closed and exact.
 
 Every other presentation is derived from the key, once per Ball.  The normal
 form is { x : val(x - center) >= m } (a finite disc) or its complement plus
-infinity, with the center reduced mod p^m; the Moebius image, membership and
-the sort key read it.  Display and JSON use the chart vocabulary:
+infinity, with the center reduced mod p^m; the sort key reads it.  Display
+and JSON use the chart vocabulary:
 
   chart "z": finite disc with val(center) >= 0, coordinate z
   chart "w": disc in the coordinate u = 1/z (either a ball around infinity,
@@ -29,8 +36,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
-from .padics import PadicConfig, PrecisionError, val_fraction, val_int
+from .padics import PadicConfig, PrecisionError, val_int
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +83,6 @@ def exact(x) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"{type(x).__name__} is not an exact rational")
-
-
-def _residue(x: Fraction, q: int) -> int:
-    """x mod q in 0..q-1, for x with a denominator prime to q."""
-    return x.numerator * pow(x.denominator, -1, q) % q
 
 
 class ProjPoint:
@@ -265,11 +268,12 @@ class Ball(Frozen):
         return self._chart
 
     def member_point(self, pt: ProjPoint) -> bool:
-        complement, center, m = self._normal_form
-        if pt.is_infinity():
-            return complement
-        d = val_fraction(pt.z_coord() - center, self.p)
-        return (d <= m - 1) if complement else (d >= m)
+        """The point's primitive integer pair, (1 : 0) for infinity, lies in
+        the cell when its own cell at the key's level is the key's; flip
+        inverts the answer."""
+        chart, q, r, flip = self.cell
+        s, t = (pt.x.numerator, pt.x.denominator) if pt.y else (1, 0)
+        return (_point_cell(self.p, val_int(q, self.p), s, t) == (chart, q, r)) != flip
 
     def __hash__(self):
         # the chart is hashed as a flag so that the hash, and the order of
@@ -354,37 +358,83 @@ def _inside(a: tuple, b: tuple) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Moebius images of balls
+# the lattice kernel: vertices, discs and points on the tree
 # ---------------------------------------------------------------------------
 
 
-def _disc_image(p: int, g: GL2, center: Fraction, m: int):
-    """Image of the finite disc center + p^m Z_p under z.g; returns a normal form."""
-    a, b, c, d = g.entries()
-    if not b:
-        # affine map (az + c)/d
-        return (False, (a * center + c) / d, m + val_fraction(a, p) - val_fraction(d, p))
-    s = val_fraction(center + d / b, p)  # the distance to the pole -d/b
-    vB = val_fraction(g.det(), p) - 2 * val_fraction(b, p)
-    if s >= m:  # pole inside the disc: image is a complement ball
-        return (True, a / b, vB - m + 1)
-    return (False, (a * center + c) / (b * center + d), m + vB - 2 * s)
+def _primitive_rows(p: int, matrix) -> tuple:
+    """(rows, n): a 2x2 matrix of ints or Fractions, each entry passed through
+    exact, scaled to integer rows with no common factor, which span the same
+    lattice class, and n the valuation of their determinant.  A singular
+    matrix spans no lattice and raises ValueError."""
+    ent = [exact(x) for row in matrix for x in row]
+    den = lcm(*(e.denominator for e in ent))
+    a, b, c, d = (e.numerator * (den // e.denominator) for e in ent)
+    det = a * d - b * c
+    if not det:
+        raise ValueError("singular matrix spans no lattice")
+    g = gcd(a, b, c, d)
+    return ((a // g, b // g), (c // g, d // g)), val_int(det // (g * g), p)
+
+
+def _act_coord(p: int, h, n: int, m: int, a: int, b: int):
+    """The integer matrix h (rows; det of valuation n) applied to the vertex u
+    of coordinate (a : b) at depth m, on coordinate tuples: (D, s, t) with D
+    the depth of h.u and (s : t) a unimodular pair whose reduction mod p^D is
+    its coordinate, up to a unit.  u's coordinate is (1, b), or (a, 1) for
+    any other a, and matters mod p^m only.  h.u is the lattice of
+    M = h B, B u's basis matrix, and adj(M) = adj(B) adj(h) has the rows
+    (a, b) adj(h) and p^m (0, 1) adj(h) for a = 1, p^m (1, 0) adj(h)
+    otherwise.  With p^e the content of those rows, M / p^e is primitive, so
+    h.u has depth n + m - 2e, and its coordinate is whichever row stays
+    unimodular after division by p^e (the two agree mod p^D).  The one kernel
+    reading a vertex off a lattice matrix: for tree.vertex_canonical and
+    tree.act_vertex (primitive rows on a vertex), moebius_ball_image (adj(g)
+    on a disc's edge), tree._path_rows (adj(h) on a path's last vertex) and
+    orbits._orbit_cells (a transport on the standard orbits' far vertices)."""
+    (h11, h12), (h21, h22) = h
+    r1, r2 = a * h22 - b * h21, b * h11 - a * h12
+    q = p**m
+    s1, s2 = (-h21 * q, h11 * q) if a == 1 else (h22 * q, -h12 * q)
+    e = val_int(gcd(r1, r2, s1, s2), p)
+    pe = p**e
+    if r1 % (pe * p) or r2 % (pe * p):
+        return n + m - 2 * e, r1 // pe, r2 // pe
+    return n + m - 2 * e, s1 // pe, s2 // pe
+
+
+def _point_cell(p: int, d: int, s: int, t: int) -> tuple:
+    """(chart, p^d, r) of the level-d residue cell of the ends (x : y) = (s : t)
+    mod p^d, for a unimodular pair and d >= 0, in the vocabulary of Ball.cell:
+    x/y = r mod p^d (chart "z") when t is a unit, else y/x = r mod p^d (chart
+    "w").  For a vertex's coordinate it is D(v), the ends beyond v away from
+    the root: (a, 1) is the z-cell a, (1, b) the z-cell 1/b for b a unit and
+    the w-cell b for b in pZ.  For a point's primitive pair it is the cell
+    holding the point.  At d = 0 the root's (1 : 0) gives ("w", 1, 0), which
+    only Vertex.sort_key reads."""
+    q = p**d
+    if t % p:
+        return ("z", q, s * pow(t, -1, q) % q)
+    return ("w", q, t * pow(s, -1, q) % q)
 
 
 def moebius_ball_image(g: GL2, ball: Ball) -> Ball:
-    """The exact image { x.g : x in ball }, its cell key read off the center c
-    and exponent m of the image's normal form."""
-    cfg = g.cfg
-    p = cfg.p
-    complement, center, m = ball._normal_form
-    comp, c, m = _disc_image(p, g, center, m)
-    flip = comp != complement
-    _check_exponent(cfg, m)
-    v = val_fraction(c, p)
-    if v >= m:  # { val x >= m }: P^1 minus the w-cell 0 when m <= 0
-        key = ("z", p**m, 0, flip) if m >= 1 else ("w", p ** (1 - m), 0, not flip)
-    elif v >= 0:
-        key = ("z", p**m, _residue(c, p**m), flip)
-    else:  # val x = v on the disc, so val(1/x - 1/c) = val(x - c) - 2v
-        key = ("w", p ** (m - 2 * v), _residue(1 / c, p ** (m - 2 * v)), flip)
-    return Ball(cfg, key)
+    """The exact image { x.g : x in ball }, moved on the tree.
+
+    An unflipped cell is the set of ends beyond the oriented edge x -> y, y
+    the vertex at its level whose D(y) it is ((r : 1) for a z-cell, (1 : r)
+    for a w-cell) and x y's parent; a flipped one is read on the same edge
+    backwards.  The right action sends the row functional of a vertex u to
+    its product with g, which vanishes on g^-1.u, so the ends of u go to those
+    of adj(g).u, and the edge moves by adj(g) through _act_coord.  The ends
+    beyond the moved edge are D(adj(g).y) when that is the deeper endpoint,
+    else P^1 minus D(adj(g).x)."""
+    p = g.cfg.p
+    chart, q, r, flip = ball.cell
+    d = val_int(q, p)
+    h, n = _primitive_rows(p, ((g.d, -g.b), (-g.c, g.a)))
+    y = (r, 1) if chart == "z" else (1, r)
+    gy, gx = (_act_coord(p, h, n, m, *y) for m in (d, d - 1))
+    if gy[0] > gx[0]:
+        return Ball(g.cfg, (*_point_cell(p, *gy), flip))
+    return Ball(g.cfg, (*_point_cell(p, *gx), not flip))

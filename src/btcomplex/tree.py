@@ -12,11 +12,8 @@ common digit prefix) and the classical ball parametrization of directions.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
-from .padics import PadicConfig, val_fraction, val_int
-from .projline import GL2, Frozen, _residue, exact
+from .padics import PadicConfig, val_fraction
+from .projline import GL2, Frozen, _act_coord, _point_cell, _primitive_rows
 
 
 # ---------------------------------------------------------------------------
@@ -170,19 +167,16 @@ def neighbors(v: Vertex):
 
 def vertex_canonical(cfg: PadicConfig, matrix) -> Vertex:
     """Vertex of the lattice spanned by the columns of a 2x2 matrix of ints or
-    Fractions: scaled by p^-e1 to be primitive, e1 the least entry valuation,
-    its determinant has content p^n, and the matrix mod p^n carries v0 to the
-    vertex through _act_coord, so homothetic inputs give the identical Vertex."""
-    p = cfg.p
-    ent = [exact(x) for row in matrix for x in row]
-    if ent[0] * ent[3] == ent[1] * ent[2]:
-        raise ValueError("singular matrix spans no lattice")
-    e1 = min(val_fraction(e, p) for e in ent if e)
-    n = val_fraction(ent[0] * ent[3] - ent[1] * ent[2], p) - 2 * e1
-    if n == 0:
-        return Vertex.root(p)
-    m11, m12, m21, m22 = (_residue(e / Fraction(p) ** e1, p**n) for e in ent)
-    return Vertex.make(p, *_act_coord(p, ((m11, m12), (m21, m22)), n, 0, 1, 0))
+    Fractions: the matrix's primitive integer rows applied to v0 by the
+    lattice kernel (projline._act_coord), so homothetic inputs give the
+    identical Vertex."""
+    return _lattice_image(cfg.p, matrix, Vertex.root(cfg.p))
+
+
+def _lattice_image(p: int, matrix, v: Vertex) -> Vertex:
+    """The vertex [M.L], L a lattice of v, through the lattice kernel."""
+    h, n = _primitive_rows(p, matrix)
+    return Vertex.make(p, *_act_coord(p, h, n, v.n, *v.coord))
 
 
 def _lca_depth(v: Vertex, w: Vertex) -> int:
@@ -224,9 +218,9 @@ def path(v: Vertex, w: Vertex):
 
 
 def act_vertex(g: GL2, v: Vertex) -> Vertex:
-    """g.[L] = [g.L]; a distance-preserving action."""
-    m = g @ GL2.from_rows(g.cfg, v.basis_matrix())
-    return vertex_canonical(g.cfg, ((m.a, m.b), (m.c, m.d)))
+    """g.[L] = [g.L]; a distance-preserving action, on v's coordinate through
+    the lattice kernel."""
+    return _lattice_image(g.cfg.p, ((g.a, g.b), (g.c, g.d)), v)
 
 
 # ---------------------------------------------------------------------------
@@ -311,44 +305,6 @@ def transport(cfg: PadicConfig, simplex) -> GL2:
 def transport_rows(simplex) -> tuple:
     """The integer rows of transport(cfg, simplex)."""
     return _path_rows(_simplex_path(simplex))
-
-
-def _act_coord(p: int, h, n: int, m: int, a: int, b: int):
-    """The integer matrix h (rows; det of valuation n) applied to the vertex u
-    of coordinate (a : b) at depth m, on coordinate tuples: (D, s, t) with D
-    the depth of h.u and (s : t) a unimodular pair whose reduction mod p^D is
-    its coordinate, up to a unit.  h.u is the lattice of M = h B, B u's basis
-    matrix, and adj(M) = adj(B) adj(h) has the rows (a, b) adj(h) and
-    p^m (0, 1) adj(h) for a = 1, p^m (1, 0) adj(h) otherwise.  With p^e the
-    content of those rows, M / p^e is primitive, so h.u has depth
-    n + m - 2e, and its coordinate is whichever row stays unimodular after
-    division by p^e (the two agree mod p^D).  The one kernel reading a vertex
-    off a lattice matrix, for vertex_canonical (a primitive matrix on v0),
-    _path_rows (adj(h) on a path's last vertex) and orbits._orbit_cells (a
-    transport on the standard orbits' far vertices)."""
-    (h11, h12), (h21, h22) = h
-    r1, r2 = a * h22 - b * h21, b * h11 - a * h12
-    q = p**m
-    s1, s2 = (-h21 * q, h11 * q) if a == 1 else (h22 * q, -h12 * q)
-    e = val_int(gcd(r1, r2, s1, s2), p)
-    pe = p**e
-    if r1 % (pe * p) or r2 % (pe * p):
-        return n + m - 2 * e, r1 // pe, r2 // pe
-    return n + m - 2 * e, s1 // pe, s2 // pe
-
-
-def _point_cell(p: int, d: int, s: int, t: int) -> tuple:
-    """(chart, p^d, r) of the level-d residue cell of the ends (x : y) = (s : t)
-    mod p^d, for a unimodular pair and d >= 0, in the vocabulary of Ball.cell:
-    x/y = r mod p^d (chart "z") when t is a unit, else y/x = r mod p^d (chart
-    "w").  For a vertex's coordinate it is D(v), the ends beyond v away from
-    the root: (a, 1) is the z-cell a, (1, b) the z-cell 1/b for b a unit and
-    the w-cell b for b in pZ.  At d = 0 the root's (1 : 0) gives ("w", 1, 0),
-    which only Vertex.sort_key reads."""
-    q = p**d
-    if t % p:
-        return ("z", q, s * pow(t, -1, q) % q)
-    return ("w", q, t * pow(s, -1, q) % q)
 
 
 # ---------------------------------------------------------------------------

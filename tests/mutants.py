@@ -22,6 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CHAINS = "src/btcomplex/chains.py"
+PROJLINE = "src/btcomplex/projline.py"
 
 APPLY_PROPERTY = "tests/test_chains.py::test_apply_matches_the_object_oracle_property"
 APPLY_PIN = "tests/test_chains.py::test_apply_truncates_once_where_a_cancelled_partial_sum_overclaims"
@@ -30,6 +31,7 @@ ACT_PIN = "tests/test_chains.py::test_act_at_the_algebraic_weight_keeps_no_tail_
 ACT_NO_TAIL = "tests/test_chains.py::test_act_reports_no_tail_at_the_algebraic_weight_on_reduced_precision_inputs"
 ACT_ONCE = "tests/test_chains.py::test_act_sums_once_and_multiplies_series_only_in_the_operator"
 SIGN_FORMS = "tests/test_chains.py::test_complex_maps_match_their_sign_after_restrict_forms"
+TRANSPORT_ORACLE = "tests/test_orbits.py::test_integer_orbits_match_the_transport_oracle"
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -93,7 +95,26 @@ MUTANTS = [
      "f if ball_of[m] != b else",
      [f"{SIGN_FORMS}[5-1-1-1]",
       "tests/test_chains.py::test_partial0_passes_a_part_on_its_own_disc_through_unrouted",
-      "tests/test_chains.py::test_partial0_after_partial1_vanishes"]),
+      "tests/test_chains.py::test_partial0_after_partial1_vanishes",
+      "tests/test_chains.py::test_kernel_lift_of_single_component"]),
+    ("ball-image-moves-the-edge-by-g-not-its-adjugate", PROJLINE,
+     "    h, n = _primitive_rows(p, ((g.d, -g.b), (-g.c, g.a)))\n",
+     "    h, n = _primitive_rows(p, ((g.a, g.b), (g.c, g.d)))\n",
+     ["tests/test_projline.py::test_ball_image_standard_contraction",
+      "tests/test_projline.py::test_ball_image_composition_law",
+      f"{TRANSPORT_ORACLE}[3-2-2]"]),
+    ("ball-image-leaves-a-reversed-edge-unflipped", PROJLINE,
+     "    return Ball(g.cfg, (*_point_cell(p, *gx), not flip))\n",
+     "    return Ball(g.cfg, (*_point_cell(p, *gx), flip))\n",
+     ["tests/test_projline.py::test_ball_image_round_trip_and_membership",
+      "tests/test_projline.py::test_ball_image_pointwise_biconditional",
+      f"{TRANSPORT_ORACLE}[3-2-2]"]),
+    ("member-point-ignores-the-flip", PROJLINE,
+     "== (chart, q, r)) != flip\n",
+     "== (chart, q, r))\n",
+     ["tests/test_projline.py::test_ball_image_round_trip_and_membership",
+      "tests/test_projline.py::test_presentations_match_the_normal_form_on_registry_balls[1-2]",
+      "tests/test_orbits.py::test_orbit_of_point_is_in_enumeration"]),
 ]
 
 

@@ -5,8 +5,9 @@ was stored in before its cell key.
 This is the oracle the disc predicates and presentations are checked
 against.  It reads a ball's normal form off its key through the normal-form
 constructors (normal_form), decides membership through
-``NormalForm.member_value`` and its own ``required_level``, and never calls
-the Ball's own predicates or presentations.
+``NormalForm.member_value`` and its own ``required_level``, moves a normal
+form by valuations of exact rationals (_disc_image), and never calls the
+Ball's own predicates, presentations or images.
 """
 
 import random
@@ -15,7 +16,21 @@ from fractions import Fraction
 
 from btcomplex.orbits import sample_group_element
 from btcomplex.padics import INF, PadicConfig, PadicNum, PrecisionError, val_fraction, val_int
-from btcomplex.projline import GL2, Ball, ProjPoint, _disc_image
+from btcomplex.projline import GL2, Ball, ProjPoint
+
+
+def _disc_image(p: int, g: GL2, center: Fraction, m: int):
+    """Image of the finite disc center + p^m Z_p under z.g, by valuations of
+    exact rationals; returns a normal form (complement, center, m)."""
+    a, b, c, d = g.entries()
+    if not b:
+        # affine map (az + c)/d
+        return (False, (a * center + c) / d, m + val_fraction(a, p) - val_fraction(d, p))
+    s = val_fraction(center + d / b, p)  # the distance to the pole -d/b
+    vB = val_fraction(g.det(), p) - 2 * val_fraction(b, p)
+    if s >= m:  # pole inside the disc: image is a complement ball
+        return (True, a / b, vB - m + 1)
+    return (False, (a * center + c) / (b * center + d), m + vB - 2 * s)
 
 
 def _reduce_fraction(p: int, c: Fraction, m: int) -> Fraction:

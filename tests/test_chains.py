@@ -1789,6 +1789,9 @@ def test_kernel_lift_of_single_component():
     f = monomial(cfg, rec.ball, 1, 1)
     c = Chain(1, {reg.index[rec]: f})
     lifted = kernel_lift(c, reg)
+    # each part lies on its own record's disc: misplaced parts can cancel in
+    # partial0, so the two equalities below would not see them
+    assert all(g.ball is reg.records[t].ball or g.ball == reg.records[t].ball for t, g in lifted.parts.items())
     assert partial0(lifted, reg).is_zero()
     assert kernel_project(lifted, reg) == c
 
@@ -1889,6 +1892,32 @@ def test_verify_exactness_witness_belongs_to_the_failing_check(monkeypatch):
     matrix = checks["matrix equals projected boundary on a basis"]
     assert kernel["pass"] and kernel["detail"] == ""
     assert not matrix["pass"] and matrix["detail"] == f"{reg.records[dropped].id_str()} degree 0"
+    assert rep["verdict"] == "failed"
+
+
+def test_verify_exactness_kernel_lift_check_sees_a_part_off_its_disc(monkeypatch):
+    # a lift that puts one minimal part on the lifted record's disc fails the
+    # kernel-lift check alone, before any sum of mismatched parts is formed
+    reg = make_reg(3, 1, 1, d=0)
+    lift = chains.kernel_lift
+    moved = []
+
+    def misplaced(nonmin, reg):
+        out = lift(nonmin, reg)
+        (i, f), = nonmin.parts.items()
+        m = next((t for t in out.parts if reg.minimal[t] and reg.ball_of[t] != reg.ball_of[i]), None)
+        if m is not None:
+            out.set_part(m, TruncFun(reg.cfg, f.ball, out.parts[m].coeffs))
+            moved.append(i)
+        return out
+
+    monkeypatch.setattr(chains, "kernel_lift", misplaced)
+    rep = verify_exactness(reg, 0, seed=0)
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert moved
+    assert not checks["kernel lift section"]["pass"]
+    assert checks["kernel lift section"]["detail"] == f"{reg.records[moved[-1]].id_str()} degree 0"
+    assert [c["name"] for c in rep["checks"] if not c["pass"]] == ["kernel lift section"]
     assert rep["verdict"] == "failed"
 
 

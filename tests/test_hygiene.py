@@ -1,8 +1,8 @@
 """Source hygiene: no module imports a name it never uses, the package
 defines no private function that nothing calls, no parameter that its
 function never reads and no bare assert, the benchmark tracer reads only
-names the package defines, and each old text of the mutant table occurs
-once."""
+names the package defines, each old text of the mutant table occurs once,
+and the residue-cell oracle imports nothing private from the package."""
 
 import ast
 import importlib
@@ -335,3 +335,46 @@ def test_each_mutant_changes_one_exact_text():
     for name, path, old, new, tests in mutants.MUTANTS:
         assert old != new and tests, name
         assert (ROOT / path).read_text().count(old) == 1, name
+
+
+def private_package_imports(source: str):
+    """(line, name) of each "_"-prefixed name imported from btcomplex, or
+    read as an attribute of a name bound by an import of btcomplex."""
+    tree = ast.parse(source)
+    out = []
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "btcomplex":
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    out.append((node.lineno, alias.name))
+                else:
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name.split(".")[0]
+                        for alias in node.names if alias.name.split(".")[0] == "btcomplex"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                out.append((node.lineno, node.attr))
+    return sorted(out)
+
+
+def test_residue_cell_oracle_imports_nothing_private_from_the_package():
+    # the oracle keeps its own copy of every formula it checks the package
+    # against, so it never calls the code it checks
+    assert private_package_imports((ROOT / "tests" / "residue_cells.py").read_text()) == []
+
+
+def test_private_import_scan_sees_from_imports_and_module_attributes():
+    source = "\n".join([
+        "from btcomplex.projline import Ball, _inside",
+        "from btcomplex import tree as t",
+        "import btcomplex.orbits",
+        "from random import _inst",
+        "x = t._lca_depth, t.path, btcomplex.orbits._orbit_cells",
+    ])
+    assert private_package_imports(source) == [(1, "_inside"), (5, "_lca_depth"), (5, "_orbit_cells")]

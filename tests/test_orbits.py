@@ -9,11 +9,12 @@ import pytest
 
 from btcomplex.chains import Character
 from btcomplex.padics import PadicConfig, PadicNum
-from btcomplex.projline import GL2, Ball, ProjPoint, moebius_apply, moebius_ball_image
+from btcomplex.projline import GL2, Ball, ProjPoint, _point_cell, moebius_apply, moebius_ball_image
 from btcomplex.tree import (
     OrientedEdge,
     Vertex,
     act_vertex,
+    distance,
     edges_upto,
     factor_edge_group,
     in_group,
@@ -598,6 +599,36 @@ def test_integer_registry_matches_the_transport_oracle(p, k, n):
     # one Ball per distinct disc, shared by every record of it
     assert len({id(r.ball) for r in reg.records}) == len(set(balls))
     assert all(reg.records[i].ball is reg.records[j].ball for i, j in reg.owner.items())
+
+
+def _shadow(w, y):
+    """The cell key of the ends whose ray from w passes through y: D(y) when
+    the geodesic reaches y from its parent, else P^1 minus D(x), x the
+    geodesic's vertex before y (then y's child)."""
+    x = path(w, y)[-2]
+    if x.n < y.n:
+        return (*_point_cell(y.p, y.n, *y.coord), False)
+    return (*_point_cell(x.p, x.n, *x.coord), True)
+
+
+SHADOW_CONFIGS = [(2, 1, 2), (2, 3, 2), (3, 1, 2), (3, 2, 2), (3, 3, 1), (5, 1, 2), (7, 1, 2), (7, 2, 1)]
+
+
+@pytest.mark.parametrize("p,k,n", SHADOW_CONFIGS)
+def test_registry_records_are_shadows_of_the_vertices_at_distance_k(p, k, n):
+    # a vertex's record discs are the shadows of the vertices at distance k
+    # from it; an edge's are the shadows, seen from the endpoint owning them,
+    # of the vertices at distance k from it through the other endpoint
+    reg = build_registry(make_cfg(p, k, n), n, k)
+    near = vertices_upto(p, n + k)
+    for w, recs in reg.vertex_records.items():
+        want = {_shadow(w, y) for y in near if distance(w, y) == k}
+        assert {r.ball.cell for r in recs} == want and len(recs) == len(want), w
+    for e, recs in reg.edge_records.items():
+        want = {(w, _shadow(w, y)) for w, o in (e.endpoints(), e.endpoints()[::-1])
+                for y in near if distance(w, y) == k and path(w, y)[1] == o}
+        got = {(reg.records[reg.owner[reg.index[r]]].simplex, r.ball.cell) for r in recs}
+        assert got == want and len(recs) == len(want), e
 
 
 def test_registry_build_does_no_padic_arithmetic(monkeypatch):
