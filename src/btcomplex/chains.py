@@ -656,126 +656,130 @@ def surjectivity_lift(target: Chain, reg: OrbitRegistry) -> Chain:
 
 
 def verify_exactness(reg: OrbitRegistry, d: int, seed: int = 0) -> dict:
-    """Certify the truncated complex at this level: trivial kernel in degree
-    one, invertible triangular projected boundary, kernel dimension of the
-    augmentation, and constructive surjectivity on 50 sampled targets, with
-    a nonzero boundary on 100 sampled degree-one chains.
+    """Certify that the truncated complex C1 -> C0 -> (piecewise functions on
+    the minimal records) is exact at this level.  The report's checks, in
+    order:
 
-    The argument does not depend on d: the triangular projection makes the
-    degree-one boundary injective, the augmentation is the identity on the
-    minimal records, and the boundary composite vanishes.  So at d >= 1 an
+    * "block count r": the projected degree-one boundary matrix has one
+      block per non-minimal record, r = nonminimal_count_formula(p, k, n);
+    * "lower triangular": its blocks lie on or below the diagonal in the
+      matrix's total order;
+    * "diagonal is +-identity": every diagonal block is +-identity;
+    * "boundary composite vanishes on a basis": partial0(partial1(c)) = 0
+      for each monomial c of degree <= d on each edge record;
+    * "matrix equals projected boundary on a basis": the matrix applied to
+      each such c is partial1(c) with its minimal parts dropped;
+    * "degree-one kernel trivial": the unit diagonal and the matrix check
+      together, so the projected boundary is invertible and partial1 is
+      injective;
+    * "kernel lift section": for each monomial c on each non-minimal vertex
+      record, kernel_lift(c) lies in ker partial0, has every part on its own
+      record's disc and projects back to c, so the projection of ker partial0
+      onto the non-minimal records is onto;
+    * "augmentation faithful on minimal records": partial0 is the identity
+      on the minimal records, so that projection is one-to-one;
+    * "dim C1 = (d+1) r": the edge records number r;
+    * "constructive surjectivity on sampled targets": partial0 of
+      surjectivity_lift(t) is t for 50 random piecewise functions t;
+    * "degree-one boundary nonzero on sampled chains": partial1(c) is
+      nonzero for 100 random nonzero degree-one chains c.
+
+    The detail of a basis or sampled check is its witness, and "" means it
+    passed: a basis check walks the whole basis and names the last element
+    that fails it ("<record> degree <j>"); a sampled check names its first
+    failing sample ("sample <i>") and draws no further.  "block count r" and
+    "degree-one kernel trivial" carry a fixed detail, the other rows none.
+    The counterexample is the first failing row, its name and detail.
+
+    So the complex is exact.  partial0 is onto: it is the identity on the
+    minimal records.  partial1 is injective and lands in ker partial0.  The
+    projection of ker partial0 onto the non-minimal records is one-to-one
+    and onto, so the image of partial1 is all of ker partial0, by the count
+    dim ker partial0 = (d+1) r = dim C1.
+
+    The argument does not depend on d.  So at d >= 1 an
     "exact" verdict certifies, beyond d = 0, two things only: every step
     operator exists (each transition is p-integral and its pole misses the
     disc), and the implementation agrees with that structure on every basis
     element.  How well degree <= d models functions on the discs is the
     group action's discarded tail (act_on_function's guard)."""
-    cfg = reg.cfg
+    cfg, records = reg.cfg, reg.records
     rng = random.Random(seed)
     checks = []
-    counterexample = None
 
     def check(name, ok, detail=""):
-        nonlocal counterexample
         checks.append({"name": name, "pass": bool(ok), "detail": detail})
-        if not ok and counterexample is None:
-            counterexample = {"check": name, "detail": detail}
+
+    def basis(ids):
+        """(witness, chain) for each monomial of degree <= d on each record in ids."""
+        for i in ids:
+            rec = records[i]
+            for j in range(d + 1):
+                yield f"{rec.id_str()} degree {j}", Chain(d, {i: monomial(cfg, rec.ball, j, d)})
+
+    def first_failing(failures):
+        """The witness of the first sample that fails, or ""."""
+        return next((f"sample {i}" for i, failed in enumerate(failures) if failed), "")
 
     mat = assemble_dbar1(reg, d)
     r = nonminimal_count_formula(reg.p, reg.k, reg.n)
     check("block count r", mat.size == r, f"size={mat.size}, r={r}")
     check("lower triangular", mat.is_lower_triangular())
     signs = mat.diag_signs()
-    check("diagonal is +-identity", all(s in (1, -1) for s in signs))
+    units = all(s in (1, -1) for s in signs)
+    check("diagonal is +-identity", units)
 
     # the assembled matrix is the projection of the degree-one boundary map
-    consistent = True
-    in_kernel = True
-    kernel_witness = matrix_witness = ""
-    for i in reg.edge_ids():
-        rec = reg.records[i]
-        for j in range(d + 1):
-            c1 = Chain(d, {i: monomial(cfg, rec.ball, j, d)})
-            image = partial1(c1, reg)
-            if not partial0(image, reg).is_zero():
-                in_kernel = False
-                kernel_witness = f"{rec.id_str()} degree {j}"
-            projected = Chain(d, {t: f for t, f in image.parts.items() if not reg.minimal[t]})
-            if projected != mat.apply(c1):
-                consistent = False
-                matrix_witness = f"{rec.id_str()} degree {j}"
-    check("boundary composite vanishes on a basis", in_kernel, kernel_witness)
-    check("matrix equals projected boundary on a basis", consistent, matrix_witness)
-    check("degree-one kernel trivial", consistent and all(s in (1, -1) for s in signs),
+    kernel = matrix = ""
+    for witness, c1 in basis(reg.edge_ids()):
+        image = partial1(c1, reg)
+        if not partial0(image, reg).is_zero():
+            kernel = witness
+        if Chain(d, {t: f for t, f in image.parts.items() if not reg.minimal[t]}) != mat.apply(c1):
+            matrix = witness
+    check("boundary composite vanishes on a basis", not kernel, kernel)
+    check("matrix equals projected boundary on a basis", not matrix, matrix)
+    check("degree-one kernel trivial", units and not matrix,
           "triangular with unit diagonal and equal to the projected boundary")
 
     # kernel of the augmentation: lift is a section of the projection, and
     # every part of the lift lies on its own record's disc (misplaced parts
     # can cancel in partial0, so the two equalities alone would not see them)
-    lift_ok = True
-    witness = ""
-    records = reg.records
-    for i, is_min in enumerate(reg.minimal):
-        if is_min:
-            continue
-        rec = records[i]
-        for j in range(d + 1):
-            basis = Chain(d, {i: monomial(cfg, rec.ball, j, d)})
-            lifted = kernel_lift(basis, reg)
-            on_disc = all(f.ball is records[t].ball or f.ball == records[t].ball
-                          for t, f in lifted.parts.items())
-            if not on_disc or not partial0(lifted, reg).is_zero() or kernel_project(lifted, reg) != basis:
-                lift_ok = False
-                witness = f"{rec.id_str()} degree {j}"
-    check("kernel lift section", lift_ok, witness)
+    lift = ""
+    for witness, c0 in basis(i for i, is_min in enumerate(reg.minimal) if not is_min):
+        lifted = kernel_lift(c0, reg)
+        on_disc = all(f.ball is records[t].ball or f.ball == records[t].ball for t, f in lifted.parts.items())
+        if not on_disc or not partial0(lifted, reg).is_zero() or kernel_project(lifted, reg) != c0:
+            lift = witness
+    check("kernel lift section", not lift, lift)
 
     # a function on one minimal record is that function on that record alone
-    min_inj = True
+    faithful = True
     for m, is_min in enumerate(reg.minimal):
         if is_min:
-            f = monomial(cfg, reg.records[m].ball, d, d)
+            f = monomial(cfg, records[m].ball, d, d)
             alone = Chain(d, {m: f})
             if restrict(f, f.ball) != f or partial0(alone, reg) != alone:
-                min_inj = False
-    check("augmentation faithful on minimal records", min_inj)
+                faithful = False
+    check("augmentation faithful on minimal records", faithful)
 
-    dim_c1 = (d + 1) * len(reg.edge_ids())
-    dims = {
-        "C1": dim_c1,
-        "C0": (d + 1) * sum(len(v) for v in reg.vertex_records.values()),
-        "ker_partial0": (d + 1) * r,
-        "r": r,
-    }
-    check("dim C1 = (d+1) r", dim_c1 == (d + 1) * r)
+    dims = {"C1": (d + 1) * len(reg.edge_ids()), "C0": (d + 1) * len(reg.minimal),
+            "ker_partial0": (d + 1) * r, "r": r}
+    check("dim C1 = (d+1) r", dims["C1"] == (d + 1) * r)
 
-    surj_ok = True
-    witness = ""
-    for i in range(50):
-        target = random_localfun(reg, d, rng)
-        lifted = surjectivity_lift(target, reg)
-        if partial0(lifted, reg) != target:
-            surj_ok = False
-            witness = f"sample {i}"
-            break
-    check("constructive surjectivity on sampled targets", surj_ok, witness)
+    targets = (random_localfun(reg, d, rng) for _ in range(50))
+    surj = first_failing(partial0(surjectivity_lift(t, reg), reg) != t for t in targets)
+    check("constructive surjectivity on sampled targets", not surj, surj)
+    sampled = (random_chain1(reg, d, rng) for _ in range(100))
+    inj = first_failing(not c1.is_zero() and partial1(c1, reg).is_zero() for c1 in sampled)
+    check("degree-one boundary nonzero on sampled chains", not inj, inj)
 
-    inj_ok = True
-    witness = ""
-    for i in range(100):
-        c1 = random_chain1(reg, d, rng)
-        if c1.is_zero():
-            continue
-        if partial1(c1, reg).is_zero():
-            inj_ok = False
-            witness = f"sample {i}"
-            break
-    check("degree-one boundary nonzero on sampled chains", inj_ok, witness)
-
-    verdict = "exact" if all(c["pass"] for c in checks) else "failed"
+    failed = next(({"check": c["name"], "detail": c["detail"]} for c in checks if not c["pass"]), None)
     return {
         "params": {"p": reg.p, "k": reg.k, "n": reg.n, "d": d, "seed": seed},
         "dims": dims,
         "diag_signs": signs,
         "checks": checks,
-        "verdict": verdict,
-        **({"counterexample": counterexample} if counterexample else {}),
+        "verdict": "failed" if failed else "exact",
+        **({"counterexample": failed} if failed else {}),
     }

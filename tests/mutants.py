@@ -10,7 +10,8 @@ from the repository root.  Each mutant is applied to a copy of src/, tests/
 and demos/ under a temporary directory, never in place, and only its listed
 tests run there.  A mutant is killed when every listed test fails; the last
 line is the kill score.  tests/test_hygiene.py checks that each old text
-occurs exactly once in its file, so that the table cannot rot unseen.
+occurs exactly once in its file and that pytest collects each listed test,
+so that the table cannot rot unseen.
 """
 
 import os
@@ -32,6 +33,8 @@ ACT_NO_TAIL = "tests/test_chains.py::test_act_reports_no_tail_at_the_algebraic_w
 ACT_ONCE = "tests/test_chains.py::test_act_sums_once_and_multiplies_series_only_in_the_operator"
 SIGN_FORMS = "tests/test_chains.py::test_complex_maps_match_their_sign_after_restrict_forms"
 TRANSPORT_ORACLE = "tests/test_orbits.py::test_integer_orbits_match_the_transport_oracle"
+LAST_BASIS_WITNESS = "tests/test_chains.py::test_verify_exactness_failing_basis_check_names_its_last_failing_element"
+FIRST_SAMPLE_WITNESS = "tests/test_chains.py::test_verify_exactness_failing_sampled_check_names_its_first_failing_sample"
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -115,6 +118,21 @@ MUTANTS = [
      ["tests/test_projline.py::test_ball_image_round_trip_and_membership",
       "tests/test_projline.py::test_presentations_match_the_normal_form_on_registry_balls[1-2]",
       "tests/test_orbits.py::test_orbit_of_point_is_in_enumeration"]),
+    ("verify-basis-walk-stops-one-degree-short", CHAINS,
+     "            for j in range(d + 1):\n                yield ",
+     "            for j in range(d):\n                yield ",
+     [LAST_BASIS_WITNESS,
+      "tests/test_chains.py::test_verify_exactness_witness_belongs_to_the_failing_check",
+      "tests/test_chains.py::test_verify_exactness_kernel_lift_check_sees_a_part_off_its_disc"]),
+    ("verify-counterexample-is-the-last-failing-check", CHAINS,
+     'for c in checks if not c["pass"]',
+     'for c in reversed(checks) if not c["pass"]',
+     [LAST_BASIS_WITNESS]),
+    ("verify-sampled-check-keeps-its-last-failing-sample", CHAINS,
+     'next((f"sample {i}" for i, failed in enumerate(failures) if failed), "")',
+     '([""] + [f"sample {i}" for i, failed in enumerate(failures) if failed])[-1]',
+     [f"{FIRST_SAMPLE_WITNESS}[from-sample-0]", f"{FIRST_SAMPLE_WITNESS}[from-sample-3]",
+      "tests/test_cli.py::test_a_failed_verdict_exits_one_with_the_report[python]"]),
 ]
 
 

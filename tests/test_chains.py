@@ -1895,6 +1895,44 @@ def test_verify_exactness_witness_belongs_to_the_failing_check(monkeypatch):
     assert rep["verdict"] == "failed"
 
 
+def test_verify_exactness_failing_basis_check_names_its_last_failing_element(monkeypatch):
+    # a matrix that loses two columns fails on every degree of both records;
+    # the basis walk goes on to the end and names the last of them, and the
+    # counterexample is the first failing row with that detail
+    reg = make_reg(3, 1, 1, d=1)
+    dropped = set(list(reg.edge_ids())[2:4])
+    apply = BoundaryMatrix.apply
+    monkeypatch.setattr(BoundaryMatrix, "apply", lambda mat, c1: apply(
+        mat, Chain(c1.d, {i: f for i, f in c1.parts.items() if i not in dropped})))
+    rep = verify_exactness(reg, 1, seed=0)
+    matrix = "matrix equals projected boundary on a basis"
+    last = f"{reg.records[max(dropped)].id_str()} degree 1"
+    failing = [(c["name"], c["detail"]) for c in rep["checks"] if not c["pass"]]
+    assert failing == [(matrix, last), ("degree-one kernel trivial",
+                                        "triangular with unit diagonal and equal to the projected boundary")]
+    assert rep["counterexample"] == {"check": matrix, "detail": last}
+    assert rep["verdict"] == "failed"
+
+
+@pytest.mark.parametrize("honest,first", [(0, "sample 0"), (3, "sample 3")],
+                         ids=["from-sample-0", "from-sample-3"])
+def test_verify_exactness_failing_sampled_check_names_its_first_failing_sample(monkeypatch, honest, first):
+    # a surjectivity lift that returns the empty chain after its first
+    # `honest` calls fails every later sample; the check names the first of
+    # them and draws no further target
+    reg = make_reg(3, 1, 1, d=1)
+    lift, draw = chains.surjectivity_lift, chains.random_localfun
+    calls = []
+    monkeypatch.setattr(chains, "surjectivity_lift", lambda target, reg: (
+        lift(target, reg) if len(calls) <= honest else Chain(target.d)))
+    monkeypatch.setattr(chains, "random_localfun", lambda *a: calls.append(1) or draw(*a))
+    rep = verify_exactness(reg, 1, seed=0)
+    surj = "constructive surjectivity on sampled targets"
+    assert [(c["name"], c["detail"]) for c in rep["checks"] if not c["pass"]] == [(surj, first)]
+    assert rep["counterexample"] == {"check": surj, "detail": first}
+    assert len(calls) == honest + 1
+
+
 def test_verify_exactness_kernel_lift_check_sees_a_part_off_its_disc(monkeypatch):
     # a lift that puts one minimal part on the lifted record's disc fails the
     # kernel-lift check alone, before any sum of mismatched parts is formed

@@ -105,6 +105,51 @@ def test_usage_errors_exit_two(tmp_path):
     assert len(r.stderr.splitlines()) == 1
 
 
+def verify_with_patched_chains(patch, flags=()):
+    """`verify --p 3 --n 1 --d 0` through main in a fresh interpreter, after
+    the Python source `patch` has replaced a part of btcomplex.chains."""
+    script = "\n".join([
+        "import sys",
+        "from btcomplex import chains",
+        "from btcomplex.cli import main",
+        patch,
+        "sys.exit(main(['verify', '--p', '3', '--n', '1', '--d', '0']))",
+    ])
+    return subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=ENV)
+
+
+# partial0 that adds each part to the minimal records under it unrestricted,
+# so parts on different discs meet in one sum
+UNRESTRICTED_PARTIAL0 = "\n".join([
+    "def partial0(c0, reg):",
+    "    out = chains.Chain(c0.d)",
+    "    for i, f in c0.parts.items():",
+    "        for m in reg.min_cover[i]:",
+    "            out.add_part(m, f)",
+    "    return out",
+    "chains.partial0 = partial0",
+])
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+def test_a_failed_verdict_exits_one_with_the_report(flags):
+    r = verify_with_patched_chains("chains.surjectivity_lift = lambda target, reg: chains.Chain(target.d)", flags)
+    assert (r.returncode, r.stderr) == (1, "")
+    report = json.loads(r.stdout)
+    assert report["verdict"] == "failed"
+    assert report["counterexample"] == {"check": "constructive surjectivity on sampled targets",
+                                        "detail": "sample 0"}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+def test_a_broken_invariant_exits_one_with_one_error_line_and_no_report(flags):
+    # the sum of parts on different discs raises inside the first check; main
+    # prints the error alone, with no report and no traceback
+    r = verify_with_patched_chains(UNRESTRICTED_PARTIAL0, flags)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "verification error: added functions differ in disc or degree\n"
+
+
 def test_parse_args_resolves_precision_and_format():
     # run reads the namespace itself: prec an int, auto being k + 2n + d + 8,
     # and format the command's default

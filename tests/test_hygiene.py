@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never uses, the package
 defines no private function that nothing calls, no parameter that its
 function never reads and no bare assert, the benchmark tracer reads only
-names the package defines, each old text of the mutant table occurs once,
-and the residue-cell oracle imports nothing private from the package."""
+names the package defines, each old text of the mutant table occurs once
+and pytest collects each test it names, and the residue-cell oracle imports
+nothing private from the package."""
 
 import ast
 import importlib
@@ -335,6 +336,27 @@ def test_each_mutant_changes_one_exact_text():
     for name, path, old, new, tests in mutants.MUTANTS:
         assert old != new and tests, name
         assert (ROOT / path).read_text().count(old) == 1, name
+
+
+def uncollected(ids):
+    """The node ids among ids that pytest, run from the repository root,
+    does not collect."""
+    r = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *ids],
+                       cwd=ROOT, capture_output=True, text=True, env=ENV)
+    return sorted(set(ids) - set(r.stdout.splitlines()))
+
+
+def test_each_mutant_names_only_tests_that_exist():
+    # a renamed or deleted killer would leave the mutant unkillable, unseen
+    # until the mutants run
+    assert uncollected(sorted({t for *_, tests in mutants.MUTANTS for t in tests})) == []
+
+
+def test_uncollected_names_a_missing_test():
+    real = "tests/test_hygiene.py::test_uncollected_names_a_missing_test"
+    missing = "tests/test_hygiene.py::test_that_does_not_exist"
+    assert uncollected([real]) == []
+    assert missing in uncollected([real, missing])
 
 
 def private_package_imports(source: str):
