@@ -19,7 +19,7 @@ warnings.simplefilter("ignore", RuntimeWarning)
 for (p, k, n) in [(2, 1, 1), (3, 1, 1)]:
     cfg = PadicConfig(p, k + 2 * n + 9)
     reg = build_registry(cfg, n, k)
-    mat = assemble_dbar1(reg, d=1)
+    mat = assemble_dbar1(reg)
     print(f"== (p, k, n) = ({p}, {k}, {n}): {mat.size} x {mat.size} blocks ==")
     for row, i in enumerate(mat.order):
         print(f"  {row}: {reg.records[i].id_str()}")

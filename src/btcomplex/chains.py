@@ -51,7 +51,7 @@ from math import comb
 from .padics import INF, PadicConfig, _unit, val_fraction, val_int
 from .projline import Ball, Frozen, GL2, ProjPoint, moebius_apply, moebius_ball_image
 from .tree import OrientedEdge, Vertex
-from .orbits import OrbitRegistry, nonminimal_count_formula, verify_counts
+from .orbits import OrbitRegistry, nonminimal_count_formula
 
 
 class NotAnalyticError(ValueError):
@@ -496,11 +496,12 @@ def kernel_lift(nonmin: Chain, reg: OrbitRegistry) -> Chain:
 
 class BoundaryMatrix:
     """Square block matrix of the projected boundary map over the ordered
-    non-minimal records; entries are 0, +-identity, or +-restriction."""
+    non-minimal records; entries are 0, +-identity, or +-restriction.  The
+    same at every degree: a block is a kind and a sign, and apply restricts
+    at the degree of its input."""
 
-    def __init__(self, reg: OrbitRegistry, d: int, order: list, blocks: list, columns: list):
+    def __init__(self, reg: OrbitRegistry, order: list, blocks: list, columns: list):
         self.reg = reg
-        self.d = d
         self.order = order  # row -> non-minimal vertex record index, superset-first
         self.blocks = blocks  # (row, col, kind, sign) with kind in {"id", "res"}
         self.columns = columns  # col -> edge record index
@@ -509,21 +510,23 @@ class BoundaryMatrix:
     def size(self) -> int:
         return len(self.order)
 
-    def is_lower_triangular(self) -> bool:
-        return all(row >= col for row, col, _, _ in self.blocks)
+    def above_diagonal(self) -> str:
+        """"block (<row>, <col>)" for the first block above the diagonal, in
+        blocks order, or "" when the matrix is lower triangular."""
+        return next((f"block ({row}, {col})" for row, col, _, _ in self.blocks if row < col), "")
 
-    def diag_signs(self):
-        diag = {}
+    def is_lower_triangular(self) -> bool:
+        return not self.above_diagonal()
+
+    def diag_signs(self) -> list:
+        """Per row, the sign of its diagonal block when that is exactly one
+        identity block, else 0: a restriction, a second or a missing
+        diagonal block reads 0."""
+        diag = [[] for _ in self.order]
         for row, col, kind, sign in self.blocks:
             if row == col:
-                if kind != "id":
-                    raise AssertionError(f"diagonal block {row} is not an identity")
-                if row in diag:
-                    raise AssertionError("duplicate diagonal block")
-                diag[row] = sign
-        if sorted(diag) != list(range(self.size)):
-            raise AssertionError("missing diagonal block")
-        return [diag[i] for i in range(self.size)]
+                diag[row].append(sign if kind == "id" else 0)
+        return [signs[0] if len(signs) == 1 else 0 for signs in diag]
 
     def structure(self):
         rows = [{"row": r, "col": c, "kind": k, "sign": s} for r, c, k, s in self.blocks]
@@ -543,7 +546,7 @@ class BoundaryMatrix:
         bijection.  Each part is negated once and a block of sign -1 takes
         or restricts the negation, with the same bits as negating each
         restriction (see the module docstring)."""
-        out = Chain(self.d)
+        out = Chain(c1.d)
         for i, f in c1.parts.items():
             neg = -f
             for t, kind, sign in self._edge_blocks[i]:
@@ -560,13 +563,22 @@ class BoundaryMatrix:
         }
 
 
-def assemble_dbar1(reg: OrbitRegistry, d: int) -> BoundaryMatrix:
-    """Assemble the projected boundary map block matrix.
+def assemble_dbar1(reg: OrbitRegistry) -> BoundaryMatrix:
+    """Build the projected boundary map block matrix, the same at every
+    degree.
 
-    Columns are indexed by the non-minimal records through the edge-record
-    bijection; the diagonal is +-identity with the orientation sign of the
-    owning endpoint, and the off-diagonal blocks are signed restrictions into
-    the strictly smaller orbits across the edge.
+    Rows are the non-minimal records in reg.nonmin_order; columns are the
+    edge records, each in the row of its owner.  The diagonal block of an
+    edge record is the identity with the orientation sign s of its owning
+    endpoint, and its other blocks are restrictions, of sign -s, into the
+    non-minimal records across the edge.  The builder refuses what leaves
+    no square matrix to build: a registry without an edge layer, and an
+    owner map that is not a bijection onto the non-minimal records (two
+    edge records with one owner, or a non-minimal record that owns none).
+    Everything else the exactness certificate relies on it leaves to
+    verify_exactness's rows, which read the matrix as built: its size
+    against the count formula, triangularity (above_diagonal) and the
+    diagonal (diag_signs).
     """
     if reg.n < 1:
         raise AssertionError("the truncated complex needs at least one edge layer")
@@ -577,13 +589,8 @@ def assemble_dbar1(reg: OrbitRegistry, d: int) -> BoundaryMatrix:
             RuntimeWarning,
             stacklevel=2,
         )
-    counts = verify_counts(reg)
-    if not counts["pass"]:
-        raise AssertionError(f"registry counting certificates failed: {counts['counterexamples']}")
     order = list(reg.nonmin_order)
     row_of = {r: i for i, r in enumerate(order)}
-    if len(order) != nonminimal_count_formula(reg.p, reg.k, reg.n):
-        raise AssertionError("non-minimal record count differs from its formula")
     blocks = []
     columns = [None] * len(order)
     for i in reg.edge_ids():
@@ -595,17 +602,11 @@ def assemble_dbar1(reg: OrbitRegistry, d: int) -> BoundaryMatrix:
         s = _edge_sign(reg.records[i].simplex, reg.records[owner].simplex)
         blocks.append((col, col, "id", s))
         for q in reg.edge_subs[i]:
-            if reg.minimal[q]:
-                continue
-            row = row_of[q]
-            if row <= col:
-                raise AssertionError("total order failed to refine inclusion")
-            blocks.append((row, col, "res", -s))
-    mat = BoundaryMatrix(reg, d, order, blocks, columns)
-    if not mat.is_lower_triangular():
-        raise AssertionError("boundary matrix is not lower triangular")
-    mat.diag_signs()
-    return mat
+            if not reg.minimal[q]:
+                blocks.append((row_of[q], col, "res", -s))
+    if None in columns:
+        raise AssertionError("a non-minimal record owns no edge record")
+    return BoundaryMatrix(reg, order, blocks, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -663,22 +664,24 @@ def verify_exactness(reg: OrbitRegistry, d: int, seed: int = 0) -> dict:
     * "block count r": the projected degree-one boundary matrix has one
       block per non-minimal record, r = nonminimal_count_formula(p, k, n);
     * "lower triangular": its blocks lie on or below the diagonal in the
-      matrix's total order;
-    * "diagonal is +-identity": every diagonal block is +-identity;
+      matrix's total order (BoundaryMatrix.above_diagonal);
+    * "diagonal is +-identity": the diagonal of every row is exactly one
+      +-identity block (BoundaryMatrix.diag_signs);
     * "boundary composite vanishes on a basis": partial0(partial1(c)) = 0
       for each monomial c of degree <= d on each edge record;
     * "matrix equals projected boundary on a basis": the matrix applied to
       each such c is partial1(c) with its minimal parts dropped;
-    * "degree-one kernel trivial": the unit diagonal and the matrix check
-      together, so the projected boundary is invertible and partial1 is
-      injective;
+    * "degree-one kernel trivial": the triangular, the diagonal and the
+      matrix rows together, so the projected boundary is invertible and
+      partial1 is injective;
     * "kernel lift section": for each monomial c on each non-minimal vertex
       record, kernel_lift(c) lies in ker partial0, has every part on its own
       record's disc and projects back to c, so the projection of ker partial0
       onto the non-minimal records is onto;
     * "augmentation faithful on minimal records": partial0 is the identity
       on the minimal records, so that projection is one-to-one;
-    * "dim C1 = (d+1) r": the edge records number r;
+    * "dim C1 = (d+1) r": the edge records number r, so C1 and the kernel
+      of partial0 have the same dimension;
     * "constructive surjectivity on sampled targets": partial0 of
       surjectivity_lift(t) is t for 50 random piecewise functions t;
     * "degree-one boundary nonzero on sampled chains": partial1(c) is
@@ -687,9 +690,18 @@ def verify_exactness(reg: OrbitRegistry, d: int, seed: int = 0) -> dict:
     The detail of a basis or sampled check is its witness, and "" means it
     passed: a basis check walks the whole basis and names the last element
     that fails it ("<record> degree <j>"); a sampled check names its first
-    failing sample ("sample <i>") and draws no further.  "block count r" and
-    "degree-one kernel trivial" carry a fixed detail, the other rows none.
-    The counterexample is the first failing row, its name and detail.
+    failing sample ("sample <i>") and draws no further.  "block count r"
+    carries the matrix size and r, "lower triangular" the first block above
+    the diagonal ("block (<row>, <col>)"), "degree-one kernel trivial" a
+    fixed text, the other rows none.  The counterexample is the first
+    failing row, its name and detail.
+
+    The matrix is read as assemble_dbar1 built it.  The builder raises only
+    where no square matrix exists: at n < 1, and when the owner map is not
+    a bijection from the edge records onto the non-minimal records.  Its
+    size, its triangularity and its diagonal are decided here, each by its
+    row, and a failing one gives a "failed" report, not an error.  The
+    counting certificates (orbits.verify_counts) are not run here.
 
     So the complex is exact.  partial0 is onto: it is the identity on the
     minimal records.  partial1 is injective and lands in ker partial0.  The
@@ -721,10 +733,11 @@ def verify_exactness(reg: OrbitRegistry, d: int, seed: int = 0) -> dict:
         """The witness of the first sample that fails, or ""."""
         return next((f"sample {i}" for i, failed in enumerate(failures) if failed), "")
 
-    mat = assemble_dbar1(reg, d)
+    mat = assemble_dbar1(reg)
     r = nonminimal_count_formula(reg.p, reg.k, reg.n)
     check("block count r", mat.size == r, f"size={mat.size}, r={r}")
-    check("lower triangular", mat.is_lower_triangular())
+    above = mat.above_diagonal()
+    check("lower triangular", not above, above)
     signs = mat.diag_signs()
     units = all(s in (1, -1) for s in signs)
     check("diagonal is +-identity", units)
@@ -739,7 +752,7 @@ def verify_exactness(reg: OrbitRegistry, d: int, seed: int = 0) -> dict:
             matrix = witness
     check("boundary composite vanishes on a basis", not kernel, kernel)
     check("matrix equals projected boundary on a basis", not matrix, matrix)
-    check("degree-one kernel trivial", units and not matrix,
+    check("degree-one kernel trivial", not above and units and not matrix,
           "triangular with unit diagonal and equal to the projected boundary")
 
     # kernel of the augmentation: lift is a section of the projection, and

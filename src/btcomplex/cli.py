@@ -79,7 +79,7 @@ def compare_to_reference(cfg: PadicConfig) -> dict:
 
     golden = reference_matrix_structure()
     reg = build_registry(cfg, 1, 1)
-    mat = assemble_dbar1(reg, d=1)
+    mat = assemble_dbar1(reg)
     got = {(b["row"], b["col"], b["kind"], b["sign"]) for b in mat.structure()}
     want = {(b["row"], b["col"], b["kind"], b["sign"]) for b in golden["blocks"]}
     return {
@@ -139,7 +139,7 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "matrix":
         from .chains import assemble_dbar1
 
-        mat = assemble_dbar1(build_registry(cfg, args.n, args.k), args.d)
+        mat = assemble_dbar1(build_registry(cfg, args.n, args.k))
         _emit(args, _dump(mat.to_json()))
         return 0
 

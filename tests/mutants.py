@@ -24,6 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CHAINS = "src/btcomplex/chains.py"
 PROJLINE = "src/btcomplex/projline.py"
+ORBITS = "src/btcomplex/orbits.py"
 
 APPLY_PROPERTY = "tests/test_chains.py::test_apply_matches_the_object_oracle_property"
 APPLY_PIN = "tests/test_chains.py::test_apply_truncates_once_where_a_cancelled_partial_sum_overclaims"
@@ -35,6 +36,8 @@ SIGN_FORMS = "tests/test_chains.py::test_complex_maps_match_their_sign_after_res
 TRANSPORT_ORACLE = "tests/test_orbits.py::test_integer_orbits_match_the_transport_oracle"
 LAST_BASIS_WITNESS = "tests/test_chains.py::test_verify_exactness_failing_basis_check_names_its_last_failing_element"
 FIRST_SAMPLE_WITNESS = "tests/test_chains.py::test_verify_exactness_failing_sampled_check_names_its_first_failing_sample"
+REFERENCE_LAYOUT = "tests/test_chains.py::test_reference_block_matrix_layout"
+MATRIX_DEFECTS = "tests/test_chains.py::test_boundary_matrix_defects_reach_the_report_under_python_O"
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -133,6 +136,23 @@ MUTANTS = [
      '([""] + [f"sample {i}" for i, failed in enumerate(failures) if failed])[-1]',
      [f"{FIRST_SAMPLE_WITNESS}[from-sample-0]", f"{FIRST_SAMPLE_WITNESS}[from-sample-3]",
       "tests/test_cli.py::test_a_failed_verdict_exits_one_with_the_report[python]"]),
+    ("total-order-ranks-cells-before-complements", ORBITS,
+     "((0, -q) if flip else (1, q)",
+     "((1, -q) if flip else (0, q)",
+     ["tests/test_orbits.py::test_total_order_refines_inclusion",
+      "tests/test_chains.py::test_matrix_triangular_everywhere",
+      "tests/test_chains.py::test_verify_exactness_dims_small",
+      REFERENCE_LAYOUT]),
+    ("kernel-trivial-ignores-triangularity", CHAINS,
+     "not above and units and not matrix",
+     "units and not matrix",
+     [MATRIX_DEFECTS]),
+    ("restriction-blocks-take-the-owner-sign", CHAINS,
+     '"res", -s))',
+     '"res", s))',
+     [REFERENCE_LAYOUT,
+      "tests/test_chains.py::test_matrix_apply_matches_projected_boundary",
+      "tests/test_cli.py::test_example_command"]),
 ]
 
 

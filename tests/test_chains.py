@@ -1441,46 +1441,61 @@ def test_non_integral_transition_refused_under_python_O():
     assert r.stdout == 2 * message
 
 
-def test_boundary_matrix_invariants_survive_python_O():
-    # a duplicated, a restriction and a missing diagonal block, a wrong count
-    # of non-minimal records and a block above the diagonal each raise, even
-    # with asserts stripped
+def test_boundary_matrix_defects_reach_the_report_under_python_O():
+    # with asserts stripped: a duplicated, a restriction and a missing
+    # diagonal block each read 0 in diag_signs; a wrong count of non-minimal
+    # records fails the two count rows, and a reversed order the triangular
+    # row and the injectivity row that reads it, each as a report, not a
+    # raise; a collided owner column and a non-minimal record that owns no
+    # edge record still raise in the builder
     script = "\n".join([
         "from btcomplex import chains, orbits",
-        "from btcomplex.chains import BoundaryMatrix, assemble_dbar1",
+        "from btcomplex.chains import BoundaryMatrix, assemble_dbar1, verify_exactness",
         "from btcomplex.orbits import build_registry",
         "from btcomplex.padics import PadicConfig",
-        "reg = build_registry(PadicConfig(3, 12), 1, 1)",
-        "mat = assemble_dbar1(reg, 0)",
+        "def registry():",
+        "    return build_registry(PadicConfig(3, 12), 1, 1)",
+        "def failing(reg):",
+        "    report = verify_exactness(reg, 0)",
+        "    print(report['verdict'], report['counterexample'])",
+        "    print([(c['name'], c['detail']) for c in report['checks'] if not c['pass']])",
+        "reg = registry()",
+        "mat = assemble_dbar1(reg)",
         "first = next(b for b in mat.blocks if b[:2] == (0, 0))",
         "edits = [mat.blocks + [first],",
         "         [(r, c, 'res', s) if (r, c) == (0, 0) else (r, c, k, s) for r, c, k, s in mat.blocks],",
         "         [b for b in mat.blocks if b is not first]]",
-        "for blocks in edits:",
+        "print([BoundaryMatrix(reg, mat.order, blocks, mat.columns).diag_signs()[0] for blocks in edits])",
+        "chains.nonminimal_count_formula = lambda p, k, n: 0",
+        "failing(reg)",
+        "chains.nonminimal_count_formula = orbits.nonminimal_count_formula",
+        "reversed_order = registry()",
+        "reversed_order.nonmin_order.reverse()",
+        "failing(reversed_order)",
+        "edges = list(reg.edge_ids())",
+        "collided = registry()",
+        "assemble_dbar1(collided)",
+        "collided.owner[edges[1]] = collided.owner[edges[0]]",
+        "unowned = registry()",
+        "assemble_dbar1(unowned)",
+        "unowned.edge_ids = lambda: edges[1:]",
+        "for broken in (collided, unowned):",
         "    try:",
-        "        BoundaryMatrix(reg, 0, mat.order, blocks, mat.columns).diag_signs()",
+        "        assemble_dbar1(broken)",
         "    except AssertionError as exc:",
         "        print(exc)",
-        "chains.nonminimal_count_formula = lambda p, k, n: 0",
-        "try:",
-        "    assemble_dbar1(reg, 0)",
-        "except AssertionError as exc:",
-        "    print(exc)",
-        "chains.nonminimal_count_formula = orbits.nonminimal_count_formula",
-        "BoundaryMatrix.is_lower_triangular = lambda self: False",
-        "try:",
-        "    assemble_dbar1(reg, 0)",
-        "except AssertionError as exc:",
-        "    print(exc)",
     ])
     r = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=ENV)
     assert r.returncode == 0, r.stderr
+    kernel = ("degree-one kernel trivial", "triangular with unit diagonal and equal to the projected boundary")
     assert r.stdout.splitlines() == [
-        "duplicate diagonal block",
-        "diagonal block 0 is not an identity",
-        "missing diagonal block",
-        "non-minimal record count differs from its formula",
-        "boundary matrix is not lower triangular",
+        "[0, 0, 0]",
+        "failed {'check': 'block count r', 'detail': 'size=8, r=0'}",
+        str([("block count r", "size=8, r=0"), ("dim C1 = (d+1) r", "")]),
+        "failed {'check': 'lower triangular', 'detail': 'block (2, 4)'}",
+        str([("lower triangular", "block (2, 4)"), kernel]),
+        "owner bijection collided",
+        "a non-minimal record owns no edge record",
     ]
 
 
@@ -1669,7 +1684,7 @@ def _kernel_lift_oracle(nonmin, reg):
 
 def _matrix_apply_oracle(mat, c1):
     """BoundaryMatrix.apply with each block's sign taken after restricting."""
-    out = Chain(mat.d)
+    out = Chain(c1.d)
     for i, f in c1.parts.items():
         for t, kind, sign in mat._edge_blocks[i]:
             g = f if kind == "id" else registry_restrict(mat.reg, f, i, t)
@@ -1725,7 +1740,7 @@ def test_partial0_commutes_with_negation_bit_for_bit(p, k, n, d):
 @pytest.mark.parametrize("p,k,n,d", [(3, 1, 1, 2), (2, 2, 1, 1), (3, 2, 1, 1), (2, 2, 2, 2), (5, 1, 1, 1)])
 def test_complex_maps_match_their_sign_after_restrict_forms(p, k, n, d):
     reg = make_reg(p, k, n, d)
-    mat = assemble_dbar1(reg, d)
+    mat = assemble_dbar1(reg)
     rng = random.Random(20)
     edge_ids = reg.edge_ids()
     nonmin_ids = list(reg.nonmin_order)
@@ -1828,7 +1843,7 @@ def reference_structure():
 def test_reference_block_matrix_layout():
     reg = make_reg(2, 1, 1)
     with uniformity_warning():
-        mat = assemble_dbar1(reg, 1)
+        mat = assemble_dbar1(reg)
     golden = reference_structure()
     assert mat.size == golden["size"] == 6
     got = {(b["row"], b["col"], b["kind"], b["sign"]) for b in mat.structure()}
@@ -1841,7 +1856,7 @@ def test_matrix_triangular_everywhere():
     for (p, k, n) in [(2, 1, 1), (3, 1, 1), (2, 2, 1), (3, 1, 2), (2, 2, 2)]:
         reg = make_reg(p, k, n)
         with uniformity_warning() if (p, k) == (2, 1) else nullcontext():
-            mat = assemble_dbar1(reg, 1)
+            mat = assemble_dbar1(reg)
         assert mat.is_lower_triangular()
         assert all(s in (1, -1) for s in mat.diag_signs())
         from btcomplex.orbits import nonminimal_count_formula
@@ -1852,7 +1867,7 @@ def test_matrix_triangular_everywhere():
 def test_matrix_apply_matches_projected_boundary():
     reg = make_reg(3, 1, 1, d=1)
     cfg = reg.cfg
-    mat = assemble_dbar1(reg, 1)
+    mat = assemble_dbar1(reg)
     rng = random.Random(11)
     for _ in range(10):
         c1 = random_chain1(reg, 1, rng)

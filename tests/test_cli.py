@@ -150,6 +150,32 @@ def test_a_broken_invariant_exits_one_with_one_error_line_and_no_report(flags):
     assert r.stderr == "verification error: added functions differ in disc or degree\n"
 
 
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+def test_a_failing_count_exits_one_with_the_verify_report(flags):
+    # verify counts once, after the exactness report: a failing count is a
+    # report row, not an error, and the exactness verdict stands
+    script = "\n".join([
+        "import sys",
+        "from btcomplex import orbits",
+        "from btcomplex.cli import main",
+        "orbits.expected_orbit_count = lambda p, k, simplex: 0",
+        "sys.exit(main(['verify', '--p', '3', '--n', '1', '--d', '0']))",
+    ])
+    r = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=ENV)
+    assert (r.returncode, r.stderr) == (1, "")
+    report = json.loads(r.stdout)
+    assert report["verdict"] == "exact" and report["minimal_partition"] is True
+    assert report["counts"]["pass"] is False
+    assert [row["name"] for row in report["counts"]["rows"] if not row["pass"]] == [
+        "vertex orbit counts (q+1)q^(k-1) everywhere", "edge orbit counts 2q^(k-1) everywhere"]
+
+
+def test_matrix_is_the_same_at_every_degree():
+    outputs = [run_cli("matrix", "--p", "3", "--n", "2", "--d", d, text=False) for d in ("0", "1", "2")]
+    assert [r.returncode for r in outputs] == [0, 0, 0]
+    assert outputs[0].stdout and outputs[0].stdout == outputs[1].stdout == outputs[2].stdout
+
+
 def test_parse_args_resolves_precision_and_format():
     # run reads the namespace itself: prec an int, auto being k + 2n + d + 8,
     # and format the command's default

@@ -2,8 +2,9 @@
 defines no private function that nothing calls, no parameter that its
 function never reads and no bare assert, the benchmark tracer reads only
 names the package defines, each old text of the mutant table occurs once
-and pytest collects each test it names, and the residue-cell oracle imports
-nothing private from the package."""
+and pytest collects each test it names, the residue-cell oracle imports
+nothing private from the package, and tests/code_lines.py counts code lines
+by its rule."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import mutants
+from code_lines import code_lines
 from test_cli import ENV
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -400,3 +402,25 @@ def test_private_import_scan_sees_from_imports_and_module_attributes():
         "x = t._lca_depth, t.path, btcomplex.orbits._orbit_cells",
     ])
     assert private_package_imports(source) == [(1, "_inside"), (5, "_lca_depth"), (5, "_orbit_cells")]
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines():
+    # the docstrings, the comments and the blank lines do not count; each
+    # line of a multi-line statement does, and so does each non-blank line of
+    # a multi-line string inside one
+    source = "\n".join([
+        '"""Module docstring."""',
+        "",
+        "# a comment",
+        "def f(x):",
+        '    """Docstring',
+        '    over two lines."""',
+        "    y = (x +",
+        "         1)  # a trailing comment",
+        '    s = """a',
+        "",
+        '    b"""',
+        "    return y, s",
+        "",
+    ])
+    assert code_lines(source) == 6
