@@ -104,62 +104,53 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
 
 
+# whether a command's report certifies its checks: exit 1 when it does not.
+# tree, orbits and matrix certify nothing and exit 0
+PASSES = {
+    "counts": lambda r: r["pass"],
+    "minimal": lambda r: r["partition"],
+    "example": lambda r: r["match"],
+    "verify": lambda r: r["verdict"] == "exact" and r["counts"]["pass"] and r["minimal_partition"],
+}
+
+
 def run(args: argparse.Namespace) -> int:
+    """Build the command's report, print it once, and read the exit code off it."""
     cfg = PadicConfig(args.p, args.prec)
     if args.command == "tree":
-        if args.format == "json":
-            _emit(args, _dump({
-                "vertices": [v.to_json() for v in vertices_upto(args.p, args.n)],
-                "edges": [e.id_str() for e in edges_upto(args.p, args.n)],
-            }))
-        else:
-            _emit(args, dot_tree(args.p, args.n))
-        return 0
-
-    if args.command == "orbits":
-        _emit(args, _dump(registry_json(build_registry(cfg, args.n, args.k))))
-        return 0
-
-    if args.command == "minimal":
-        reg = build_registry(cfg, args.n, args.k)
-        mins = minimal_orbits(reg)
-        ok = check_partition(cfg, [r.ball for r in mins])
-        _emit(args, _dump({
-            "params": {"p": args.p, "k": args.k, "n": args.n},
-            "minimal": [{"id": r.id_str(), "ball": r.ball.to_json(cfg)} for r in mins],
-            "partition": ok,
-        }))
-        return 0 if ok else 1
-
-    if args.command == "counts":
-        report = verify_counts(build_registry(cfg, args.n, args.k))
-        _emit(args, _dump(report))
-        return 0 if report["pass"] else 1
-
-    if args.command == "matrix":
-        from .chains import assemble_dbar1
-
-        mat = assemble_dbar1(build_registry(cfg, args.n, args.k))
-        _emit(args, _dump(mat.to_json()))
-        return 0
-
-    if args.command == "verify":
-        from .chains import verify_exactness
-
-        reg = build_registry(cfg, args.n, args.k)
-        report = verify_exactness(reg, args.d, seed=args.seed)
-        report["counts"] = verify_counts(reg)
-        report["minimal_partition"] = check_partition(cfg, [r.ball for r in minimal_orbits(reg)])
-        _emit(args, _dump(report))
-        ok = report["verdict"] == "exact" and report["counts"]["pass"] and report["minimal_partition"]
-        return 0 if ok else 1
-
-    if args.command == "example":
+        report = dot_tree(args.p, args.n) if args.format == "dot" else {
+            "vertices": [v.to_json() for v in vertices_upto(args.p, args.n)],
+            "edges": [e.id_str() for e in edges_upto(args.p, args.n)],
+        }
+    elif args.command == "example":
         report = compare_to_reference(PadicConfig(2, auto_precision(1, 1, args.d)))
-        _emit(args, _dump(report))
-        return 0 if report["match"] else 1
+    else:
+        reg = build_registry(cfg, args.n, args.k)
+        if args.command == "orbits":
+            report = registry_json(reg)
+        elif args.command == "minimal":
+            mins = minimal_orbits(reg)
+            report = {
+                "params": {"p": args.p, "k": args.k, "n": args.n},
+                "minimal": [{"id": r.id_str(), "ball": r.ball.to_json(cfg)} for r in mins],
+                "partition": check_partition(cfg, [r.ball for r in mins]),
+            }
+        elif args.command == "counts":
+            report = verify_counts(reg)
+        elif args.command == "matrix":
+            from .chains import assemble_dbar1
 
-    raise AssertionError(f"unhandled command {args.command}")
+            report = assemble_dbar1(reg).to_json()
+        elif args.command == "verify":
+            from .chains import verify_exactness
+
+            report = verify_exactness(reg, args.d, seed=args.seed)
+            report["counts"] = verify_counts(reg)
+            report["minimal_partition"] = check_partition(cfg, [r.ball for r in minimal_orbits(reg)])
+        else:
+            raise AssertionError(f"unhandled command {args.command}")
+    _emit(args, report if args.format == "dot" else _dump(report))
+    return 0 if PASSES.get(args.command, lambda r: True)(report) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

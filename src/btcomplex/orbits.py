@@ -64,9 +64,6 @@ class OrbitRecord(Frozen):
     def id_str(self) -> str:
         return f"{self.simplex.id_str()}|{self.ball.id_str()}"
 
-    def __repr__(self):
-        return self.id_str()
-
 
 @cache
 def _standard_targets(p: int, k: int, vertex: bool) -> tuple:
@@ -391,18 +388,14 @@ def nonminimal_count_formula(p: int, k: int, n: int) -> int:
 
 
 def verify_counts(reg: OrbitRegistry) -> dict:
-    """Counting certificates; each row carries expected/actual and a verdict."""
+    """Counting certificates; each row carries expected/actual and a verdict,
+    and the report's verdict and counterexamples are read off the rows."""
     p, k, n = reg.p, reg.k, reg.n
     rows = []
-    fails = []
 
     def row(name, expected, actual):
-        ok = expected == actual
-        rows.append(
-            {"name": name, "expected": expected, "actual": actual, "pass": ok, "detail": ""}
-        )
-        if not ok:
-            fails.append(rows[-1])
+        rows.append({"name": name, "expected": expected, "actual": actual,
+                     "pass": expected == actual, "detail": ""})
 
     for i in range(1, n + 1):
         row(
@@ -410,18 +403,10 @@ def verify_counts(reg: OrbitRegistry) -> dict:
             (p + 1) * p ** (i - 1),
             sum(1 for v in reg.vertices() if v.n == i),
         )
-    bad_v = [
-        v.id_str()
-        for v, recs in reg.vertex_records.items()
-        if len(recs) != expected_orbit_count(p, k, v)
-    ]
-    row("vertex orbit counts (q+1)q^(k-1) everywhere", [], bad_v)
-    bad_e = [
-        e.id_str()
-        for e, recs in reg.edge_records.items()
-        if len(recs) != expected_orbit_count(p, k, e)
-    ]
-    row("edge orbit counts 2q^(k-1) everywhere", [], bad_e)
+    for name, table in (("vertex orbit counts (q+1)q^(k-1) everywhere", reg.vertex_records),
+                        ("edge orbit counts 2q^(k-1) everywhere", reg.edge_records)):
+        bad = [s.id_str() for s, recs in table.items() if len(recs) != expected_orbit_count(p, k, s)]
+        row(name, [], bad)
 
     if n >= 1:
         mincount = {v: 0 for v in reg.vertices()}
@@ -471,8 +456,8 @@ def verify_counts(reg: OrbitRegistry) -> dict:
     return {
         "params": {"p": p, "k": k, "n": n},
         "rows": rows,
-        "pass": not fails,
-        "counterexamples": fails,
+        "pass": all(r["pass"] for r in rows),
+        "counterexamples": [r for r in rows if not r["pass"]],
     }
 
 

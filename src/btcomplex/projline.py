@@ -52,7 +52,8 @@ class Frozen:
     __slots__, sets each once in __init__ through object.__setattr__, and
     returns them from _fields.  An instance equals only an instance of its
     own class with equal fields, hashes as the tuple of its fields, and
-    refuses assignment."""
+    refuses assignment.  A value prints as its id_str, unless its class
+    prints it otherwise (Ball and Character do)."""
 
     __slots__ = ()
 
@@ -63,6 +64,9 @@ class Frozen:
 
     def __hash__(self):
         return hash(self._fields())
+
+    def __repr__(self):
+        return self.id_str()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name} to {value!r}: {type(self).__name__} is immutable")

@@ -91,9 +91,6 @@ class Vertex(Frozen):
     def id_str(self) -> str:
         return f"v({self.n};{self.coord[0]}:{self.coord[1]})"
 
-    def __repr__(self):
-        return self.id_str()
-
 
 class OrientedEdge(Frozen):
     """Ordered pair of adjacent vertices."""
@@ -114,9 +111,6 @@ class OrientedEdge(Frozen):
 
     def id_str(self) -> str:
         return f"e[{self.src.id_str()}->{self.dst.id_str()}]"
-
-    def __repr__(self):
-        return self.id_str()
 
 
 def standard_orientation(v: Vertex, w: Vertex) -> OrientedEdge:

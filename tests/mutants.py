@@ -25,6 +25,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CHAINS = "src/btcomplex/chains.py"
 PROJLINE = "src/btcomplex/projline.py"
 ORBITS = "src/btcomplex/orbits.py"
+CLI = "src/btcomplex/cli.py"
 
 APPLY_PROPERTY = "tests/test_chains.py::test_apply_matches_the_object_oracle_property"
 APPLY_PIN = "tests/test_chains.py::test_apply_truncates_once_where_a_cancelled_partial_sum_overclaims"
@@ -38,6 +39,7 @@ LAST_BASIS_WITNESS = "tests/test_chains.py::test_verify_exactness_failing_basis_
 FIRST_SAMPLE_WITNESS = "tests/test_chains.py::test_verify_exactness_failing_sampled_check_names_its_first_failing_sample"
 REFERENCE_LAYOUT = "tests/test_chains.py::test_reference_block_matrix_layout"
 MATRIX_DEFECTS = "tests/test_chains.py::test_boundary_matrix_defects_reach_the_report_under_python_O"
+EXIT_ONE = "tests/test_cli.py::test_each_command_exits_one_on_the_report_that_says_it_failed"
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -153,6 +155,19 @@ MUTANTS = [
      [REFERENCE_LAYOUT,
       "tests/test_chains.py::test_matrix_apply_matches_projected_boundary",
       "tests/test_cli.py::test_example_command"]),
+    ("frozen-equality-ignores-the-class", PROJLINE,
+     "        if other.__class__ is not self.__class__:\n",
+     "        if not isinstance(other, Frozen):\n",
+     ["tests/test_orbits.py::test_values_of_different_classes_with_equal_fields_are_unequal"]),
+    ("counts-row-always-passes", ORBITS,
+     '"pass": expected == actual',
+     '"pass": True',
+     ["tests/test_cli.py::test_a_failing_count_exits_one_with_the_verify_report[python]",
+      f"{EXIT_ONE}[python-counts]", f"{EXIT_ONE}[python-O-counts]"]),
+    ("minimal-exit-ignores-the-partition", CLI,
+     'lambda r: r["partition"]',
+     "lambda r: True",
+     [f"{EXIT_ONE}[python-minimal]", f"{EXIT_ONE}[python-O-minimal]"]),
 ]
 
 

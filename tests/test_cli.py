@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from btcomplex.cli import _dump, parse_args
+from btcomplex.cli import _dump, build_parser, parse_args
 from btcomplex.padics import INF
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -170,6 +170,56 @@ def test_a_failing_count_exits_one_with_the_verify_report(flags):
         "vertex orbit counts (q+1)q^(k-1) everywhere", "edge orbit counts 2q^(k-1) everywhere"]
 
 
+def main_after_patch(patch, argv, flags=()):
+    """main(argv) in a fresh interpreter, after the Python source `patch` has
+    run with btcomplex.cli imported as cli and btcomplex.orbits as orbits."""
+    script = "\n".join(["import sys", "from btcomplex import cli, orbits", patch, f"sys.exit(cli.main({argv!r}))"])
+    return subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=ENV)
+
+
+NO_PARTITION = "cli.check_partition = lambda cfg, balls: False"
+# the packaged reference layout without its last block
+DROP_A_REFERENCE_BLOCK = "\n".join([
+    "reference = cli.reference_matrix_structure",
+    "def dropped():",
+    "    golden = reference()",
+    "    golden['blocks'].pop()",
+    "    return golden",
+    "cli.reference_matrix_structure = dropped",
+])
+# (command line, patch, the report fields that say the check failed)
+FAILING_REPORTS = {
+    "counts": (["counts", "--p", "3", "--n", "1"], "orbits.expected_orbit_count = lambda p, k, simplex: 0",
+               {"pass": False}),
+    "minimal": (["minimal", "--p", "3", "--n", "1"], NO_PARTITION, {"partition": False}),
+    "example": (["example"], DROP_A_REFERENCE_BLOCK, {"match": False}),
+    "verify": (["verify", "--p", "3", "--n", "1", "--d", "0"], NO_PARTITION,
+               {"minimal_partition": False, "verdict": "exact"}),
+}
+
+
+@pytest.mark.parametrize("command", list(FAILING_REPORTS))
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+def test_each_command_exits_one_on_the_report_that_says_it_failed(flags, command):
+    # exit 1 is read off the printed report, and no error reaches stderr:
+    # it is empty, but for example's warning that its level (2, 1) is not pro-p
+    argv, patch, failed = FAILING_REPORTS[command]
+    r = main_after_patch(patch, argv, flags)
+    assert r.returncode == 1
+    lines = r.stderr.splitlines()
+    if command == "example":  # the warning and the source line it points at
+        assert len(lines) == 2 and "RuntimeWarning: level (p, k) = (2, 1)" in lines[0]
+    else:
+        assert lines == []
+    report = json.loads(r.stdout)
+    assert {field: report[field] for field in failed} == failed
+    if command == "counts":
+        assert report["counterexamples"] == [row for row in report["rows"] if not row["pass"]] != []
+    if command == "example":
+        # the built matrix keeps the block the reference lost
+        assert (report["missing"], len(report["unexpected"])) == ([], 1)
+
+
 def test_matrix_is_the_same_at_every_degree():
     outputs = [run_cli("matrix", "--p", "3", "--n", "2", "--d", d, text=False) for d in ("0", "1", "2")]
     assert [r.returncode for r in outputs] == [0, 0, 0]
@@ -227,7 +277,15 @@ GOLDEN = [
     ("orbits --p 2 --k 3 --n 3", "ce3b5680eadc7db82715a4b45466e9ae8dafed710e0fb5c887c2ce842961c23e"),
     ("counts --p 5 --k 1 --n 3", "75a70e45b0621f8c226f26b82c08a432f1c168504bebeeed93cc3f35d2a72402"),
     ("minimal --p 2 --k 3 --n 4", "be5d339bf0383756112390fe1cfe6fb7af1916a8d5354a81a1984960e4ceabab"),
+    # the tree in both formats
+    ("tree --p 3 --n 2", "a7185d5a32e14774e4c0980d31c47adaf577fe0a582c98c429664500f79deb48"),
+    ("tree --p 2 --n 3 --format json", "a4697db64b7c8d506f3d2d46bdc3e5d59d528c15e2de79ab1eee8115bf863eeb"),
 ]
+
+
+def test_every_command_has_a_golden():
+    choices = next(a.choices for a in build_parser()._actions if a.dest == "command")
+    assert sorted(choices) == sorted({command.split()[0] for command, _ in GOLDEN})
 
 
 # each command also runs under python -O: the certificates must not rest on asserts

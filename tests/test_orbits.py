@@ -886,3 +886,18 @@ def test_immutable_records_have_value_semantics(p, k, n):
         with pytest.raises(AttributeError):
             x.extra = 1
         assert _fields(x) == fields
+
+
+def test_values_of_different_classes_with_equal_fields_are_unequal():
+    cfg = make_cfg(3, 1, 1, 1)
+    v0, v1 = Vertex.root(3), Vertex.make(3, 1, 0, 1)
+    ball = build_registry(cfg, 1, 1).records[0].ball
+    pairs = [
+        (Character(1, 2), OrbitRecord(1, 2)),
+        (Ball(cfg, ball.cell), Character(cfg.p, ball.cell)),
+        (OrientedEdge(v0, v1), OrbitRecord(v0, v1)),
+    ]
+    for a, b in pairs:
+        assert a._fields() == b._fields()
+        assert a != b and b != a and not (a == b) and not (b == a)
+        assert len({a, b}) == 2
