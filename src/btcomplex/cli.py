@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .padics import PadicConfig, is_prime
 from .tree import dot_tree, edges_upto, vertices_upto
@@ -123,7 +124,11 @@ def run(args: argparse.Namespace) -> int:
             "edges": [e.id_str() for e in edges_upto(args.p, args.n)],
         }
     elif args.command == "example":
-        report = compare_to_reference(PadicConfig(2, auto_precision(1, 1, args.d)))
+        # the reference is fixed at (p, k) = (2, 1), so the warning that this
+        # level is not pro-p is not the user's to act on
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"level \(p, k\) = \(2, 1\)", RuntimeWarning)
+            report = compare_to_reference(PadicConfig(2, auto_precision(1, 1, args.d)))
     else:
         reg = build_registry(cfg, args.n, args.k)
         if args.command == "orbits":

@@ -1,21 +1,20 @@
 """Congruence-subgroup orbits on P^1(Q_p) as exact discs.
 
-For the standard vertex the level-k orbits are the discs of radius p^-k in
-both charts; for the standard edge they are the discs of radius p^-(k-1) on
-the unit disc and p^-k on the outside.  Every other simplex is handled by
-transporting the standard picture with the deterministic path-transitivity
-element: orbits move by B -> B.g^{-1} when the simplex moves by g.
+Each level-k orbit of a simplex is a shadow on the Bruhat-Tits tree: the set
+of ends beyond one oriented edge x -> y.  For a vertex w they are the ends
+beyond the edges x -> y with y at distance k from w and x y's neighbour
+toward w; for an edge they are the same, seen from the endpoint w owning the
+orbit, over the y whose path from w crosses the other endpoint.  The disc is
+D(y) when the last step descends (y is x's child) and P^1 minus D(x) when it
+climbs, where D(u) is the residue cell read off u's coordinate.  So the
+registry is read off vertex codes alone, in integers, and each disc is built
+once from its cell key.
 
-Each orbit disc is the set of ends beyond one oriented edge x -> y of the
-tree: D(y) when y is x's child, P^1 minus D(x) when y is x's parent, where
-D(u) is the residue cell read off u's coordinate.  So the transport is done
-on the tree, in integers: the simplex's integer transport carries the
-standard orbits' edges onto its own through the one lattice kernel
-(projline._act_coord, _point_cell), and each disc is built once from its
-cell key.  The group side moves vertices, discs and points through the same
+The group side moves vertices, discs and points through projline's lattice
 kernel: projline.moebius_ball_image carries a disc's edge by adj(g), and
-tree.act_vertex a vertex by g.  The exact GL2 transport acts only where the
-group does, in tree.in_group, factor_edge_group and sampled group elements.
+tree.act_vertex a vertex by g, so orbits move by B -> B.g^{-1} when the
+simplex moves by g.  The exact GL2 transport acts only where the group does,
+in tree.in_group, factor_edge_group and sampled group elements.
 
 The registry collects all orbit records over a ball of simplices, flags the
 minimal ones (the smallest discs: the level-(n+k) residue cells, p^k at each
@@ -28,18 +27,18 @@ test on the cell keys.
 from __future__ import annotations
 
 import random
-from functools import cache, cached_property
+from functools import cached_property
 
 from .padics import PadicConfig
-from .projline import Ball, Frozen, GL2, ProjPoint, _act_coord, _inside, _point_cell
+from .projline import Ball, Frozen, GL2, ProjPoint, _inside, _point_cell
 from .tree import (
     OrientedEdge,
     Vertex,
     _simplex_path,
     edges_upto,
     level_exponents,
+    neighbors,
     transport,
-    transport_rows,
     vertices_upto,
 )
 
@@ -65,50 +64,33 @@ class OrbitRecord(Frozen):
         return f"{self.simplex.id_str()}|{self.ball.id_str()}"
 
 
-@cache
-def _standard_targets(p: int, k: int, vertex: bool) -> tuple:
-    """The standard simplex's level-k orbits, in record order, each as the far
-    vertex y of its oriented edge x -> y, by (depth m, a, b) with (a : b) y's
-    coordinate.  For v0 they are the ends beyond its depth-k vertices: the
-    z-cells r mod p^k, then the w-cells u in pZ mod p^k.  For (v0, v1) they are
-    v1's orbits on v0's side, the ends beyond v0's depth-(k-1) z-side vertices
-    (at k = 1, beyond the edge v1 -> v0), then v0's on v1's side, the ends
-    beyond v1's descendants at depth k."""
-    def z_side(m):
-        q = p**m
-        return [(m, r, 1) if r % p == 0 else (m, 1, pow(r, -1, q)) for r in range(q)]
-
-    near = z_side(k) if vertex else (z_side(k - 1) if k > 1 else [(0, 1, 0)])
-    return (*near, *((k, 1, u) for u in range(0, p**k, p)))
+def _shadows(x: Vertex, y: Vertex, s: int) -> list:
+    """The cell keys of the shadows s steps past the step x -> y: the ends
+    beyond the last edge x' -> y' of each path x, y, ..., y' that does not
+    turn back, the paths taken through tree.neighbors.  After a descending
+    step every step descends, so they are the sub-cells of D(y) at s levels
+    below it, in residue order; a path that climbs to its last step gives
+    P^1 minus D(x')."""
+    p = y.p
+    if y.n > x.n:
+        chart, q, r = _point_cell(p, y.n, *y.coord)
+        return [(chart, q * p**s, c, False) for c in range(r, q * p**s, q)]
+    if not s:
+        return [(*_point_cell(p, x.n, *x.coord), True)]
+    return [key for z in neighbors(y) if z != x for key in _shadows(y, z, s - 1)]
 
 
 def _orbit_cells(simplex, k: int):
     """The cell keys (Ball.cell) of a simplex's level-k orbit discs in record
-    order, in integers, with each orbit's owner: the simplex itself for a
-    vertex; for an edge the child for the first half of its orbits and the
-    parent for the rest.
-
-    The transport h (tree.transport_rows) carries each standard orbit's edge
-    x -> y onto the edge h.x -> h.y, and the orbit is the set of ends beyond
-    it.  h.y lies at distance k from the owner w, and h.x is its neighbour
-    toward w: y's parent, so the disc is D(h.y), unless h.y is an ancestor
-    of w, at depth n(w) - k, when h.x is w's ancestor one level deeper and the
-    disc is P^1 minus D(h.x)."""
-    path = _simplex_path(simplex)  # [vertex] or [parent, child]
-    p, n = path[0].p, path[0].n  # h carries v0 onto path[0], so det h has valuation n
-    targets = _standard_targets(p, k, len(path) == 1)
-    half = len(targets) // 2
-    owners = path * len(targets) if len(path) == 1 else [path[1]] * half + [path[0]] * half
-    h = transport_rows(simplex)
-    out = []
-    for (m, a, b), w in zip(targets, owners):
-        depth, s, t = _act_coord(p, h, n, m, a, b)
-        if depth == w.n - k:
-            key = (*_point_cell(p, depth + 1, *w.coord), True)
-        else:
-            key = (*_point_cell(p, depth, s, t), False)
-        out.append((key, w))
-    return out
+    order, each with its owner.  A vertex owns the shadows of the vertices at
+    distance k from it, taken through its neighbours in tree.neighbors order.
+    An edge's orbits are the child's shadows through the parent, then the
+    parent's through the child, each in that endpoint's own order."""
+    if isinstance(simplex, Vertex):
+        return [(key, simplex) for y in neighbors(simplex) for key in _shadows(simplex, y, k - 1)]
+    parent, child = _simplex_path(simplex)
+    return [*((key, child) for key in _shadows(child, parent, k - 1)),
+            *((key, parent) for key in _shadows(parent, child, k - 1))]
 
 
 def enumerate_orbits(cfg: PadicConfig, simplex, k: int):

@@ -394,8 +394,8 @@ def _act_coord(p: int, h, n: int, m: int, a: int, b: int):
     unimodular after division by p^e (the two agree mod p^D).  The one kernel
     reading a vertex off a lattice matrix: for tree.vertex_canonical and
     tree.act_vertex (primitive rows on a vertex), moebius_ball_image (adj(g)
-    on a disc's edge), tree._path_rows (adj(h) on a path's last vertex) and
-    orbits._orbit_cells (a transport on the standard orbits' far vertices)."""
+    on a disc's edge) and tree._path_rows (adj(h) on a path's last
+    vertex)."""
     (h11, h12), (h21, h22) = h
     r1, r2 = a * h22 - b * h21, b * h11 - a * h12
     q = p**m

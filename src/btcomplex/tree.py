@@ -293,12 +293,7 @@ def transport(cfg: PadicConfig, simplex) -> GL2:
     (its basis matrix), or the standard edge (v0, v1) to (parent, child) in
     either orientation.  Equals map_path from the standard path of the same
     length, whose own standardizing element is the identity."""
-    return GL2.from_rows(cfg, transport_rows(simplex))
-
-
-def transport_rows(simplex) -> tuple:
-    """The integer rows of transport(cfg, simplex)."""
-    return _path_rows(_simplex_path(simplex))
+    return GL2.from_rows(cfg, _path_rows(_simplex_path(simplex)))
 
 
 # ---------------------------------------------------------------------------

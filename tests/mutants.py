@@ -35,6 +35,8 @@ ACT_NO_TAIL = "tests/test_chains.py::test_act_reports_no_tail_at_the_algebraic_w
 ACT_ONCE = "tests/test_chains.py::test_act_sums_once_and_multiplies_series_only_in_the_operator"
 SIGN_FORMS = "tests/test_chains.py::test_complex_maps_match_their_sign_after_restrict_forms"
 TRANSPORT_ORACLE = "tests/test_orbits.py::test_integer_orbits_match_the_transport_oracle"
+REGISTRY_ORACLE = "tests/test_orbits.py::test_integer_registry_matches_the_transport_oracle"
+SHADOWS = "tests/test_orbits.py::test_registry_records_are_shadows_of_the_vertices_at_distance_k"
 LAST_BASIS_WITNESS = "tests/test_chains.py::test_verify_exactness_failing_basis_check_names_its_last_failing_element"
 FIRST_SAMPLE_WITNESS = "tests/test_chains.py::test_verify_exactness_failing_sampled_check_names_its_first_failing_sample"
 REFERENCE_LAYOUT = "tests/test_chains.py::test_reference_block_matrix_layout"
@@ -164,6 +166,15 @@ MUTANTS = [
      '"pass": True',
      ["tests/test_cli.py::test_a_failing_count_exits_one_with_the_verify_report[python]",
       f"{EXIT_ONE}[python-counts]", f"{EXIT_ONE}[python-O-counts]"]),
+    ("shadow-taken-from-the-wrong-endpoint", ORBITS,
+     "(key, child) for key in _shadows(child, parent, k - 1)",
+     "(key, child) for key in _shadows(parent, child, k - 1)",
+     [f"{TRANSPORT_ORACLE}[3-2-2]", f"{REGISTRY_ORACLE}[3-2-2]", f"{SHADOWS}[3-2-2]"]),
+    ("complement-hole-one-level-off", ORBITS,
+     "_point_cell(p, x.n, *x.coord), True)",
+     "_point_cell(p, x.n - 1, *x.coord), True)",
+     [f"{TRANSPORT_ORACLE}[3-2-2]", f"{REGISTRY_ORACLE}[2-1-3]", f"{SHADOWS}[7-1-2]",
+      "tests/test_orbits.py::test_registry_is_stable_under_integral_generators[5-1-3]"]),
     ("minimal-exit-ignores-the-partition", CLI,
      'lambda r: r["partition"]',
      "lambda r: True",

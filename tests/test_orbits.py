@@ -24,7 +24,7 @@ from btcomplex.tree import (
     standard_path,
     level_exponents,
     transport,
-    transport_rows,
+    vertex_canonical,
     vertices_upto,
 )
 from btcomplex.orbits import (
@@ -529,13 +529,13 @@ def test_bfs_oracle_smoke():
             assert got == ball_cells(cfg, rec.ball, M)
 
 
-# -- the integer build against the Moebius transport ---------------------------
+# -- the shadow build against the Moebius transport -----------------------------
 
 
 def _standard_discs(cfg, simplex, k):
-    """The standard simplex's level-k orbit discs in record order: for v0 the
-    discs of radius p^-k in both charts; for (v0, v1) the discs of radius
-    p^-(k-1) on the unit disc, then v0's discs of radius p^-k outside it."""
+    """The standard simplex's level-k orbit discs: for v0 the discs of radius
+    p^-k in both charts; for (v0, v1) the discs of radius p^-(k-1) on the
+    unit disc, then v0's discs of radius p^-k outside it."""
     p = cfg.p
     m = k if isinstance(simplex, Vertex) else k - 1
     return [*(disc(cfg, r, m) for r in range(p**m)),
@@ -549,23 +549,26 @@ def _transported_discs(cfg, simplex, k):
 
 
 def _oracle_registry(cfg, n, k):
-    """(balls, minimal, owner, nonmin_order) of the registry read off the
-    transport oracle, with the owner found by looking the disc up at both
-    endpoints and the order by exact Fraction measures."""
+    """The registry read off the transport oracle, keyed by (simplex, cell key)
+    so that the record order does not enter: the cell keys per simplex, the
+    minimal flags, the owner map (edge, cell) -> (owner vertex, cell) with
+    the owner found by looking the disc up at both endpoints, and the
+    non-minimal vertex records in the order of exact Fraction measures."""
     p = cfg.p
-    vrecs = [(v, b) for v in vertices_upto(p, n) for b in _transported_discs(cfg, v, k)]
-    at = {rec: i for i, rec in enumerate(vrecs)}
-    erecs = [(e, b) for e in edges_upto(p, n) for b in _transported_discs(cfg, e, k)]
+    vertices, edges = vertices_upto(p, n), edges_upto(p, n)
+    discs = {s: _transported_discs(cfg, s, k) for s in vertices + edges}
+    cells = {s: {b.cell for b in bs} for s, bs in discs.items()}
     owner = {}
-    for i, (e, b) in enumerate(erecs, start=len(vrecs)):
-        hits = [at[w, b] for w in e.endpoints() if (w, b) in at]
-        assert len(hits) == 1, (e, b)
-        owner[i] = hits[0]
+    for e in edges:
+        for b in discs[e]:
+            hits = [w for w in e.endpoints() if b.cell in cells[w]]
+            assert len(hits) == 1, (e, b)
+            owner[e, b.cell] = (hits[0], b.cell)
     smallest = Fraction(1, p ** (n + k))
-    minimal = [n >= 1 and b.measure() == smallest for _, b in vrecs]
-    order = sorted((i for i, m in enumerate(minimal) if not m),
-                   key=lambda i: (-vrecs[i][1].measure(), vrecs[i][0].sort_key(), vrecs[i][1].sort_key()))
-    return [b for _, b in vrecs + erecs], minimal, owner, order
+    minimal = {(v, b.cell): n >= 1 and b.measure() == smallest for v in vertices for b in discs[v]}
+    nonmin = [(v, b) for v in vertices for b in discs[v] if not minimal[v, b.cell]]
+    nonmin.sort(key=lambda r: (-r[1].measure(), r[0].sort_key(), r[1].sort_key()))
+    return cells, minimal, owner, [(v, b.cell) for v, b in nonmin]
 
 
 ORACLE_CONFIGS = [(2, 1, 3), (2, 2, 3), (2, 3, 2), (3, 1, 2), (3, 2, 2), (3, 3, 1),
@@ -574,31 +577,51 @@ ORACLE_CONFIGS = [(2, 1, 3), (2, 2, 3), (2, 3, 2), (3, 1, 2), (3, 2, 2), (3, 3, 
 
 @pytest.mark.parametrize("p,k,n", ORACLE_CONFIGS)
 def test_integer_orbits_match_the_transport_oracle(p, k, n):
+    # the shadows of each simplex are the transported standard discs, as sets
+    # of cell keys: the record order is the tree's, not the transport's
     cfg = make_cfg(p, k, n)
     for s in vertices_upto(p, n) + edges_upto(p, n):
         want = _transported_discs(cfg, s, k)
         # the cells the transport gives on the normal forms
         hinv = transport(cfg, s).inverse()
-        cells = [normal_form(b).image(hinv).cell for b in _standard_discs(cfg, s, k)]
+        cells = {normal_form(b).image(hinv).cell for b in _standard_discs(cfg, s, k)}
         sides = [s] if isinstance(s, Vertex) else [s, OrientedEdge(s.dst, s.src)]
         for simplex in sides:
             recs = enumerate_orbits(cfg, simplex, k)
-            assert [r.ball for r in recs] == want, simplex
-            assert [r.ball.cell for r in recs] == cells, simplex
+            assert len(recs) == len(want) and {r.ball for r in recs} == set(want), simplex
+            assert {r.ball.cell for r in recs} == cells, simplex
 
 
 @pytest.mark.parametrize("p,k,n", ORACLE_CONFIGS)
 def test_integer_registry_matches_the_transport_oracle(p, k, n):
     cfg = make_cfg(p, k, n)
     reg = build_registry(cfg, n, k)
-    balls, minimal, owner, order = _oracle_registry(cfg, n, k)
-    assert [r.ball for r in reg.records] == balls
-    assert reg.minimal == minimal
-    assert reg.owner == owner
-    assert reg.nonmin_order == order
+    cells, minimal, owner, order = _oracle_registry(cfg, n, k)
+    key = [(r.simplex, r.ball.cell) for r in reg.records]
+    per_simplex = {**reg.vertex_records, **reg.edge_records}
+    assert {s: {r.ball.cell for r in recs} for s, recs in per_simplex.items()} == cells
+    assert len(key) == len(set(key)) == sum(map(len, cells.values()))
+    assert dict(zip(key, reg.minimal)) == minimal
+    assert {key[i]: key[j] for i, j in reg.owner.items()} == owner
+    assert [key[i] for i in reg.nonmin_order] == order
     # one Ball per distinct disc, shared by every record of it
-    assert len({id(r.ball) for r in reg.records}) == len(set(balls))
+    assert len({id(r.ball) for r in reg.records}) == len({r.ball for r in reg.records})
     assert all(reg.records[i].ball is reg.records[j].ball for i, j in reg.owner.items())
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 2, 3), (2, 3, 3), (3, 1, 2), (3, 2, 2), (3, 3, 2), (5, 2, 2), (7, 2, 1)])
+def test_an_edge_lists_its_endpoints_discs_in_their_own_order(p, k, n):
+    # the records an endpoint owns on an edge are one contiguous run of that
+    # endpoint's own records, in the same order: the run of its shadows
+    # through the other endpoint
+    reg = build_registry(make_cfg(p, k, n), n, k)
+    for e, recs in reg.edge_records.items():
+        first = reg.index[recs[0]]
+        owners = [reg.owner[i] for i in range(first, first + len(recs))]
+        for w in e.endpoints():
+            start = reg.index[reg.vertex_records[w][0]]
+            run = [j - start for j in owners if reg.records[j].simplex == w]
+            assert run and run == list(range(run[0], run[0] + len(run))), (e, w)
 
 
 def _shadow(w, y):
@@ -631,6 +654,37 @@ def test_registry_records_are_shadows_of_the_vertices_at_distance_k(p, k, n):
         assert got == want and len(recs) == len(want), e
 
 
+def _integral_generators(cfg):
+    """s, s^-1, l, diag(u, 1) for u a primitive root mod p, and the swap w;
+    at p = 2, where diag(u, 1) is the identity, also diag(-1, 1) and diag(5, 1)."""
+    p = cfg.p
+    u = next(u for u in range(1, p) if len({pow(u, i, p) for i in range(p - 1)}) == p - 1)
+    rows = [((1, 1), (0, 1)), ((1, -1), (0, 1)), ((1, 0), (1, 1)), ((u, 0), (0, 1)), ((0, 1), (1, 0))]
+    if p == 2:
+        rows += [((-1, 0), (0, 1)), ((5, 0), (0, 1))]
+    return [GL2.from_rows(cfg, r) for r in rows]
+
+
+STABILITY_CONFIGS = [(2, 1, 2), (3, 2, 2), (2, 2, 3), (5, 1, 2), (3, 1, 3), (7, 1, 2), (2, 3, 3), (5, 1, 3)]
+
+
+@pytest.mark.parametrize("p,k,n", STABILITY_CONFIGS)
+def test_registry_is_stable_under_integral_generators(p, k, n):
+    # GL2(Z_p) fixes v0 and moves the ball of radius n by tree automorphisms,
+    # conjugating each simplex's level-k group onto its image's: a simplex
+    # moved by g carries its discs moved by B -> B.g^-1 onto the record set
+    # of its image
+    cfg = make_cfg(p, k, n)
+    reg = build_registry(cfg, n, k)
+    table = {**reg.vertex_records, **reg.edge_records}
+    for g in _integral_generators(cfg):
+        ginv = g.inverse()
+        image = {v: act_vertex(g, v) for v in reg.vertices()}
+        for s, recs in table.items():
+            t = image[s] if isinstance(s, Vertex) else OrientedEdge(image[s.src], image[s.dst])
+            assert {moebius_ball_image(ginv, r.ball) for r in recs} == {r.ball for r in table[t]}, (g, s)
+
+
 def test_registry_build_does_no_padic_arithmetic(monkeypatch):
     # the build runs on integer coordinates and cell keys alone: with the
     # p-adic arithmetic and GL2 disabled it still builds every registry
@@ -645,6 +699,25 @@ def test_registry_build_does_no_padic_arithmetic(monkeypatch):
         assert len(reg.nonmin_order) == nonminimal_count_formula(p, k, n)
     with pytest.raises(AssertionError, match="p-adic arithmetic"):
         disc(make_cfg(2, 1, 1), 2, 1, chart="w")
+
+
+def test_registry_build_does_no_lattice_arithmetic(monkeypatch):
+    # the shadows are read off vertex codes: with the lattice kernel and GL2
+    # disabled in every module that binds them, every registry still builds
+    def refuse(*args, **kwargs):
+        raise AssertionError("lattice arithmetic in the registry build")
+
+    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("btcomplex.")]
+    for module in modules:
+        for name in ("_act_coord", "_primitive_rows"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(GL2, "__init__", refuse)
+    for p, k, n in [(2, 1, 3), (2, 3, 3), (3, 2, 2), (5, 1, 2), (7, 2, 1)]:
+        reg = build_registry(make_cfg(p, k, n), n, k)
+        assert len(reg.nonmin_order) == nonminimal_count_formula(p, k, n)
+    with pytest.raises(AssertionError, match="lattice arithmetic"):
+        vertex_canonical(make_cfg(2, 1, 1), ((1, 0), (0, 1)))
 
 
 def test_group_side_does_no_padic_arithmetic(monkeypatch):
@@ -757,9 +830,10 @@ def _standard_rows(cfg, simplex, k, rng):
 
 
 def _conjugated_exactly(cfg, simplex, k, rng):
-    """Oracle: h.std.h^-1 multiplied out in Fractions on the integer rows."""
+    """Oracle: h.std.h^-1 multiplied out in Fractions on the transport's rows."""
     std = _standard_rows(cfg, simplex, k, rng)
-    (h11, h12), (h21, h22) = h = transport_rows(simplex)
+    t = transport(cfg, simplex)
+    (h11, h12), (h21, h22) = h = ((t.a, t.b), (t.c, t.d))
     det = Fraction(h11 * h22 - h12 * h21)
     inv = ((h22 / det, -h12 / det), (-h21 / det, h11 / det))
 
@@ -820,7 +894,7 @@ def test_group_membership_conjugates_exactly(p, k, n):
 VALUE_CONFIGS = [(2, 2, 3), (3, 1, 3), (5, 1, 2)]
 # sha256 of every sampled object's class, repr and id_str (value_lines), as
 # the frozen dataclasses these classes replaced printed them
-VALUE_LINES_SHA256 = "96615d764594abc69996673ea0bf49b9a73a9c8e0764603d6f4a63b6ec4f6517"
+VALUE_LINES_SHA256 = "da39a4cc9fe9dc4335c50d79d7a4b906b5319ca3392e02f15462bfd96f6fe3a1"
 CHARACTERS = [Character(m1, m2) for m1 in range(-2, 3) for m2 in range(-2, 3)]
 
 
