@@ -714,7 +714,16 @@ def verify_exactness(reg: OrbitRegistry, d: int, seed: int = 0) -> dict:
     operator exists (each transition is p-integral and its pole misses the
     disc), and the implementation agrees with that structure on every basis
     element.  How well degree <= d models functions on the discs is the
-    group action's discarded tail (act_on_function's guard)."""
+    group action's discarded tail (act_on_function's guard).
+
+    The proof holds over Z_(p) and mod p as well.  On each disc take the
+    lattice of polynomials of degree <= d with p-integral coefficients.
+    Every map keeps it: _operator refuses a series that is not p-integral,
+    and the other blocks are +-identities.  A triangular matrix with a
+    +-identity diagonal is invertible over Z_(p), and partial0 is the
+    identity on the minimal records, so the lattice complex is split exact
+    over Z_(p) and its reduction mod p is exact.  The lattice is chosen per
+    disc; no G-stable lattice is claimed."""
     cfg, records = reg.cfg, reg.records
     rng = random.Random(seed)
     checks = []

@@ -28,37 +28,25 @@ def auto_precision(k: int, n: int, d: int) -> int:
 def registry_json(reg: OrbitRegistry) -> dict:
     ids = [r.id_str() for r in reg.records]
     balls = [b.to_json(reg.cfg) for b in reg.balls]  # edge records share their owner's discs
-    vrecs = reg.all_vertex_records()
+    nv = len(reg.minimal)  # the vertex records come first
     members = [[] for _ in reg.balls]  # ball id -> vertex records with that disc
-    for i in range(len(vrecs)):
+    for i in range(nv):
         members[reg.ball_of[i]].append(i)
-    parents = [[] for _ in vrecs]
-    children = [[] for _ in vrecs]
-    for i in range(len(vrecs)):
+    parents = [[] for _ in range(nv)]
+    children = [[] for _ in range(nv)]
+    for i in range(nv):
         for b in reg.over[reg.ball_of[i]]:
             for j in members[b]:
                 parents[i].append(ids[j])
                 children[j].append(ids[i])
-    orbits = [
-        {
-            "id": ids[i],
-            "simplex": r.simplex.id_str(),
-            "ball": balls[reg.ball_of[i]],
-            "minimal": reg.minimal[i],
-            "parents": sorted(parents[i]),
-            "children": sorted(children[i]),
-        }
-        for i, r in enumerate(vrecs)
-    ]
-    orbits.extend(
-        {
-            "id": ids[i],
-            "simplex": reg.records[i].simplex.id_str(),
-            "ball": balls[reg.ball_of[i]],
-            "owner": reg.records[reg.owner[i]].simplex.id_str(),
-        }
-        for i in reg.edge_ids()
-    )
+    orbits = []
+    for i, r in enumerate(reg.records):
+        rec = {"id": ids[i], "simplex": r.simplex.id_str(), "ball": balls[reg.ball_of[i]]}
+        if i < nv:
+            rec.update(minimal=reg.minimal[i], parents=sorted(parents[i]), children=sorted(children[i]))
+        else:
+            rec["owner"] = reg.records[reg.owner[i]].simplex.id_str()
+        orbits.append(rec)
     return {
         "params": {"p": reg.p, "k": reg.k, "n": reg.n, "N": reg.cfg.N},
         "vertices": [v.id_str() for v in reg.vertices()],

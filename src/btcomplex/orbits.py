@@ -141,7 +141,9 @@ class OrbitRegistry:
     ``min_cover``, ``edge_subs``, ``ball_chain`` and the orbits dump's
     parents/children are read off it comparing integers only.  These tables
     build on first use, so counting-only callers never pay for the quadratic
-    relation.
+    relation.  ``nonmin_order``, the non-minimal vertex record indices in the
+    boundary matrix's total order (_total_order_key), builds on first use as
+    well, so only a caller that builds the matrix sorts.
 
     The chains layer's step tables fill on first use and belong to this
     registry alone: ``transitions``, (source ball id, target ball id) -> the
@@ -159,7 +161,6 @@ class OrbitRegistry:
         self.records = []  # index -> OrbitRecord
         self.minimal = []  # vertex record index -> bool
         self.owner = {}  # edge record index -> vertex record index
-        self.nonmin_order = []  # non-minimal vertex record indices, ordered
         self.transitions = {}  # (a, b) -> one step's transition, for every d
         self.routes = {}  # (a, b, d) -> route
 
@@ -244,6 +245,13 @@ class OrbitRegistry:
             out[i] = subs
         return out
 
+    @cached_property
+    def nonmin_order(self) -> list:
+        """The non-minimal vertex record indices in the boundary matrix's
+        total order (_total_order_key)."""
+        nonmin = [i for i, m in enumerate(self.minimal) if not m]
+        return sorted(nonmin, key=lambda i: _total_order_key(self.records[i]))
+
     def ball_chain(self, src: int, dst: int) -> list:
         """Ids of every registry ball between dst and src, superset-first.  Balls
         that meet without nesting cover P^1, so below a proper src they nest."""
@@ -297,8 +305,6 @@ def build_registry(cfg: PadicConfig, n: int, k: int) -> OrbitRegistry:
                 raise AssertionError(f"edge orbit {rec!r} has no record at its owner")
             reg.owner[len(records) - 1] = at[w, key]
             recs.append(rec)
-    nonmin = [i for i, m in enumerate(reg.minimal) if not m]
-    reg.nonmin_order = sorted(nonmin, key=lambda i: _total_order_key(records[i]))
     return reg
 
 
@@ -404,13 +410,13 @@ def verify_counts(reg: OrbitRegistry) -> dict:
         row("edge record count", r_formula, sum(len(v) for v in reg.edge_records.values()))
 
         # the set identity: edge records biject onto non-minimal vertex records.
-        # A record is keyed by (its vertex's position, its disc's cell key),
-        # and each edge orbit's owner is the endpoint holding its cell, found
-        # without reg.owner
-        vertices = list(reg.vertex_records)
-        at = {v: i for i, v in enumerate(vertices)}
-        cells = [{r.ball.cell for r in recs} for recs in reg.vertex_records.values()]
-        owned = {}  # (owner position, cell key) -> its disc
+        # Each vertex record is read once, (its vertex's position, its disc's
+        # cell key) -> its index, and each edge orbit's owner is the endpoint
+        # holding its cell, found without reg.owner
+        at = {v: i for i, v in enumerate(reg.vertex_records)}
+        keys = [(i, r.ball.cell) for i, recs in enumerate(reg.vertex_records.values()) for r in recs]
+        held = {key: j for j, key in enumerate(keys)}
+        owned = set()
         collisions = []
         edge = None
         for rec in reg.all_edge_records():
@@ -418,21 +424,17 @@ def verify_counts(reg: OrbitRegistry) -> dict:
                 edge = rec.simplex
                 ends = [at[v] for v in edge.endpoints() if v in at]
             cell = rec.ball.cell
-            hits = [i for i in ends if cell in cells[i]]
+            hits = [held[i, cell] for i in ends if (i, cell) in held]
             if len(hits) != 1:
                 raise AssertionError(
                     f"edge orbit {rec.id_str()} owned by {len(hits)} endpoints; expected exactly one"
                 )
-            if (hits[0], cell) in owned:
+            if hits[0] in owned:
                 collisions.append(rec.id_str())
-            owned[hits[0], cell] = rec.ball
+            owned.add(hits[0])
         row("edge->vertex record map injective", [], collisions)
-        pos = [i for i, recs in enumerate(reg.vertex_records.values()) for _ in recs]
-        nonmin = {(pos[j], r.ball.cell): r.ball
-                  for j, r in enumerate(reg.all_vertex_records()) if not reg.minimal[j]}
-        discs = {**nonmin, **owned}
-        diff = sorted(OrbitRecord(vertices[i], discs[i, cell]).id_str()
-                      for i, cell in owned.keys() ^ nonmin.keys())
+        nonmin = {held[key] for key, m in zip(keys, reg.minimal) if not m}
+        diff = sorted(reg.records[j].id_str() for j in owned ^ nonmin)
         row("edge records = non-minimal vertex records (as owner/ball sets)", [], diff)
 
     return {

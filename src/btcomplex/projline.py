@@ -224,16 +224,25 @@ class Ball(Frozen):
     Two Balls are set-equal iff their keys are equal.
 
     Ball(cfg, key) is the one constructor; its fields are p and cell.  It
-    reads the radius exponent m off the key (_radius_exponent) and raises
-    PrecisionError when |m| > N - 2.  The normal form and the chart data are
-    derived on first use and kept in the Ball's __dict__."""
+    raises ValueError on a key that is not a cell key: a chart other than
+    "z" or "w", q not p^d with d >= 1, r outside 0 <= r < q, a w-cell r
+    prime to p, or a flip that is not a bool.  It reads the radius exponent
+    m off the key (_radius_exponent) and raises PrecisionError when
+    |m| > N - 2.  The normal form and the chart data are derived on first
+    use and kept in the Ball's __dict__."""
 
     __slots__ = ("p", "cell", "__dict__")
 
     def __init__(self, cfg: PadicConfig, key: tuple):
-        object.__setattr__(self, "p", cfg.p)
+        p = cfg.p
+        chart, q, r, flip = key
+        d = val_int(q, p) if type(q) is int and q > 1 else 0
+        if not (chart in ("z", "w") and d and q == p**d and 0 <= r < q
+                and (chart == "z" or r % p == 0) and type(flip) is bool):
+            raise ValueError(f"not a cell key: {key!r}")
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "cell", key)
-        _check_exponent(cfg, _radius_exponent(cfg.p, key))
+        _check_exponent(cfg, _radius_exponent(p, key))
 
     def _fields(self) -> tuple:
         return (self.p, self.cell)

@@ -12,7 +12,7 @@ common digit prefix) and the classical ball parametrization of directions.
 
 from __future__ import annotations
 
-from .padics import PadicConfig, val_fraction
+from .padics import PadicConfig, val_fraction, val_int
 from .projline import GL2, Frozen, _act_coord, _point_cell, _primitive_rows
 
 
@@ -177,18 +177,16 @@ def _lca_depth(v: Vertex, w: Vertex) -> int:
     """Depth of the lowest common ancestor, read off the encoding: ancestors
     are reductions of the coordinate, so it is the length of the common digit
     prefix of the two b's (type (1, b)) or the two a's (type (a, 1)), capped
-    at the shallower depth.  Vertices of different types meet at the root."""
+    at the shallower depth j: the valuation of their difference mod p^j, or
+    j when that difference is 0.  Vertices of different types meet at the
+    root."""
     j = min(v.n, w.n)
     (av, bv), (aw, bw) = v.coord, w.coord
     if (av == 1) != (aw == 1):
         return 0
     p = v.p
     diff = (bv - bw if av == 1 else av - aw) % p**j
-    d = 0
-    while d < j and diff % p == 0:
-        diff //= p
-        d += 1
-    return d
+    return val_int(diff, p) if diff else j
 
 
 def distance(v: Vertex, w: Vertex) -> int:

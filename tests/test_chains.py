@@ -1622,6 +1622,71 @@ def test_partial0_after_partial1_vanishes():
             assert partial0(partial1(c1, reg), reg).is_zero()
 
 
+def _mod_p(chain, p):
+    """A chain's coefficients mod p, (record index, degree) -> nonzero
+    residue; every coefficient must be p-integral."""
+    out = {}
+    for i, f in chain.parts.items():
+        for j, a in enumerate(f.coeffs):
+            assert a.v is INF or a.v >= 0, (i, j)
+            if a.v == 0:
+                out[i, j] = a.u % p
+    return out
+
+
+def _rank_mod_p(columns, p):
+    """The rank over F_p of the sparse columns, by elimination: each column is
+    reduced by the pivots found so far and, if anything is left, becomes the
+    pivot of its least row."""
+    pivots = {}
+    for col in columns:
+        col = dict(col)
+        while col:
+            row = min(col)
+            if row not in pivots:
+                inv = pow(col[row], -1, p)
+                pivots[row] = {r: v * inv % p for r, v in col.items()}
+                break
+            c = col[row]
+            for r, v in pivots[row].items():
+                x = (col.get(r, 0) - c * v) % p
+                if x:
+                    col[r] = x
+                else:
+                    col.pop(r, None)
+    return len(pivots)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("p,k,n", [(2, 1, 1), (3, 1, 1), (2, 1, 2), (3, 2, 1)])
+def test_the_complex_is_exact_mod_p(p, k, n, d):
+    # the maps are p-integral, so the complex reduces mod p; read column by
+    # column off partial1 and partial0 on the monomials and reduced there, it
+    # is exact over F_p: partial0 partial1 = 0, partial1 is injective,
+    # partial0 is onto, and the ranks add up to dim C0.  Independent of the
+    # triangular argument of verify_exactness
+    reg = make_reg(p, k, n, d)
+    cfg = reg.cfg
+    nv = len(reg.minimal)
+
+    def columns(boundary, ids):
+        return {(i, j): _mod_p(boundary(Chain(d, {i: monomial(cfg, reg.records[i].ball, j, d)}), reg), p)
+                for i in ids for j in range(d + 1)}
+
+    d1 = columns(partial1, reg.edge_ids())
+    d0 = columns(partial0, range(nv))
+    for key, col in d1.items():
+        composite = {}
+        for row, v in col.items():
+            for r, w in d0[row].items():
+                composite[r] = (composite.get(r, 0) + v * w) % p
+        assert not any(composite.values()), key
+    dim_c1, dim_c0, dim_cm1 = len(d1), len(d0), sum(reg.minimal) * (d + 1)
+    rank1, rank0 = _rank_mod_p(d1.values(), p), _rank_mod_p(d0.values(), p)
+    assert (rank1, rank0) == (dim_c1, dim_cm1)
+    assert dim_c0 == rank1 + rank0
+
+
 def test_partial1_nonzero_on_random_chains():
     rng = random.Random(9)
     reg = make_reg(3, 1, 2)

@@ -27,6 +27,8 @@ from btcomplex.tree import (
     vertex_canonical,
     vertices_upto,
 )
+from btcomplex import cli, orbits
+from btcomplex.chains import assemble_dbar1
 from btcomplex.orbits import (
     OrbitRecord,
     build_registry,
@@ -447,6 +449,25 @@ def test_total_order_refines_inclusion():
                     assert pos[a] > pos[b]
 
 
+def test_only_the_boundary_matrix_sorts_the_records(monkeypatch, capsys):
+    # the registry build sorts nothing: with the matrix's total order
+    # refused, registries build, and the counts, the orbits dump and the
+    # minimal report run; only assembling the matrix reads the order
+    def refuse(rec):
+        raise AssertionError("the boundary matrix's total order was read")
+
+    monkeypatch.setattr(orbits, "_total_order_key", refuse)
+    for p, k, n in [(3, 1, 2), (3, 2, 1), (5, 1, 2)]:
+        reg = build_registry(make_cfg(p, k, n), n, k)
+        assert verify_counts(reg)["pass"]
+        assert len(cli.registry_json(reg)["orbits"]) == len(reg.records)
+        with pytest.raises(AssertionError, match="total order"):
+            assemble_dbar1(reg)
+    for command in ("orbits", "minimal", "counts"):
+        assert cli.main([command, "--p", "3", "--k", "2", "--n", "2"]) == 0, command
+    assert "verification error" not in capsys.readouterr().err
+
+
 RELATION_CONFIGS = [(2, 1, 2), (3, 1, 2), (2, 2, 3), (3, 2, 1)]
 
 
@@ -491,6 +512,38 @@ def test_poset_tables_match_direct_scans(p, k, n):
         chain = [reg.balls[b] for b in reg.ball_chain(reg.ball_of[i], reg.ball_of[j])]
         assert chain == [b for b in balls if dst.subset(b) and b.subset(src)], (src, dst)
         assert all(b.subset(a) for a, b in zip(chain, chain[1:]))
+
+
+NEST_CONFIGS = [(2, 1, 2), (2, 1, 3), (2, 2, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1), (5, 1, 1)]
+
+
+@pytest.mark.parametrize("p,k,n", NEST_CONFIGS)
+def test_the_level_n_registry_nests_in_level_n_plus_one(p, k, n):
+    # every level-n record is a level-(n+1) record of the same simplex and
+    # disc, in the same order per simplex; owners and edge_subs agree as
+    # (simplex, cell) data, and so do the ball chains of every restriction
+    # the complex maps route, from min_cover and edge_subs
+    cfg = make_cfg(p, k, n + 1)
+    small, big = build_registry(cfg, n, k), build_registry(cfg, n + 1, k)
+    for table, bigger in ((small.vertex_records, big.vertex_records), (small.edge_records, big.edge_records)):
+        for s, recs in table.items():
+            assert bigger[s] == recs, s
+    into = [big.index[r] for r in small.records]
+
+    def data(reg, i):
+        return reg.records[i].simplex, reg.records[i].ball.cell
+
+    def chain(reg, i, j):
+        return [reg.balls[b].cell for b in reg.ball_chain(reg.ball_of[i], reg.ball_of[j])]
+
+    pairs = [(i, m) for i, cover in enumerate(small.min_cover) for m in cover]
+    for i in small.edge_ids():
+        assert data(small, small.owner[i]) == data(big, big.owner[into[i]]), data(small, i)
+        subs = small.edge_subs[i]
+        assert [data(small, q) for q in subs] == [data(big, q) for q in big.edge_subs[into[i]]]
+        pairs.extend((i, q) for q in subs)
+    for i, j in pairs:
+        assert chain(small, i, j) == chain(big, into[i], into[j]), (data(small, i), data(small, j))
 
 
 def test_edge_split_invariant_survives_python_O():

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -469,6 +470,28 @@ def test_radius_exponent_read_off_the_key_on_registry_balls(p, k, n):
                     Ball(cfg, ball.cell)
             else:
                 assert Ball(cfg, ball.cell) == ball
+
+
+# (name, key) at p = 3: each breaks one condition of a cell key
+MALFORMED_KEYS = [
+    ("level-0", ("w", 1, 0, True)),
+    ("q-not-a-power-of-p", ("z", 6, 0, False)),
+    ("w-cell-prime-to-p", ("w", 9, 4, False)),
+    ("r-not-below-q", ("z", 9, 9, False)),
+    ("unknown-chart", ("x", 3, 0, False)),
+    ("negative-r", ("z", 3, -1, False)),
+    ("flip-not-a-bool", ("z", 3, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("key", [k for _, k in MALFORMED_KEYS], ids=[name for name, _ in MALFORMED_KEYS])
+def test_ball_refuses_a_key_that_is_not_a_cell_key(key):
+    # a key the cell calculus would misread is refused by name: the level-0
+    # complement would print as z(0;1) with mass 1/3, and ('w', 9, 4, False)
+    # would move under the identity onto z(7;2)
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        Ball(PadicConfig(3, 12), key)
+
 
 # -- disc transport ------------------------------------------------------------
 
