@@ -21,7 +21,9 @@ from .orbits import OrbitRegistry, build_registry, check_partition, minimal_orbi
 
 
 def auto_precision(k: int, n: int, d: int) -> int:
-    # >= k + n + d + 4 guard digits; transported centers need ~k + 2n more
+    # Ball refuses a radius exponent |m| > N - 2, and the registry's discs have
+    # |m| <= n + k, so fewer digits would build; the formula stays because N
+    # is part of the output, in params.N and every serialized center
     return k + 2 * n + d + 8
 
 

@@ -3,12 +3,14 @@
 Each level-k orbit of a simplex is a shadow on the Bruhat-Tits tree: the set
 of ends beyond one oriented edge x -> y.  For a vertex w they are the ends
 beyond the edges x -> y with y at distance k from w and x y's neighbour
-toward w; for an edge they are the same, seen from the endpoint w owning the
-orbit, over the y whose path from w crosses the other endpoint.  The disc is
-D(y) when the last step descends (y is x's child) and P^1 minus D(x) when it
-climbs, where D(u) is the residue cell read off u's coordinate.  So the
-registry is read off vertex codes alone, in integers, and each disc is built
-once from its cell key.
+toward w, one run of them for each first step w -> u (_steps).  An edge's
+orbits are its endpoints' runs: each is an orbit of exactly one endpoint,
+its owner, and the edge's are the child's run through the parent, then the
+parent's run through the child.  The disc is D(y) when the last step
+descends (y is x's child) and P^1 minus D(x) when it climbs, where D(u) is
+the residue cell read off u's coordinate.  So the registry is read off
+vertex codes alone, in integers, each disc is built once from its cell key,
+and each edge record is a copy of the vertex record it equals.
 
 The group side moves vertices, discs and points through projline's lattice
 kernel: projline.moebius_ball_image carries a disc's edge by adj(g), and
@@ -80,24 +82,23 @@ def _shadows(x: Vertex, y: Vertex, s: int) -> list:
     return [key for z in neighbors(y) if z != x for key in _shadows(y, z, s - 1)]
 
 
-def _orbit_cells(simplex, k: int):
-    """The cell keys (Ball.cell) of a simplex's level-k orbit discs in record
-    order, each with its owner.  A vertex owns the shadows of the vertices at
-    distance k from it, taken through its neighbours in tree.neighbors order.
-    An edge's orbits are the child's shadows through the parent, then the
-    parent's through the child, each in that endpoint's own order."""
+def _steps(simplex) -> list:
+    """The first steps w -> u, in record order, of the paths whose shadows
+    are a simplex's orbits: a step's level-k orbits are _shadows(w, u, k - 1),
+    and w owns them.  A vertex steps to each of its neighbours in
+    tree.neighbors order.  An edge's orbits are its endpoints' runs: the
+    child's shadows through the parent, then the parent's through the child."""
     if isinstance(simplex, Vertex):
-        return [(key, simplex) for y in neighbors(simplex) for key in _shadows(simplex, y, k - 1)]
+        return [(simplex, u) for u in neighbors(simplex)]
     parent, child = _simplex_path(simplex)
-    return [*((key, child) for key in _shadows(child, parent, k - 1)),
-            *((key, parent) for key in _shadows(parent, child, k - 1))]
+    return [(child, parent), (parent, child)]
 
 
 def enumerate_orbits(cfg: PadicConfig, simplex, k: int):
     """All level-k orbit records of a simplex: pairwise-disjoint discs covering P^1."""
     if k < 1:
         raise AssertionError(f"congruence level must be >= 1, got {k}")
-    records = [OrbitRecord(simplex, Ball(cfg, key)) for key, _ in _orbit_cells(simplex, k)]
+    records = [OrbitRecord(simplex, Ball(cfg, key)) for step in _steps(simplex) for key in _shadows(*step, k - 1)]
     if len({r.ball for r in records}) != len(records):
         raise AssertionError(f"two orbits of {simplex.id_str()} share a disc")
     return records
@@ -124,8 +125,8 @@ class OrbitRegistry:
     ``records[i]`` is record i and ``index[rec]`` is i.  Per-index tables:
 
     * ``minimal[i]`` for a vertex record i: it is a minimal record;
-    * ``owner[i]`` for an edge record i: the index of the record with the
-      same disc at the endpoint owning the orbit.
+    * ``owner[i]`` for an edge record i: the index of the vertex record it
+      copies, the record with the same disc at the endpoint owning the orbit.
 
     Every disc is a residue cell of P^1 or the complement of one
     (``Ball.cell``), and its mass is read off that cell.  The registry holds
@@ -272,39 +273,38 @@ def _total_order_key(rec: OrbitRecord):
 
 def build_registry(cfg: PadicConfig, n: int, k: int) -> OrbitRegistry:
     """All orbit records for simplices within distance n of the root, built
-    in integers (_orbit_cells): one Ball per distinct disc, shared by every
-    record of that disc."""
+    in integers: each vertex record read off the shadows of its step
+    (_steps), with one Ball per distinct disc, shared by every record of
+    that disc; each edge record a copy of the vertex record it equals, the
+    runs of its two steps in order."""
     if n < 0 or k < 1:
         raise AssertionError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
     reg = OrbitRegistry(cfg, n, k)
     p = cfg.p
     discs = {}  # cell key -> its one Ball
-    at = {}  # (vertex, cell key) -> the vertex record's index
+    runs = {}  # step (w, u) -> the indices of w's records through u
     records = reg.records
 
-    def add(simplex, key):
-        ball = discs.get(key)
-        if ball is None:
-            ball = discs[key] = Ball(cfg, key)
-        rec = OrbitRecord(simplex, ball)
-        records.append(rec)
-        return rec
-
     for v in vertices_upto(p, n):
-        recs = reg.vertex_records[v] = []
-        for key, _ in _orbit_cells(v, k):
-            at[v, key] = len(records)
-            recs.append(add(v, key))
+        start = len(records)
+        for step in _steps(v):
+            first = len(records)
+            for key in _shadows(*step, k - 1):
+                ball = discs.get(key)
+                if ball is None:
+                    ball = discs[key] = Ball(cfg, key)
+                records.append(OrbitRecord(v, ball))
+            runs[step] = range(first, len(records))
+        reg.vertex_records[v] = records[start:]
     finest = p ** (n + k)  # the minimal records: the level-(n+k) cells
     reg.minimal = [n >= 1 and not r.ball.cell[3] and r.ball.cell[1] == finest for r in records]
     for e in edges_upto(p, n):
-        recs = reg.edge_records[e] = []
-        for key, w in _orbit_cells(e, k):  # w: the endpoint owning the orbit
-            rec = add(e, key)
-            if (w, key) not in at:
-                raise AssertionError(f"edge orbit {rec!r} has no record at its owner")
-            reg.owner[len(records) - 1] = at[w, key]
-            recs.append(rec)
+        start = len(records)
+        for step in _steps(e):
+            for j in runs[step]:  # j: the owner's record of this orbit
+                reg.owner[len(records)] = j
+                records.append(OrbitRecord(e, records[j].ball))
+        reg.edge_records[e] = records[start:]
     return reg
 
 

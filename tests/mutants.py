@@ -37,6 +37,7 @@ SIGN_FORMS = "tests/test_chains.py::test_complex_maps_match_their_sign_after_res
 TRANSPORT_ORACLE = "tests/test_orbits.py::test_integer_orbits_match_the_transport_oracle"
 REGISTRY_ORACLE = "tests/test_orbits.py::test_integer_registry_matches_the_transport_oracle"
 SHADOWS = "tests/test_orbits.py::test_registry_records_are_shadows_of_the_vertices_at_distance_k"
+STABILITY = "tests/test_orbits.py::test_registry_is_stable_under_integral_generators"
 LAST_BASIS_WITNESS = "tests/test_chains.py::test_verify_exactness_failing_basis_check_names_its_last_failing_element"
 FIRST_SAMPLE_WITNESS = "tests/test_chains.py::test_verify_exactness_failing_sampled_check_names_its_first_failing_sample"
 REFERENCE_LAYOUT = "tests/test_chains.py::test_reference_block_matrix_layout"
@@ -169,9 +170,24 @@ MUTANTS = [
      ["tests/test_cli.py::test_a_failing_count_exits_one_with_the_verify_report[python]",
       f"{EXIT_ONE}[python-counts]", f"{EXIT_ONE}[python-O-counts]"]),
     ("shadow-taken-from-the-wrong-endpoint", ORBITS,
-     "(key, child) for key in _shadows(child, parent, k - 1)",
-     "(key, child) for key in _shadows(parent, child, k - 1)",
+     "    return [(child, parent), (parent, child)]\n",
+     "    return [(parent, child), (parent, child)]\n",
      [f"{TRANSPORT_ORACLE}[3-2-2]", f"{REGISTRY_ORACLE}[3-2-2]", f"{SHADOWS}[3-2-2]"]),
+    # the edge records are the same set in another order, so only the bytes
+    # of the orbits dump, which lists them in record order, change
+    ("edge-copies-the-parent-run-first", ORBITS,
+     "for step in _steps(e)",
+     "for step in reversed(_steps(e))",
+     [f"{GOLDEN_DIGEST}[{flags}orbits {args}]" for flags in ("", "-O ")
+      for args in ("--p 2 --k 1 --n 2", "--p 3 --k 2 --n 1", "--p 2 --k 2 --n 3", "--p 3 --k 1 --n 2",
+                   "--p 2 --k 3 --n 3")]),
+    # one deepest vertex takes the complements of the discs of its first step:
+    # its record count holds, and the edges copy the changed records
+    ("one-vertex-takes-the-complements-of-its-first-run", ORBITS,
+     "                records.append(OrbitRecord(v, ball))\n",
+     "                records.append(OrbitRecord(v, ball if v != Vertex(p, n, (1, 0)) or first > start\n"
+     "                                           else Ball(cfg, (*key[:3], True))))\n",
+     [f"{STABILITY}[{params}]" for params in ("2-1-2", "3-2-2", "5-1-3")]),
     ("complement-hole-one-level-off", ORBITS,
      "_point_cell(p, x.n, *x.coord), True)",
      "_point_cell(p, x.n - 1, *x.coord), True)",
@@ -196,7 +212,8 @@ MUTANTS = [
      [f"{GOLDEN_DIGEST}[orbits --p 2 --k 1 --n 2]", f"{GOLDEN_DIGEST}[-O orbits --p 2 --k 2 --n 3]"]),
     # the complex stays exact mod p with one step scaled by p, so the mod-p
     # rank test does not see it; the tests that compare routed restriction
-    # with restriction built directly do
+    # with restriction built directly do, and so does partial0 across the
+    # level inclusion, whose two registries scale different steps
     ("one-step-operator-multiplied-by-p", CHAINS,
      "            route = ((reg.balls[dst], _operator(trans, D)),)\n",
      "            op = _operator(trans, D)\n"
@@ -204,7 +221,8 @@ MUTANTS = [
      "                op = tuple(tuple((j, e * reg.cfg.from_int(reg.cfg.p)) for j, e in row) for row in op)\n"
      "            route = ((reg.balls[dst], op),)\n",
      ["tests/test_chains.py::test_step_table_matches_uncached_restriction[3-2-2-2]",
-      "tests/test_chains.py::test_partial1_single_edge_signs"]),
+      "tests/test_chains.py::test_partial1_single_edge_signs",
+      "tests/test_chains.py::test_partial0_commutes_with_the_level_inclusion[2-2-2-1]"]),
 ]
 
 

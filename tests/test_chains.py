@@ -670,6 +670,12 @@ def _bits(coeffs):
     return [(c.v, c.u, c.prec) for c in coeffs]
 
 
+def _covering_steps(reg):
+    """(a, b) for each pair of registry balls with b directly below a: b
+    strictly inside a and no registry ball between them."""
+    return [(a, b) for b in range(len(reg.balls)) for a in reg.over[b] if reg.ball_chain(a, b) == [a, b]]
+
+
 def _op_bits(op):
     return [[(j, *_bits([e])[0]) for j, e in row] for row in op]
 
@@ -698,7 +704,7 @@ def test_step_transitions_keep_every_digit():
     reg = build_registry(cfg, 2, 2)
     assert (reg.balls[10].id_str(), reg.balls[22].id_str()) == ("z(3;2)", "z(7;3)")
     assert reg.ball_chain(10, 22) == [10, 22]
-    steps = [(a, b) for b in range(len(reg.balls)) for a in reg.over[b] if reg.ball_chain(a, b) == [a, b]]
+    steps = _covering_steps(reg)
     assert (10, 22) in steps
     for a, b in steps:
         assert _keeps_every_digit(mobius_series(chains._transition(cfg, reg.balls[a], reg.balls[b]), 3)), (a, b)
@@ -751,7 +757,7 @@ def test_mobius_series_matches_the_geometric_series_on_registry_steps(p, k, n, d
     # bit for bit, to the degree the action expands to, so also to d
     reg = make_reg(p, k, n, d)
     D = d + chains.GUARD_DEGREES
-    steps = [(a, b) for b in range(len(reg.balls)) for a in reg.over[b] if reg.ball_chain(a, b) == [a, b]]
+    steps = _covering_steps(reg)
     assert steps
     for a, b in steps:
         trans = chains._transition(reg.cfg, reg.balls[a], reg.balls[b])
@@ -847,7 +853,7 @@ def test_step_operators_match_the_binomial_oracle_on_the_grid(p, k, n, monkeypat
     # every one-step operator of the benchmark grid's registries, at its
     # precision and degrees, is bit for bit the one the oracle series builds
     reg = build_registry(PadicConfig(p, k + 2 * n + 12), n, k)
-    steps = [(a, b) for b in range(len(reg.balls)) for a in reg.over[b] if reg.ball_chain(a, b) == [a, b]]
+    steps = _covering_steps(reg)
     transitions = [chains._transition(reg.cfg, reg.balls[a], reg.balls[b]) for a, b in steps]
     ops = {D: [_op_bits(chains._operator(t, D)) for t in transitions] for D in range(3)}
     monkeypatch.setattr(chains, "mobius_series", _binomial_mobius_series)
@@ -963,7 +969,7 @@ def test_apply_matches_the_object_oracle_on_step_operators(p, k, n, d):
     reg = make_reg(p, k, n, d)
     cfg = reg.cfg
     rng = random.Random(1000 * p + 100 * k + 10 * n + d)
-    steps = [(a, b) for b in range(len(reg.balls)) for a in reg.over[b] if reg.ball_chain(a, b) == [a, b]]
+    steps = _covering_steps(reg)
     assert steps
     for D in (d, d + chains.GUARD_DEGREES):
         for a, b in steps:
@@ -1056,7 +1062,7 @@ def test_apply_makes_no_padic_arithmetic_call(monkeypatch):
     reg = make_reg(3, 2, 2, 2)
     cfg = reg.cfg
     rng = random.Random(5)
-    steps = [(a, b) for b in range(len(reg.balls)) for a in reg.over[b] if reg.ball_chain(a, b) == [a, b]]
+    steps = _covering_steps(reg)
     cases = []
     for a, b in steps[::3]:
         op = chains._operator(chains._transition(cfg, reg.balls[a], reg.balls[b]), 2)
@@ -1087,7 +1093,7 @@ def test_closed_forms_make_no_padic_arithmetic_call(monkeypatch):
     # inverse; act_on_function's twist is exact too, so it inverts nothing
     reg = make_reg(3, 2, 2, 2)
     cfg = reg.cfg
-    steps = [(a, b) for b in range(len(reg.balls)) for a in reg.over[b] if reg.ball_chain(a, b) == [a, b]]
+    steps = _covering_steps(reg)
     transitions = [chains._transition(cfg, reg.balls[a], reg.balls[b]) for a, b in steps]
     rng = random.Random(6)
     actions = []
@@ -1620,6 +1626,30 @@ def test_partial0_after_partial1_vanishes():
         for _ in range(6):
             c1 = random_chain1(reg, d, rng)
             assert partial0(partial1(c1, reg), reg).is_zero()
+
+
+@pytest.mark.parametrize("p,k,n,d", [(p, k, n, d) for p, k, n in [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 1, 2),
+                                                                 (3, 2, 1), (2, 2, 2)] for d in (0, 1, 2)])
+def test_partial0_commutes_with_the_level_inclusion(p, k, n, d):
+    # each level-n vertex record is the level-(n+1) record of its simplex and
+    # disc, and each level-n minimal disc is the union of the level-(n+1)
+    # minimal discs inside it: partial0 at level n, refined onto those by the
+    # larger registry's restrictions, is partial0 at level n + 1.  Below a
+    # proper disc the registry discs nest, so the route from a disc to a
+    # level-(n+1) minimal disc passes through the level-n minimal disc holding
+    # it, and the level-n chains are the same (the nesting test of
+    # test_orbits): the two sides agree exactly
+    cfg = make_cfg(p, k, n + 1, d)
+    small, big = build_registry(cfg, n, k), build_registry(cfg, n + 1, k)
+    into = [big.index[r] for r in small.records]
+    for i in range(len(small.minimal)):
+        for j in range(d + 1):
+            f = monomial(cfg, small.records[i].ball, j, d)
+            refined = Chain(d)
+            for m, g in partial0(Chain(d, {i: f}), small).parts.items():
+                for q in big.min_cover[into[m]]:
+                    refined.add_part(q, registry_restrict(big, g, into[m], q))
+            assert refined == partial0(Chain(d, {into[i]: f}), big), (small.records[i], j)
 
 
 def _mod_p(chain, p):
